@@ -196,9 +196,6 @@ def sequential_compose(m1: MarkedNet, m2: MarkedNet) -> MarkedNet:
     )
 
 
-EMPTY_MARKED = MarkedNet(Net(frozenset(), frozenset(), frozenset()), frozenset())
-
-
 # --------------------------------------------------------------------- #
 # Canonical form
 # --------------------------------------------------------------------- #
@@ -289,67 +286,98 @@ class SeqNode(TreeNode):
         return self.first.marking | self.second.marking
 
 
+def stratify(
+    blocks: list[tuple[frozenset[PlaceId], frozenset[PlaceId]]],
+    inputs: frozenset[PlaceId],
+    outputs: frozenset[PlaceId],
+) -> tuple[list[int], list[frozenset[PlaceId]]]:
+    """Layer blocks, given as (consumed, produced) place sets, by place
+    dataflow.
+
+    A block's layer is one past the deepest block producing a place it
+    consumes; places in ``inputs`` are available before layer 1.  Returns
+    each block's layer and, for each layer from 1 on, its identity pad:
+    the places that are available before the layer and still needed
+    after it, by a later layer or as one of the ``outputs``.
+    """
+    producer: dict[PlaceId, int] = {}
+    consumer: dict[PlaceId, int] = {}
+    for i, (consumed, produced) in enumerate(blocks):
+        for p in produced:
+            if p in producer:
+                raise CompositionError(f"place {p} is produced twice")
+            producer[p] = i
+        for p in consumed:
+            if p in consumer:
+                raise CompositionError(f"place {p} is consumed twice")
+            consumer[p] = i
+
+    # Longest path from the inputs, in Kahn's topological order.
+    waiting = [0] * len(blocks)
+    users: list[list[int]] = [[] for _ in blocks]
+    for i, (consumed, _) in enumerate(blocks):
+        for p in consumed:
+            if p in inputs:
+                continue
+            if p not in producer:
+                raise CompositionError(f"place {p} is consumed but never produced")
+            users[producer[p]].append(i)
+            waiting[i] += 1
+    layer = [1] * len(blocks)
+    ready = [i for i, n in enumerate(waiting) if n == 0]
+    placed = 0
+    while ready:
+        i = ready.pop()
+        placed += 1
+        for j in users[i]:
+            layer[j] = max(layer[j], layer[i] + 1)
+            waiting[j] -= 1
+            if not waiting[j]:
+                ready.append(j)
+    if placed < len(blocks):
+        raise CompositionError("cyclic place dataflow")
+
+    depth = max(layer)
+    pads: list[set[PlaceId]] = [set() for _ in range(depth)]
+    for p in sorted(inputs | producer.keys()):
+        if p in inputs and p in producer:
+            raise CompositionError(f"input place {p} is also produced")
+        avail = 0 if p in inputs else layer[producer[p]]
+        if p in consumer:
+            last = layer[consumer[p]] - 1
+        elif p in outputs:
+            last = depth
+        else:
+            raise CompositionError(f"place {p} is neither consumed nor delivered as an output")
+        for j in range(avail, last):
+            pads[j].add(p)
+    return layer, [frozenset(pad) for pad in pads]
+
+
 def canonical_form(marked: MarkedNet) -> TreeNode:
     """Layered decomposition of a marked occurrence net.
 
     Cells are stratified greedily: a cell's layer is one past the
-    deepest of its strict predecessors.  Each layer is the parallel
-    composition of its cells (ordered by smallest member place) plus one
-    identity net threading every place that crosses the layer boundary.
-    Folding the tree back with ⊕ and ; reproduces the input net exactly.
+    deepest cell producing one of its inputs, which is one past the
+    deepest of its strict predecessors in the cell order.  Each layer is
+    the parallel composition of its cells (ordered by smallest member
+    place) plus one identity net threading every place that crosses the
+    layer boundary.  Folding the tree back with ⊕ and ; reproduces the
+    input net exactly.
     """
     net = marked.net
-    cells = scells(net, marked.marking)
-    if not cells:
+    leaves = [CellLeaf(cell) for cell in scells(net, marked.marking)]
+    if not leaves:
         return IdentityLeaf(net.places)
-    order = cell_order(net, cells)
-    preds: dict[int, set[int]] = {i: set() for i in range(len(cells))}
-    for i, j in order:
-        preds[j].add(i)
-
-    layer: dict[int, int] = {}
-
-    def assign(i: int) -> int:
-        if i not in layer:
-            layer[i] = 1 + max((assign(j) for j in preds[i]), default=0)
-        return layer[i]
-
-    for i in range(len(cells)):
-        assign(i)
-    depth = max(layer.values())
-
-    consumer_cell: dict[PlaceId, int] = {}
-    producer_cell: dict[PlaceId, int] = {}
-    for i, cell in enumerate(cells):
-        for t in cell.transitions:
-            for p in net.pre(t):
-                consumer_cell[p] = i
-            for p in net.post(t):
-                producer_cell[p] = i
-
-    initial = min_places(net)
-    pads: dict[int, set[PlaceId]] = {j: set() for j in range(1, depth + 1)}
-    for p in sorted(net.places):
-        if p in initial:
-            if p in marked.marking:
-                continue  # marked inputs live inside their cell's subnet
-            avail = 0
-        else:
-            avail = layer[producer_cell[p]]
-        last = layer[consumer_cell[p]] - 1 if p in consumer_cell else depth
-        for j in range(avail + 1, last + 1):
-            pads[j].add(p)
-
+    layer, pads = stratify(
+        [(leaf.inputs, leaf.outputs) for leaf in leaves], marked.inputs, marked.outputs
+    )
     layers: list[TreeNode] = []
-    for j in range(1, depth + 1):
-        children: list[TreeNode] = [
-            CellLeaf(cells[i]) for i in sorted(
-                (i for i in range(len(cells)) if layer[i] == j),
-                key=lambda i: cells[i].sort_key(),
-            )
-        ]
-        if pads[j]:
-            children.append(IdentityLeaf(frozenset(pads[j])))
+    for j, pad in enumerate(pads, start=1):
+        # scells returns the cells sorted by smallest member place
+        children: list[TreeNode] = [leaf for leaf, k in zip(leaves, layer) if k == j]
+        if pad:
+            children.append(IdentityLeaf(pad))
         layers.append(children[0] if len(children) == 1 else ParNode(tuple(children)))
 
     tree = layers[0]

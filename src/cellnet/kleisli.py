@@ -5,9 +5,9 @@ places), indexes the 2^n subsets of the interface: the first wired place
 is the least-significant bit, so for places p < q the induced order is
 {}, {p}, {q}, {p,q}.  A Kleisli arrow is then a row-stochastic matrix
 from input subsets to output subsets; interpreting a term composes such
-arrows with permutations, Kronecker products, matrix products and
-row-stacking, with each cell constant contributing one row driven by the
-δ table's distribution over its transactions.
+arrows with relabellings (row and column gathers), Kronecker products,
+matrix products and row-stacking, with each cell constant contributing
+one row driven by the δ table's distribution over its transactions.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -199,14 +199,31 @@ def identity_arrow(wiring: Wiring) -> KleisliArrow:
 def permutation_arrow(source: Wiring, target: Wiring) -> KleisliArrow:
     """The 0/1 arrow relabelling subset indices between two wirings of
     the same place set."""
+    return _relabel(identity_arrow(source), source, target)
+
+
+def _gather_index(source: Wiring, target: Wiring) -> np.ndarray:
+    """Index vector g with g[k] = source.index(target.subset_at(k)):
+    bit b of k moves to the source position of target's b-th place."""
     if source.place_set != target.place_set:
         raise WiringError(
             f"wirings order different sets: {source.places} vs {target.places}"
         )
-    matrix = np.zeros((source.size, target.size))
-    for k in range(source.size):
-        matrix[k, target.index(source.subset_at(k))] = 1.0
-    return KleisliArrow(source, target, matrix)
+    k = np.arange(target.size)
+    index = np.zeros(target.size, dtype=np.intp)
+    for bit, place in enumerate(target.places):
+        index |= (k >> bit & 1) << (source.position(place) - 1)
+    return index
+
+
+def _relabel(arrow: KleisliArrow, in_wiring: Wiring, out_wiring: Wiring) -> KleisliArrow:
+    """The same arrow with rows and columns indexed by other wirings of
+    its interfaces: one row and one column gather, no matrix product."""
+    if arrow.in_wiring == in_wiring and arrow.out_wiring == out_wiring:
+        return arrow
+    rows = _gather_index(arrow.in_wiring, in_wiring)
+    cols = _gather_index(arrow.out_wiring, out_wiring)
+    return KleisliArrow(in_wiring, out_wiring, arrow.matrix[np.ix_(rows, cols)])
 
 
 def tensor(a1: KleisliArrow, a2: KleisliArrow) -> KleisliArrow:
@@ -274,15 +291,20 @@ class DeltaTable:
             if self.strict:
                 raise DeltaError(f"no δ entry for constant {key.signature!r}")
             return uniform_dist(p.transitions for p in key.transactions)
-        allowed = {p.transitions for p in key.transactions}
-        stray = dist.support - allowed
-        if stray:
-            labels = sorted(",".join(sorted(s)) for s in stray)
+        labels = _stray_labels(key, dist)
+        if labels:
             raise DeltaError(
                 f"δ for {key.signature!r} assigns probability outside the "
                 f"transactions: {labels}"
             )
         return dist
+
+
+def _stray_labels(key: ConstantKey, dist: Dist) -> list[str]:
+    """Sorted labels of the transition sets ``dist`` gives probability
+    to that are not transactions of the constant."""
+    allowed = {p.transitions for p in key.transactions}
+    return sorted(",".join(sorted(s)) for s in dist.support - allowed)
 
 
 @dataclass(frozen=True)
@@ -325,10 +347,8 @@ def validate_delta(delta: DeltaTable, needed: Iterable[ConstantKey]) -> DeltaRep
             else:
                 filled.append(key.signature)
             continue
-        allowed = {p.transitions for p in key.transactions}
-        stray = dist.support - allowed
-        if stray:
-            labels = sorted(",".join(sorted(s)) for s in stray)
+        labels = _stray_labels(key, dist)
+        if labels:
             problems.append(
                 DeltaProblem(key.signature, "support", f"unknown transactions {labels}")
             )
@@ -401,24 +421,23 @@ def constant_arrow(key: ConstantKey, delta: DeltaTable, out_wiring: Wiring) -> K
     return KleisliArrow(Wiring(()), out_wiring, row)
 
 
-SubWiringChooser = Callable[[frozenset[str]], Wiring]
-
-
 def interpret(
     term: Term,
     delta: DeltaTable,
     in_wiring: Wiring | None = None,
     out_wiring: Wiring | None = None,
     *,
-    suborder: SubWiringChooser = lex_wiring,
     width_cap: int = DEFAULT_WIDTH_CAP,
 ) -> KleisliArrow:
     """Interpret a well-typed term as a Kleisli arrow.
 
     ``in_wiring``/``out_wiring`` must wire the term's input/output
-    interfaces (default: lexicographic).  ``suborder`` fixes the wirings
-    chosen internally for tensor factors and sequential middles; by the
-    permutation-conjugation property the result does not depend on it.
+    interfaces (default: lexicographic).  Every subterm is interpreted
+    between the lexicographic wirings of its own type, and the result is
+    relabelled to the requested wirings once, at the root.  By the
+    permutation-conjugation property, interpreting under other wirings
+    gives the same arrow up to that relabelling, so the internal choice
+    does not change the result.
     """
     ty = typecheck(term)
     if in_wiring is None:
@@ -433,7 +452,7 @@ def interpret(
         raise WiringError(
             f"output wiring {out_wiring.places} does not wire the term outputs {sorted(ty.outputs)}"
         )
-    return _interpret(term, ty, delta, in_wiring, out_wiring, suborder, width_cap)
+    return _relabel(_interpret(term, ty, delta, width_cap), in_wiring, out_wiring)
 
 
 def _check_width(ty: TermType, cap: int) -> None:
@@ -446,47 +465,29 @@ def _check_width(ty: TermType, cap: int) -> None:
         )
 
 
-def _interpret(
-    term: Term,
-    ty: TermType,
-    delta: DeltaTable,
-    pi: Wiring,
-    rho: Wiring,
-    suborder: SubWiringChooser,
-    cap: int,
-) -> KleisliArrow:
+def _interpret(term: Term, ty: TermType, delta: DeltaTable, cap: int) -> KleisliArrow:
+    """The term's arrow between the lexicographic wirings of its type."""
     _check_width(ty, cap)
+    pi, rho = lex_wiring(ty.inputs), lex_wiring(ty.outputs)
     if isinstance(term, Identity):
-        return permutation_arrow(pi, rho)
+        return identity_arrow(pi)
     if isinstance(term, Dead):
         return dead_arrow(term.places, rho)
     if isinstance(term, Constant):
         return constant_arrow(term.key, delta, rho)
     if isinstance(term, Par):
-        t1 = typecheck(term.left)
-        t2 = typecheck(term.right)
-        pi1, pi2 = suborder(t1.inputs), suborder(t2.inputs)
-        rho1, rho2 = suborder(t1.outputs), suborder(t2.outputs)
-        left = _interpret(term.left, t1, delta, pi1, rho1, suborder, cap)
-        right = _interpret(term.right, t2, delta, pi2, rho2, suborder, cap)
-        inner = tensor(left, right)
-        return compose_arrows(
-            compose_arrows(permutation_arrow(pi, inner.in_wiring), inner),
-            permutation_arrow(inner.out_wiring, rho),
-        )
+        left = _interpret(term.left, typecheck(term.left), delta, cap)
+        right = _interpret(term.right, typecheck(term.right), delta, cap)
+        return _relabel(tensor(left, right), pi, rho)
     if isinstance(term, Seq):
-        t1 = typecheck(term.first)
-        t2 = typecheck(term.second)
-        gamma = suborder(t1.outputs)
-        first = _interpret(term.first, t1, delta, pi, gamma, suborder, cap)
-        second = _interpret(term.second, t2, delta, gamma, rho, suborder, cap)
+        first = _interpret(term.first, typecheck(term.first), delta, cap)
+        second = _interpret(term.second, typecheck(term.second), delta, cap)
         return compose_arrows(first, second)
     if isinstance(term, Sum):
         rows = []
         for k in range(pi.size):
             branch = term.branch(pi.subset_at(k))
-            bty = typecheck(branch)
-            rows.append(_interpret(branch, bty, delta, Wiring(()), rho, suborder, cap))
+            rows.append(_interpret(branch, typecheck(branch), delta, cap))
         return copair(rows, pi)
     raise WiringError(f"not a term: {term!r}")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import NetError, OccurrenceError
 
@@ -96,20 +96,9 @@ class Net:
 
     @cached_property
     def _descendants(self) -> dict[NodeId, frozenset[NodeId]]:
-        # Reflexive-transitive closure of F, per node (memoised DFS).
-        closure: dict[NodeId, frozenset[NodeId]] = {}
-
-        def walk(x: NodeId) -> frozenset[NodeId]:
-            if x in closure:
-                return closure[x]
-            acc = {x}
-            for y in self._post[x]:
-                acc |= walk(y)
-            closure[x] = frozenset(acc)
-            return closure[x]
-
+        # Reflexive-transitive closure of F, per node.
         if self._has_flow_cycle:
-            # Straightforward saturation; cycles make the DFS memo unsound.
+            # Straightforward saturation; a cycle leaves no topological order.
             reach: dict[NodeId, set[NodeId]] = {x: {x} for x in self.nodes}
             changed = True
             while changed:
@@ -121,26 +110,30 @@ class Net:
                             reach[x] = merged
                             changed = True
             return {x: frozenset(s) for x, s in reach.items()}
-        for x in self.nodes:
-            walk(x)
+        closure: dict[NodeId, frozenset[NodeId]] = {}
+        for x in reversed(self._flow_order):
+            closure[x] = frozenset({x}).union(*(closure[y] for y in self._post[x]))
         return closure
 
     @cached_property
-    def _has_flow_cycle(self) -> bool:
-        colors: dict[NodeId, int] = {}
-
-        def visit(x: NodeId) -> bool:
-            colors[x] = 1
+    def _flow_order(self) -> tuple[NodeId, ...]:
+        """Nodes in a topological order of F (Kahn's algorithm); nodes on
+        a cycle, or after one, are left out."""
+        waiting = {x: len(self._pre[x]) for x in self.nodes}
+        ready = [x for x, n in waiting.items() if n == 0]
+        order = []
+        while ready:
+            x = ready.pop()
+            order.append(x)
             for y in self._post[x]:
-                state = colors.get(y, 0)
-                if state == 1:
-                    return True
-                if state == 0 and visit(y):
-                    return True
-            colors[x] = 2
-            return False
+                waiting[y] -= 1
+                if not waiting[y]:
+                    ready.append(y)
+        return tuple(order)
 
-        return any(visit(x) for x in sorted(self.nodes) if colors.get(x, 0) == 0)
+    @cached_property
+    def _has_flow_cycle(self) -> bool:
+        return len(self._flow_order) < len(self.places) + len(self.transitions)
 
 
 @dataclass(frozen=True)
@@ -231,8 +224,9 @@ def validate_occurrence(net: Net) -> ValidationReport:
             )
     if not net._has_flow_cycle:
         # Conflict is only meaningful on acyclic nets.
+        shared = [p for p in net.places if len(net.post(p)) > 1]
         for t in sorted(net.transitions):
-            witness = _self_conflict_witness(net, t)
+            witness = _self_conflict_witness(net, t, shared)
             if witness:
                 violations.append(
                     Violation("self-conflict", t, f"conflicting causes {witness[0]} #0 {witness[1]}")
@@ -244,13 +238,19 @@ def _on_cycle(net: Net, x: NodeId) -> bool:
     return any(x in net._descendants[y] for y in net._post[x])
 
 
-def _self_conflict_witness(net: Net, t: TransitionId) -> tuple[str, str] | None:
-    causes = sorted(u for u in net.transitions if t in net._descendants[u])
-    for i, t1 in enumerate(causes):
-        for t2 in causes[i + 1:]:
-            if net.pre(t1) & net.pre(t2):
-                return (t1, t2)
-    return None
+def _self_conflict_witness(
+    net: Net, t: TransitionId, shared: list[PlaceId]
+) -> tuple[str, str] | None:
+    """The lexicographically least pair of distinct causes of t with a
+    common pre-place.  Such a place is one of the ``shared`` places
+    (those with several consumers), and the least pair at one place is
+    its two smallest consumers among the causes of t."""
+    pairs = []
+    for p in shared:
+        rivals = sorted(u for u in net.post(p) if t in net._descendants[u])
+        if len(rivals) > 1:
+            pairs.append((rivals[0], rivals[1]))
+    return min(pairs, default=None)
 
 
 def ensure_occurrence(net: Net) -> None:
@@ -277,9 +277,6 @@ def isolated_places(net: Net) -> frozenset[PlaceId]:
 def identity_net(places: Iterable[PlaceId]) -> "MarkedNet":
     """The identity net I_s: unmarked isolated places, no transitions."""
     return MarkedNet(Net(frozenset(places), frozenset(), frozenset()), frozenset())
-
-
-EMPTY_NET = Net(frozenset(), frozenset(), frozenset())
 
 
 @dataclass(frozen=True)
@@ -319,15 +316,6 @@ class MarkedNet:
     def outputs(self) -> frozenset[PlaceId]:
         """Final places (the output interface)."""
         return max_places(self.net)
-
-    def is_trivial(self) -> bool:
-        """True when the net has no transitions."""
-        return not self.net.transitions
-
-
-def enabled(marked: MarkedNet, t: TransitionId, marking: frozenset[PlaceId] | None = None) -> bool:
-    m = marked.marking if marking is None else marking
-    return marked.net.pre(t) <= m
 
 
 def fire_at(net: Net, marking: frozenset[PlaceId], t: TransitionId) -> frozenset[PlaceId]:
@@ -446,18 +434,3 @@ def maximal_firing_outcomes(marked: MarkedNet) -> frozenset[frozenset[PlaceId]]:
             stack.append((m - net.pre(t)) | net.post(t))
     return frozenset(finals)
 
-
-def reachable_markings(marked: MarkedNet) -> Iterator[frozenset[PlaceId]]:
-    """All markings reachable from the net's marking (for safety checks)."""
-    net = marked.net
-    seen: set[frozenset[PlaceId]] = set()
-    stack = [marked.marking]
-    while stack:
-        m = stack.pop()
-        if m in seen:
-            continue
-        seen.add(m)
-        yield m
-        for t in net.transitions:
-            if net.pre(t) <= m:
-                stack.append((m - net.pre(t)) | net.post(t))

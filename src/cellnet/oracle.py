@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .cells import at_marking
 from .compiler import compile_net
 from .errors import CellnetError, DeltaError, NetError
 from .kleisli import DeltaTable, Dist
-from .nets import MarkedNet, PlaceId, TransitionId
+from .nets import MarkedNet, PlaceId, Process, TransitionId
 from .terms import (
     Constant,
+    ConstantKey,
     Dead,
     Identity,
     Par,
@@ -256,39 +257,52 @@ def conf_of_term(term: Term, m: Iterable[PlaceId]) -> frozenset[Configuration]:
     m = frozenset(m)
     ty = typecheck(term)
     _split_input(m, ty.inputs, "conf_of_term")
-    return frozenset(v for v, _fin in _runs(term, m))
+    runs = _play(term, m, lambda key: ((proc, 1.0) for proc in key.transactions))
+    return frozenset(v for v, _fin in runs)
 
 
-def _runs(term: Term, m: frozenset[str]) -> frozenset[tuple[Configuration, frozenset[str]]]:
-    """(configuration, final marking) pairs of a term under input m; the
-    final marking mirrors the matrix semantics (identities pass their
-    tokens through, constants emit exactly a transaction's final
-    places)."""
+def _play(
+    term: Term,
+    m: frozenset[str],
+    outcomes: Callable[[ConstantKey], Iterable[tuple[Process, float]]],
+) -> dict[tuple[Configuration, frozenset[str]], float]:
+    """Weighted (configuration, final marking) pairs of a term under
+    input m, where ``outcomes`` says which transactions, with which
+    weights, each constant yields.  The final marking mirrors the matrix
+    semantics (identities pass their tokens through, constants emit
+    exactly a transaction's final places); parallel parts multiply and
+    sequential parts feed final markings forward."""
     if isinstance(term, Identity):
-        return frozenset({(frozenset(), m)})
+        return {(frozenset(), m): 1.0}
     if isinstance(term, Dead):
-        return frozenset({(frozenset(), frozenset())})
+        return {(frozenset(), frozenset()): 1.0}
     if isinstance(term, Constant):
-        return frozenset(
-            (proc.transitions, proc.final_places) for proc in term.key.transactions
-        )
+        out: dict[tuple[Configuration, frozenset[str]], float] = {}
+        for proc, p in outcomes(term.key):
+            key = (proc.transitions, proc.final_places)
+            out[key] = out.get(key, 0.0) + p
+        return out
     if isinstance(term, Par):
         t1 = typecheck(term.left)
         t2 = typecheck(term.right)
-        left = _runs(term.left, m & t1.inputs)
-        right = _runs(term.right, m & t2.inputs)
-        return frozenset(
-            (v1 | v2, f1 | f2) for v1, f1 in left for v2, f2 in right
-        )
+        left = _play(term.left, m & t1.inputs, outcomes)
+        right = _play(term.right, m & t2.inputs, outcomes)
+        out = {}
+        for (v1, f1), p1 in left.items():
+            for (v2, f2), p2 in right.items():
+                key = (v1 | v2, f1 | f2)
+                out[key] = out.get(key, 0.0) + p1 * p2
+        return out
     if isinstance(term, Seq):
         t2 = typecheck(term.second)
-        out: set[tuple[Configuration, frozenset[str]]] = set()
-        for v1, f1 in _runs(term.first, m):
-            for v2, f2 in _runs(term.second, f1 & t2.inputs):
-                out.add((v1 | v2, f2))
-        return frozenset(out)
+        out = {}
+        for (v1, f1), p1 in _play(term.first, m, outcomes).items():
+            for (v2, f2), p2 in _play(term.second, f1 & t2.inputs, outcomes).items():
+                key = (v1 | v2, f2)
+                out[key] = out.get(key, 0.0) + p1 * p2
+        return out
     if isinstance(term, Sum):
-        return _runs(term.branch(m), frozenset())
+        return _play(term.branch(m), frozenset(), outcomes)
     raise NetError(f"not a term: {term!r}")
 
 
@@ -384,7 +398,16 @@ def enumerate_outcome_distribution(
     ty = typecheck(term)
     arriving = ty.inputs if inputs is None else frozenset(inputs)
     _split_input(arriving, ty.inputs, "enumerate_outcome_distribution")
-    weights = _weighted_runs(term, arriving, delta)
+
+    def weighted(key: ConstantKey) -> Iterator[tuple[Process, float]]:
+        dist = delta.distribution_for(key)
+        # sorted so that float accumulation is reproducible across runs
+        for proc in sorted(key.transactions, key=lambda p: p.sort_key()):
+            p = dist.prob(proc.transitions)
+            if p > 0:
+                yield proc, p
+
+    weights = _play(term, arriving, weighted)
     joint = Dist(weights)
     markings: dict[frozenset[str], float] = {}
     configs: dict[Configuration, float] = {}
@@ -392,49 +415,6 @@ def enumerate_outcome_distribution(
         markings[marking] = markings.get(marking, 0.0) + p
         configs[config] = configs.get(config, 0.0) + p
     return OutcomeDistribution(joint, Dist(markings), Dist(configs))
-
-
-def _weighted_runs(
-    term: Term,
-    m: frozenset[str],
-    delta: DeltaTable,
-) -> dict[tuple[Configuration, frozenset[str]], float]:
-    if isinstance(term, Identity):
-        return {(frozenset(), m): 1.0}
-    if isinstance(term, Dead):
-        return {(frozenset(), frozenset()): 1.0}
-    if isinstance(term, Constant):
-        dist = delta.distribution_for(term.key)
-        out: dict[tuple[Configuration, frozenset[str]], float] = {}
-        # sorted so that float accumulation is reproducible across runs
-        for proc in sorted(term.key.transactions, key=lambda p: p.sort_key()):
-            p = dist.prob(proc.transitions)
-            if p > 0:
-                key = (proc.transitions, proc.final_places)
-                out[key] = out.get(key, 0.0) + p
-        return out
-    if isinstance(term, Par):
-        t1 = typecheck(term.left)
-        t2 = typecheck(term.right)
-        left = _weighted_runs(term.left, m & t1.inputs, delta)
-        right = _weighted_runs(term.right, m & t2.inputs, delta)
-        out = {}
-        for (v1, f1), p1 in left.items():
-            for (v2, f2), p2 in right.items():
-                key = (v1 | v2, f1 | f2)
-                out[key] = out.get(key, 0.0) + p1 * p2
-        return out
-    if isinstance(term, Seq):
-        t2 = typecheck(term.second)
-        out = {}
-        for (v1, f1), p1 in _weighted_runs(term.first, m, delta).items():
-            for (v2, f2), p2 in _weighted_runs(term.second, f1 & t2.inputs, delta).items():
-                key = (v1 | v2, f2)
-                out[key] = out.get(key, 0.0) + p1 * p2
-        return out
-    if isinstance(term, Sum):
-        return _weighted_runs(term.branch(m), frozenset(), delta)
-    raise NetError(f"not a term: {term!r}")
 
 
 @dataclass(frozen=True)
@@ -472,39 +452,23 @@ def sample_outcome_distribution(
     rng = random.Random(seed)
     counts: dict[frozenset[str], int] = {}
 
-    def play(t: Term, m: frozenset[str]) -> frozenset[str]:
-        if isinstance(t, Identity):
-            return m
-        if isinstance(t, Dead):
-            return frozenset()
-        if isinstance(t, Constant):
-            dist = delta.distribution_for(t.key)
-            outcomes = sorted(dist.items(), key=lambda kv: sorted(kv[0]))
-            pick = rng.random()
-            acc = 0.0
-            chosen = outcomes[-1][0]
-            for outcome, p in outcomes:
-                acc += p
-                if pick < acc:
-                    chosen = outcome
-                    break
-            for proc in t.key.transactions:
-                if proc.transitions == chosen:
-                    return proc.final_places
-            raise DeltaError(f"sampled unknown transaction {sorted(chosen)}")
-        if isinstance(t, Par):
-            t1 = typecheck(t.left)
-            t2 = typecheck(t.right)
-            return play(t.left, m & t1.inputs) | play(t.right, m & t2.inputs)
-        if isinstance(t, Seq):
-            t2 = typecheck(t.second)
-            middle = play(t.first, m)
-            return play(t.second, middle & t2.inputs)
-        if isinstance(t, Sum):
-            return play(t.branch(m), frozenset())
-        raise NetError(f"not a term: {t!r}")
+    def draw(key: ConstantKey) -> list[tuple[Process, float]]:
+        dist = delta.distribution_for(key)
+        outcomes = sorted(dist.items(), key=lambda kv: sorted(kv[0]))
+        pick = rng.random()
+        acc = 0.0
+        chosen = outcomes[-1][0]
+        for outcome, p in outcomes:
+            acc += p
+            if pick < acc:
+                chosen = outcome
+                break
+        for proc in key.transactions:
+            if proc.transitions == chosen:
+                return [(proc, 1.0)]
+        raise DeltaError(f"sampled unknown transaction {sorted(chosen)}")
 
     for _ in range(samples):
-        outcome = play(term, arriving)
+        ((_config, outcome),) = _play(term, arriving, draw)
         counts[outcome] = counts.get(outcome, 0) + 1
     return SampleSummary(samples, seed, counts)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .errors import TermError, TermSyntaxError
+from .cells import stratify
+from .errors import CompositionError, TermError, TermSyntaxError
 from .nets import PlaceId, Process
 
 
@@ -306,63 +307,15 @@ def normalize(term: Term) -> Term:
     if not atoms:
         return Identity(ty.inputs)
 
-    producer: dict[str, int] = {}
-    consumer: dict[str, int] = {}
-    for idx, atom in enumerate(atoms):
-        for p in atom.outputs:
-            if p in producer:
-                raise TermError(f"place {p} is produced twice; cannot normalize")
-            producer[p] = idx
-        for p in atom.inputs:
-            if p in consumer:
-                raise TermError(f"place {p} is consumed twice; cannot normalize")
-            consumer[p] = idx
-
-    layer: dict[int, int] = {}
-
-    def assign(idx: int, pending: tuple[int, ...] = ()) -> int:
-        if idx in layer:
-            return layer[idx]
-        if idx in pending:
-            raise TermError("cyclic place dataflow; cannot normalize")
-        depths = []
-        for p in atoms[idx].inputs:
-            if p in ty.inputs:
-                depths.append(0)
-            elif p in producer:
-                depths.append(assign(producer[p], pending + (idx,)))
-            else:
-                raise TermError(f"place {p} is consumed but never produced")
-        layer[idx] = 1 + max(depths, default=0)
-        return layer[idx]
-
-    for idx in range(len(atoms)):
-        assign(idx)
-    depth = max(layer.values())
-
-    interface_places = set(ty.inputs) | set(producer)
-    pads: dict[int, set[str]] = {j: set() for j in range(1, depth + 1)}
-    for p in sorted(interface_places):
-        if p in ty.inputs and p in producer:
-            raise TermError(f"input place {p} is also produced; cannot normalize")
-        avail = 0 if p in ty.inputs else layer[producer[p]]
-        if p in consumer:
-            last = layer[consumer[p]] - 1
-        elif p in ty.outputs:
-            last = depth
-        else:
-            raise TermError(f"place {p} is neither consumed nor delivered as an output")
-        for j in range(avail + 1, last + 1):
-            pads[j].add(p)
-
+    try:
+        layer, pads = stratify([(a.inputs, a.outputs) for a in atoms], ty.inputs, ty.outputs)
+    except CompositionError as exc:
+        raise TermError(f"{exc}; cannot normalize") from exc
     layers: list[Term] = []
-    for j in range(1, depth + 1):
-        blocks = sorted(
-            (atoms[i].term for i in range(len(atoms)) if layer[i] == j),
-            key=render_term,
-        )
-        if pads[j]:
-            blocks.append(Identity(frozenset(pads[j])))
+    for j, pad in enumerate(pads, start=1):
+        blocks = sorted((a.term for a, k in zip(atoms, layer) if k == j), key=render_term)
+        if pad:
+            blocks.append(Identity(pad))
         layers.append(par_all(blocks))
     result = layers[0]
     for nxt in layers[1:]:

@@ -88,7 +88,7 @@ def confusion_delta(pa=0.3, pc=0.6) -> DeltaTable:
 def random_delta(marked: MarkedNet, rng: random.Random) -> DeltaTable:
     """A strictly positive random δ table covering every constant."""
     entries = {}
-    for key in constants_of(compile_net(marked)):
+    for key in sorted(constants_of(compile_net(marked)), key=lambda k: k.signature):
         outcomes = sorted((p.transitions for p in key.transactions), key=sorted)
         weights = [rng.random() + 1e-3 for _ in outcomes]
         total = sum(weights)
@@ -98,7 +98,7 @@ def random_delta(marked: MarkedNet, rng: random.Random) -> DeltaTable:
 
 def uniform_delta(marked: MarkedNet) -> DeltaTable:
     entries = {}
-    for key in constants_of(compile_net(marked)):
+    for key in sorted(constants_of(compile_net(marked)), key=lambda k: k.signature):
         entries[key.signature] = uniform_dist(p.transitions for p in key.transactions)
     return DeltaTable(entries)
 

@@ -21,6 +21,7 @@ from cellnet import (
     scells,
     sequential_compose,
 )
+from cellnet.cells import stratify
 
 fs = frozenset
 
@@ -246,3 +247,34 @@ def test_at_marking_drops_marked_isolated_token():
     assert view.marked.net.places == fs()
     assert view.dropped_tokens == fs({"m"})
     assert view.dead_finals == fs({"r"})
+
+
+def test_stratify_layers_and_pads():
+    blocks = [(fs({"i"}), fs({"x"})), (fs({"x"}), fs({"o"})), (fs(), fs({"z"}))]
+    layer, pads = stratify(blocks, fs({"i", "w"}), fs({"o", "w", "z"}))
+    assert layer == [1, 2, 1]
+    assert pads == [fs({"w"}), fs({"w", "z"})]
+
+
+def test_stratify_rejects_bad_dataflow():
+    with pytest.raises(CompositionError, match="cyclic place dataflow"):
+        stratify([(fs({"a"}), fs({"b"})), (fs({"b"}), fs({"a"}))], fs(), fs())
+    with pytest.raises(CompositionError, match="place q is consumed but never produced"):
+        stratify([(fs({"q"}), fs())], fs(), fs())
+
+
+def test_canonical_layer_is_one_past_the_deepest_producer():
+    # tD's cell is fed by tC (layer 1) and tB (layer 2, after tA), so it
+    # lands in layer 3 whichever producer the layering visits last
+    net = Net(
+        fs({"p1", "p2", "p3", "p4", "p5", "p6"}),
+        fs({"tA", "tB", "tC", "tD"}),
+        fs([
+            ("p2", "tA"), ("tA", "p3"), ("p3", "tB"), ("tB", "p5"), ("p1", "tC"),
+            ("tC", "p4"), ("p4", "tD"), ("p5", "tD"), ("tD", "p6"),
+        ]),
+    )
+    tree = canonical_form(MarkedNet(net, fs({"p1", "p2"})))
+    assert render_tree(tree) == (
+        "(((cell{p1,tC | m=p1} + cell{p2,tA | m=p2}) ; (cell{p3,tB} + I{p4})) ; cell{p4,p5,tD})"
+    )

@@ -27,6 +27,21 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert "backward-conflict" in capsys.readouterr().out
 
 
+def test_validate_long_chain(tmp_path, capsys):
+    n = 1000
+    doc = {
+        "places": [f"p{i}" for i in range(n + 1)],
+        "transitions": [
+            {"id": f"t{i}", "pre": [f"p{i}"], "post": [f"p{i + 1}"]} for i in range(n)
+        ],
+        "marking": ["p0"],
+    }
+    chain = tmp_path / "chain.net"
+    chain.write_text(json.dumps(doc))
+    assert run(["validate", str(chain)]) == 0
+    assert capsys.readouterr().out.strip() == "OK"
+
+
 def test_validate_missing_file(capsys):
     assert run(["validate", "nets/nope.net"]) == 1
     assert "nope.net" in capsys.readouterr().err

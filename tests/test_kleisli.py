@@ -9,6 +9,8 @@ from cellnet import (
     DeltaTable,
     Dist,
     Identity,
+    MarkedNet,
+    Net,
     Wiring,
     WiringError,
     arrow_to_csv,
@@ -219,12 +221,46 @@ def test_interpret_respects_explicit_wirings(three_cells, three_cell_table):
     np.testing.assert_allclose(compose_arrows(permuted, chi).matrix, default.matrix, atol=1e-12)
 
 
-def test_interpret_middle_wiring_is_inessential(three_cells, three_cell_table):
-    term = compile_net(three_cells)
-    reverse = lambda places: Wiring(tuple(sorted(places, reverse=True)))
-    a = interpret(term, three_cell_table)
-    b = interpret(term, three_cell_table, suborder=reverse)
-    np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-12)
+def _disjoint_copies(marked, k):
+    """k disjoint copies of a marked net; copy i suffixes every node with _i."""
+    net = marked.net
+    return MarkedNet(
+        Net(
+            fs(f"{p}_{i}" for i in range(k) for p in net.places),
+            fs(f"{t}_{i}" for i in range(k) for t in net.transitions),
+            fs((f"{a}_{i}", f"{b}_{i}") for i in range(k) for a, b in net.flow),
+        ),
+        fs(f"{p}_{i}" for i in range(k) for p in marked.marking),
+    )
+
+
+def test_interpret_three_disjoint_copies(three_cells):
+    # 15 output places: a dense permutation matrix over them would take
+    # 8 GiB, while relabelling by gathers copies only the arrows themselves
+    pa, pc, pf = 0.3, 0.6, 0.5
+    base = three_cell_delta(pa=pa, pc=pc, pf=pf)
+    marked = _disjoint_copies(three_cells, 3)
+    term = compile_net(marked)
+    plain = lambda transitions: fs(t.rsplit("_", 1)[0] for t in transitions)
+    entries = {}
+    for key in constants_of(term):
+        signature = "|".join(
+            sorted(",".join(sorted(plain(p.transitions))) for p in key.transactions)
+        )
+        dist = base.entries[signature]
+        entries[key.signature] = Dist(
+            {p.transitions: dist.prob(plain(p.transitions)) for p in key.transactions}
+        )
+    arrow = interpret(term, DeltaTable(entries))
+    assert arrow.matrix.shape == (8, 32768)
+    columns = np.arange(arrow.out_wiring.size)
+    for i in range(3):
+        bit = arrow.out_wiring.position(f"7_{i}") - 1
+        marginal = arrow.matrix[:, (columns >> bit & 1) == 1].sum(axis=1)
+        for k in range(arrow.in_wiring.size):
+            fed = f"1_{i}" in arrow.in_wiring.subset_at(k)
+            expected = 1 - pa * pc * pf if fed else 1.0
+            assert marginal[k] == pytest.approx(expected, abs=1e-12)
 
 
 def test_interpret_width_cap():

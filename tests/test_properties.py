@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 from cellnet import (
     CellLeaf,
     MarkedNet,
+    Net,
+    SeqNode,
     Wiring,
     canonical_form,
+    cell_order,
     compile_net,
     compose_arrows,
     conflict,
@@ -24,7 +27,9 @@ from cellnet import (
     permutation_arrow,
     scells,
     typecheck,
+    validate_occurrence,
 )
+from cellnet.cells import cell_leaves
 from conftest import random_delta, random_occurrence_net
 
 fs = frozenset
@@ -175,6 +180,32 @@ def test_canonical_round_trip_on_random_nets():
         assert fold_tree(canonical_form(marked)) == marked
 
 
+def _layers(tree):
+    layers = []
+    while isinstance(tree, SeqNode):
+        layers.insert(0, tree.second)
+        tree = tree.first
+    return [tree] + layers
+
+
+def test_canonical_layers_are_longest_paths_in_cell_order():
+    # a predecessor in the (transitive) cell order has fewer predecessors,
+    # so sorting by their number gives a topological order
+    for marked in _random_nets(17, 60):
+        cells = scells(marked.net, marked.marking)
+        order = cell_order(marked.net, cells)
+        preds = {i: [j for j, k in order if k == i] for i in range(len(cells))}
+        depth = {}
+        for i in sorted(preds, key=lambda i: len(preds[i])):
+            depth[i] = 1 + max((depth[j] for j in preds[i]), default=0)
+        found = {
+            leaf.cell.members: j
+            for j, layer in enumerate(_layers(canonical_form(marked)), start=1)
+            for leaf in cell_leaves(layer)
+        }
+        assert found == {cells[i].members: depth[i] for i in depth}
+
+
 def test_cells_are_indecomposable_on_random_nets():
     for marked in _random_nets(9, 30):
         for cell in scells(marked.net, marked.marking):
@@ -236,3 +267,56 @@ def test_oracle_matches_matrix_on_every_input_row():
             row = arrow.row_dist(arriving)
             for key in set(outcome.markings.support) | set(row.support):
                 assert abs(outcome.markings.prob(key) - row.prob(key)) < 1e-9
+
+
+def _any_net(rng):
+    """A small random net, often no occurrence net: its flow may have
+    cycles, places with two producers and causes in conflict."""
+    places = [f"p{i}" for i in range(rng.randint(1, 9))]
+    transitions = [f"t{i}" for i in range(rng.randint(1, 8))]
+    flow = set()
+    for t in transitions:
+        flow.update((p, t) for p in rng.sample(places, rng.randint(1, min(3, len(places)))))
+        flow.update((t, p) for p in rng.sample(places, rng.randint(0, min(2, len(places)))))
+    return Net(fs(places), fs(transitions), fs(flow))
+
+
+def _reference_report(net):
+    """The occurrence-net report straight from the definitions: flow
+    reachability by search, and each transition's self-conflict witness
+    as the first conflicting pair of its sorted causes."""
+    below = {}
+    for x in net.nodes:
+        seen, stack = {x}, [x]
+        while stack:
+            for y in net.post(stack.pop()):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        below[x] = seen
+    on_cycle = [x for x in sorted(net.nodes) if any(x in below[y] for y in net.post(x))]
+    lines = [f"cycle at {x}: node lies on a flow cycle" for x in on_cycle]
+    for p in sorted(net.places):
+        if len(net.pre(p)) > 1:
+            lines.append(f"backward-conflict at {p}: multiple producers {sorted(net.pre(p))}")
+    if not on_cycle:
+        for t in sorted(net.transitions):
+            causes = sorted(u for u in net.transitions if t in below[u])
+            pairs = [
+                (a, b) for i, a in enumerate(causes) for b in causes[i + 1:]
+                if net.pre(a) & net.pre(b)
+            ]
+            if pairs:
+                lines.append(f"self-conflict at {t}: conflicting causes {pairs[0][0]} #0 {pairs[0][1]}")
+    return "\n".join(lines) or "OK"
+
+
+def test_validation_matches_reference_on_random_nets():
+    rng = random.Random(18)
+    verdicts = set()
+    for _ in range(400):
+        net = _any_net(rng)
+        report = str(validate_occurrence(net))
+        assert report == _reference_report(net)
+        verdicts.update(line.split()[0] for line in report.splitlines())
+    assert verdicts == {"OK", "cycle", "backward-conflict", "self-conflict"}
