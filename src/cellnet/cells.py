@@ -153,16 +153,24 @@ def cell_order(net: Net, cells: tuple[SCell, ...]) -> frozenset[tuple[int, int]]
 
 def parallel_compose(m1: MarkedNet, m2: MarkedNet) -> MarkedNet:
     """Disjoint union of two marked nets (the ⊕ of the net algebra)."""
-    shared = m1.net.nodes & m2.net.nodes
-    if shared:
-        raise CompositionError(f"parallel composition overlaps on nodes {sorted(shared)}")
+    return _disjoint_union((m1, m2))
+
+
+def _disjoint_union(parts: tuple[MarkedNet, ...]) -> MarkedNet:
+    """⊕ of several marked nets at once, validated as one net."""
+    seen: set[NodeId] = set()
+    for part in parts:
+        shared = seen & part.net.nodes
+        if shared:
+            raise CompositionError(f"parallel composition overlaps on nodes {sorted(shared)}")
+        seen |= part.net.nodes
     return MarkedNet(
         Net(
-            m1.net.places | m2.net.places,
-            m1.net.transitions | m2.net.transitions,
-            m1.net.flow | m2.net.flow,
+            frozenset().union(*(part.net.places for part in parts)),
+            frozenset().union(*(part.net.transitions for part in parts)),
+            frozenset().union(*(part.net.flow for part in parts)),
         ),
-        m1.marking | m2.marking,
+        frozenset().union(*(part.marking for part in parts)),
     )
 
 
@@ -393,10 +401,7 @@ def fold_tree(tree: TreeNode) -> MarkedNet:
     if isinstance(tree, IdentityLeaf):
         return identity_net(tree.places)
     if isinstance(tree, ParNode):
-        acc = fold_tree(tree.children[0])
-        for child in tree.children[1:]:
-            acc = parallel_compose(acc, fold_tree(child))
-        return acc
+        return _disjoint_union(tuple(fold_tree(child) for child in tree.children))
     if isinstance(tree, SeqNode):
         return sequential_compose(fold_tree(tree.first), fold_tree(tree.second))
     raise TypeError(f"not a composition tree node: {tree!r}")

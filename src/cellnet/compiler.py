@@ -14,6 +14,8 @@ but a depth guard turns any accidental non-termination into an error.
 
 from __future__ import annotations
 
+import weakref
+
 from .cells import (
     CellLeaf,
     IdentityLeaf,
@@ -30,12 +32,26 @@ from .terms import Constant, ConstantKey, Dead, Identity, Par, Seq, Term, make_s
 
 DEFAULT_DEPTH_GUARD = 64
 
+# Terms already compiled, per marked net and then per depth guard.  The
+# memo holds its nets weakly, so an entry dies with its net.
+_compiled: weakref.WeakKeyDictionary[MarkedNet, dict[int, Term]] = weakref.WeakKeyDictionary()
+
 
 def compile_net(marked: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) -> Term:
     """Compile a validated marked occurrence net into a well-typed term
     whose inputs are the net's unmarked initial places and whose outputs
-    are its final places."""
-    return _compile_tree(canonical_form(marked), depth_guard)
+    are its final places.
+
+    A marked net is immutable and the term a pure function of it, so
+    the term is remembered in a weak memo, one per depth guard: calling
+    again with the same (or an equal) live net returns the same term
+    object.  The memo keeps no net alive, and a failed compile is not
+    remembered.
+    """
+    terms = _compiled.setdefault(marked, {})
+    if depth_guard not in terms:
+        terms[depth_guard] = _compile_tree(canonical_form(marked), depth_guard)
+    return terms[depth_guard]
 
 
 def _compile_tree(tree: TreeNode, fuel: int) -> Term:

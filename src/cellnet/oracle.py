@@ -7,19 +7,28 @@ recursively-stopped configurations built by completing one branching
 cell at a time, the configurations denoted by a term, and the exact
 outcome distribution obtained by playing the term operationally.  The
 correspondence and equivalence checks diff the two routes.
+
+The event structure is built once per net, for the fully marked net,
+and restricted for each subset of inputs that receive tokens to the
+events with no input outside the subset below them.  The restriction
+equals the structure of the net with those inputs removed, because:
+
+- a transition dies exactly when a dead input lies below it;
+- paths between surviving transitions survive;
+- two surviving conflicting transitions keep their shared pre-place.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .cells import at_marking
 from .compiler import compile_net
 from .errors import CellnetError, DeltaError, NetError
 from .kleisli import DeltaTable, Dist
-from .nets import MarkedNet, PlaceId, Process, TransitionId
+from .nets import MarkedNet, Net, PlaceId, Process, TransitionId
 from .terms import (
     Constant,
     ConstantKey,
@@ -41,7 +50,10 @@ Configuration = frozenset[TransitionId]
 class PES:
     """A prime event structure: events, a causality partial order
     (stored as its reflexive pair set), and a symmetric irreflexive
-    conflict relation inherited along causality."""
+    conflict relation inherited along causality.
+
+    Causes, conflicts and immediate conflicts are indexed by event once
+    per structure, on first use."""
 
     events: frozenset[TransitionId]
     leq: frozenset[tuple[TransitionId, TransitionId]]
@@ -60,8 +72,35 @@ class PES:
                         f"conflict not inherited: {e1} # {e2} ≼ {e3} but not {e1} # {e3}"
                     )
 
+    @cached_property
+    def _causes(self) -> dict[TransitionId, frozenset[TransitionId]]:
+        return _index((y, x) for x, y in self.leq)
+
+    @cached_property
+    def _rivals(self) -> dict[TransitionId, frozenset[TransitionId]]:
+        return _index(self.conflict)
+
+    @cached_property
+    def _immediate(self) -> dict[TransitionId, frozenset[TransitionId]]:
+        # e #0 f exactly when, for every cause x of e, the rivals of x
+        # below f are {f} if x = e and none otherwise.
+        none: frozenset[TransitionId] = frozenset()
+        table = {}
+        for e, rivals in self._rivals.items():
+            causes = self._causes.get(e, none)
+            table[e] = frozenset(
+                f
+                for f in rivals & self.events
+                if all(
+                    self._rivals.get(x, none) & self._causes.get(f, none)
+                    == ({f} if x == e else none)
+                    for x in causes
+                )
+            )
+        return table
+
     def down(self, e: TransitionId) -> frozenset[TransitionId]:
-        return frozenset(x for x, y in self.leq if y == e)
+        return self._causes.get(e, frozenset())
 
     def in_conflict(self, e: TransitionId, f: TransitionId) -> bool:
         return (e, f) in self.conflict
@@ -69,17 +108,7 @@ class PES:
     def immediate_conflicts(self, e: TransitionId) -> frozenset[TransitionId]:
         """Events f with e #0 f: in conflict with e, but with every other
         pair of their causes compatible."""
-        out = set()
-        de = self.down(e)
-        for f in self.events:
-            if not self.in_conflict(e, f):
-                continue
-            pairs = {
-                (x, y) for x in de for y in self.down(f) if self.in_conflict(x, y)
-            }
-            if pairs == {(e, f)}:
-                out.add(f)
-        return frozenset(out)
+        return self._immediate.get(e, frozenset())
 
     def is_configuration(self, v: Iterable[TransitionId]) -> bool:
         v = frozenset(v)
@@ -88,37 +117,69 @@ class PES:
         for e in v:
             if not self.down(e) <= v:
                 return False
-        return not any(self.in_conflict(e, f) for e in v for f in v)
+        return not any(self._rivals.get(e, frozenset()) & v for e in v)
+
+    def restrict(self, keep: frozenset[TransitionId]) -> PES:
+        """The sub-structure on the events in ``keep``; causes and
+        conflicts come from this structure's tables, so neither pair set
+        is scanned again."""
+        none: frozenset[TransitionId] = frozenset()
+        causes = {e: self._causes.get(e, none) & keep for e in keep}
+        rivals = {e: self._rivals.get(e, none) & keep for e in keep}
+        sub = PES(
+            keep,
+            frozenset((x, e) for e, xs in causes.items() for x in xs),
+            frozenset((e, f) for e, fs in rivals.items() for f in fs),
+        )
+        sub.__dict__["_causes"] = causes
+        sub.__dict__["_rivals"] = {e: fs for e, fs in rivals.items() if fs}
+        return sub
+
+
+def _index(
+    pairs: Iterable[tuple[TransitionId, TransitionId]],
+) -> dict[TransitionId, frozenset[TransitionId]]:
+    """The image of each element under a relation given as pairs."""
+    table: dict[TransitionId, set[TransitionId]] = {}
+    for x, y in pairs:
+        table.setdefault(x, set()).add(y)
+    return {x: frozenset(ys) for x, ys in table.items()}
+
+
+def _net_pes(net: Net) -> PES:
+    """The PES of the net with every initial place marked: every
+    transition is an event, causality is the flow order, and conflict
+    is the shared-precondition relation inherited along causality."""
+    events = net.transitions
+    above = {t: net._descendants[t] & events for t in events}
+    leq = frozenset((t, u) for t in events for u in above[t])
+    conflict: set[tuple[TransitionId, TransitionId]] = set()
+    for p in net.places:
+        consumers = net.post(p)
+        for t1 in consumers:
+            for t2 in consumers:
+                if t1 != t2:
+                    conflict.update((x, y) for x in above[t1] for y in above[t2] if x != y)
+    return PES(events, leq, frozenset(conflict))
+
+
+def _live_events(net: Net, dead: frozenset[PlaceId]) -> frozenset[TransitionId]:
+    """The transitions with none of the ``dead`` initial places below
+    them: exactly the ones that stay fireable when those places never
+    receive a token."""
+    return net.transitions.difference(*(net._descendants[p] for p in dead))
 
 
 def pes_of_net(marked: MarkedNet) -> PES:
     """The PES of a marked net: events are the transitions that can ever
-    fire (unmarked inputs are first removed together with everything
-    depending on them), causality is the flow order, and conflict is the
-    shared-precondition relation inherited along causality."""
-    if marked.inputs:
-        marked = at_marking(marked, frozenset()).marked
-    net = marked.net
-    events = net.transitions
-    leq = frozenset(
-        (t, u) for t in events for u in events if u in net._descendants[t]
-    )
-    immediate = [
-        (t, u)
-        for t in events
-        for u in events
-        if t != u and net.pre(t) & net.pre(u)
-    ]
-    conflict = set()
-    for t1, t2 in immediate:
-        above1 = [x for x in events if x in net._descendants[t1]]
-        above2 = [y for y in events if y in net._descendants[t2]]
-        for x in above1:
-            for y in above2:
-                if x != y:
-                    conflict.add((x, y))
-                    conflict.add((y, x))
-    return PES(events, leq, frozenset(conflict))
+    fire (those with no unmarked input place below them), causality is
+    the flow order, and conflict is the shared-precondition relation
+    inherited along causality.
+
+    This is the fully marked net's PES restricted to those events; the
+    module docstring says why the restriction is exact."""
+    whole = _net_pes(marked.net)
+    return whole.restrict(_live_events(marked.net, marked.inputs))
 
 
 def future(pes: PES, v: Iterable[TransitionId]) -> PES:
@@ -127,14 +188,7 @@ def future(pes: PES, v: Iterable[TransitionId]) -> PES:
     v = frozenset(v)
     if not pes.is_configuration(v):
         raise NetError(f"{sorted(v)} is not a configuration")
-    remaining = frozenset(
-        e for e in pes.events - v if not any(pes.in_conflict(e, f) for f in v)
-    )
-    return PES(
-        remaining,
-        frozenset((a, b) for a, b in pes.leq if a in remaining and b in remaining),
-        frozenset((a, b) for a, b in pes.conflict if a in remaining and b in remaining),
-    )
+    return pes.restrict(pes.events.difference(v, *(pes._rivals.get(f, ()) for f in v)))
 
 
 def initial_stopping_prefixes(pes: PES) -> frozenset[frozenset[TransitionId]]:
@@ -181,7 +235,7 @@ def configurations_within(pes: PES, block: frozenset[TransitionId]) -> frozenset
                 continue
             if not pes.down(e) - {e} <= current:
                 continue
-            if any(pes.in_conflict(e, f) for f in current):
+            if pes._rivals.get(e, frozenset()) & current:
                 continue
             grow(current | {e})
 
@@ -350,17 +404,17 @@ def check_correspondence(marked: MarkedNet) -> CorrespondenceReport:
     recursively-stopped configurations of the marked net extended with j
     against the configurations of the compiled term under j.
 
-    Tokens arriving on isolated input places enable no events, so the
-    event-structure side drops them (a marking may not mention them).
+    The event structure is built once, for the fully marked net, and
+    restricted for each j to the events with no input outside j below
+    them (see :func:`pes_of_net`).  Tokens arriving on isolated input
+    places enable no events, so they change nothing there.
     """
-    from .nets import isolated_places
-
     term = compile_net(marked)
-    lonely = isolated_places(marked.net)
+    whole = _net_pes(marked.net)
     cases = []
     for arriving in subsets_lex(marked.inputs):
-        extended = MarkedNet(marked.net, (marked.marking | arriving) - lonely)
-        ab = maximal_r_stopped(pes_of_net(extended))
+        live = _live_events(marked.net, marked.inputs - arriving)
+        ab = maximal_r_stopped(whole.restrict(live))
         tv = conf_of_term(term, arriving)
         cases.append(CorrespondenceCase(arriving, ab, tv))
     return CorrespondenceReport(tuple(cases))

@@ -98,6 +98,14 @@ def test_parallel_compose(three_cells):
     with pytest.raises(CompositionError) as err:
         parallel_compose(nc1, nc3)
     assert "4" in str(err.value)
+    # fold_tree composes all children of a ParNode at once
+    leaves = [CellLeaf(cell_by_place(cells, p)) for p in ("1", "2", "3")]
+    assert fold_tree(ParNode(tuple(leaves[:2]) + (IdentityLeaf(fs({"x"})),))) == (
+        parallel_compose(both, identity_net({"x"}))
+    )
+    with pytest.raises(CompositionError) as err:
+        fold_tree(ParNode(tuple(leaves)))
+    assert "4" in str(err.value)
 
 
 def test_parallel_unit(three_cells):

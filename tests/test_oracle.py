@@ -9,6 +9,7 @@ from cellnet import (
     NetError,
     State,
     Wiring,
+    at_marking,
     branching_cells,
     check_correspondence,
     compile_net,
@@ -18,12 +19,13 @@ from cellnet import (
     future,
     initial_stopping_prefixes,
     interpret,
+    isolated_places,
     maximal_r_stopped,
     pes_of_net,
     r_stopped_configs,
     sample_outcome_distribution,
 )
-from conftest import confusion_delta, three_cell_delta
+from conftest import confusion_delta, random_occurrence_net, three_cell_delta
 
 fs = frozenset
 
@@ -56,6 +58,52 @@ def test_pes_conflict_free_net():
     net = Net(fs({"p", "q"}), fs({"t"}), fs([("p", "t"), ("t", "q")]))
     pes = pes_of_net(MarkedNet(net, fs({"p"})))
     assert pes.conflict == fs()
+
+
+def reference_pes(marked):
+    """The PES of a marked net straight from the definitions: remove the
+    unmarked inputs with everything depending on them, then take the
+    flow order and the shared-precondition conflict inherited along it."""
+    if marked.inputs:
+        marked = at_marking(marked, fs()).marked
+    net = marked.net
+    events = net.transitions
+    leq = fs((t, u) for t in events for u in events if u in net._descendants[t])
+    conflict = set()
+    for t1 in events:
+        for t2 in events:
+            if t1 != t2 and net.pre(t1) & net.pre(t2):
+                above1 = [x for x in events if (t1, x) in leq]
+                above2 = [y for y in events if (t2, y) in leq]
+                conflict |= {(x, y) for x in above1 for y in above2 if x != y}
+    return events, leq, fs(conflict)
+
+
+def assert_indexes_match_scans(pes):
+    for e in pes.events:
+        assert pes.down(e) == fs(x for x, y in pes.leq if y == e)
+        immediate = fs(
+            f for f in pes.events
+            if {(x, y) for x in pes.down(e) for y in pes.down(f)
+                if (x, y) in pes.conflict} == {(e, f)}
+        )
+        assert pes.immediate_conflicts(e) == immediate
+
+
+def test_restricted_pes_matches_definition_on_random_nets():
+    rng = random.Random(31)
+    for size in [(8, 6)] * 60 + [(12, 9)] * 15:
+        marked = random_occurrence_net(rng, *size)
+        lonely = isolated_places(marked.net)
+        report = check_correspondence(marked)
+        for case in report.cases:
+            extended = MarkedNet(marked.net, (marked.marking | case.arriving) - lonely)
+            pes = pes_of_net(extended)
+            assert (pes.events, pes.leq, pes.conflict) == reference_pes(extended)
+            assert case.from_event_structure == maximal_r_stopped(pes)
+            assert_indexes_match_scans(pes)
+            for e in pes.events:                # restricted again, to a future
+                assert_indexes_match_scans(future(pes, pes.down(e)))
 
 
 def test_initial_stopping_prefixes(pes_full):
