@@ -2,11 +2,14 @@
 
 An s-cell groups the transitions whose choices cannot be separated: it
 is an equivalence class of the preorder generated by causality together
-with the inverse precondition relation.  Cells are the indecomposable
-blocks of a marked occurrence net; every net factors uniquely (up to the
-commutative-monoidal axioms) into a layered parallel/sequential
-composition of cell subnets and identity nets, which this module
-computes as a tree of :class:`TreeNode` values.
+with the inverse precondition relation.  Those classes are the strongly
+connected components of one graph (the flow plus an arc from each
+transition back to each of its pre-places), so :func:`scells` finds
+them all with one iterative pass of Tarjan's algorithm.  Cells are the
+indecomposable blocks of a marked occurrence net; every net factors
+uniquely (up to the commutative-monoidal axioms) into a layered
+parallel/sequential composition of cell subnets and identity nets,
+which this module computes as a tree of :class:`TreeNode` values.
 
 Also here: the place-removal operator used to specialise a cell under
 the hypothesis that some of its inputs stay empty, and the fully-marked
@@ -17,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from typing import Iterator
 
 from .errors import CompositionError, NetError
 from .nets import (
@@ -35,7 +40,9 @@ from .nets import (
 def scell_preorder(net: Net) -> dict[NodeId, frozenset[NodeId]]:
     """The preorder ⊑ on nodes: reflexive-transitive closure of the flow
     relation extended with arcs from each transition back to its
-    pre-places.  Returns, per node, the set of nodes it precedes."""
+    pre-places.  Returns, per node, the set of nodes it precedes.  This
+    walks every node's reachability set; :func:`scells` finds the
+    classes in linear time instead."""
     ensure_occurrence(net)
     succ: dict[NodeId, set[NodeId]] = {x: set() for x in net.nodes}
     for src, dst in net.flow:
@@ -100,33 +107,77 @@ class SCell:
 def scells(net: Net, marking: frozenset[PlaceId] = frozenset()) -> tuple[SCell, ...]:
     """All s-cells of the net, sorted by their smallest member place.
 
-    Each cell's subnet inherits ``marking ∩ minp``.
+    The cells are the strongly connected components of the graph behind
+    :func:`scell_preorder` that hold a transition, found by one pass of
+    Tarjan's algorithm.  Each cell's subnet is its member transitions
+    with their pre- and post-places, and inherits ``marking ∩ minp``.
     """
-    reach = scell_preorder(net)
-    classes: dict[NodeId, frozenset[NodeId]] = {}
-    for t in net.transitions:
-        if t in classes:
-            continue
-        cls = frozenset(y for y in reach[t] if t in reach[y])
-        for member in cls:
-            classes[member] = cls
+    ensure_occurrence(net)
+    pre, post = net._pre, net._post
     cells = []
-    for cls in sorted({classes[t] for t in net.transitions}, key=sorted):
-        member_transitions = cls & net.transitions
-        nodes = set(cls)
-        for t in member_transitions:
-            nodes |= net.post(t)
-        flow = frozenset(
-            (src, dst) for src, dst in net.flow if src in nodes and dst in nodes
-        )
-        subnet = Net(
-            frozenset(p for p in nodes if p in net.places),
-            frozenset(member_transitions),
-            flow,
-        )
+    for members in cell_classes(net):
+        transitions = members & net.transitions
+        places = (members - transitions).union(*(post[t] for t in transitions))
+        flow = [(p, t) for t in transitions for p in pre[t]]
+        flow += [(t, q) for t in transitions for q in post[t]]
+        subnet = Net(places, transitions, frozenset(flow))
         inherited = marking & min_places(subnet)
-        cells.append(SCell(frozenset(cls), MarkedNet(subnet, inherited)))
+        cells.append(SCell(members, MarkedNet(subnet, inherited)))
     return tuple(sorted(cells, key=SCell.sort_key))
+
+
+def cell_classes(net: Net) -> list[frozenset[NodeId]]:
+    """The equivalence classes of ⊑ that hold a transition.
+
+    Tarjan's algorithm, iterative, over the flow plus the arcs from each
+    transition back to its pre-places.  A transition and its pre-places
+    are always in one component, so a component holds a transition
+    exactly when it has more than one node.
+    """
+    pre, post, transitions = net._pre, net._post, net.transitions
+
+    def successors(x: NodeId) -> Iterator[NodeId]:
+        return chain(post[x], pre[x]) if x in transitions else iter(post[x])
+
+    index: dict[NodeId, int] = {}
+    low: dict[NodeId, int] = {}
+    stack: list[NodeId] = []
+    on_stack: set[NodeId] = set()
+    work: list[tuple[NodeId, Iterator[NodeId]]] = []  # the DFS path, with unvisited successors
+
+    def visit(x: NodeId) -> None:
+        index[x] = low[x] = len(index)
+        stack.append(x)
+        on_stack.add(x)
+        work.append((x, successors(x)))
+
+    classes = []
+    for root in transitions:
+        if root not in index:
+            visit(root)
+        while work:
+            x, pending = work[-1]
+            for y in pending:
+                if y not in index:
+                    visit(y)
+                    break
+                if y in on_stack and index[y] < low[x]:
+                    low[x] = index[y]
+            else:
+                work.pop()
+                if work and low[x] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[x]
+                if low[x] == index[x]:
+                    component = []
+                    while True:
+                        y = stack.pop()
+                        on_stack.discard(y)
+                        component.append(y)
+                        if y == x:
+                            break
+                    if len(component) > 1:
+                        classes.append(frozenset(component))
+    return classes
 
 
 def cell_precedes(reach: dict[NodeId, frozenset[NodeId]], a: SCell, b: SCell) -> bool:

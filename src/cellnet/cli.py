@@ -178,6 +178,14 @@ def run(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"cellnet {args.command}: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        # Some term walks still recurse once per nesting level.
+        print(
+            f"cellnet {args.command}: the input nests too deeply for this command "
+            "(Python recursion limit reached)",
+            file=sys.stderr,
+        )
+        return 1
 
 
 def _dispatch(args) -> int:

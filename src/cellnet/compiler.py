@@ -24,10 +24,10 @@ from .cells import (
     TreeNode,
     at_marking,
     canonical_form,
-    scells,
+    cell_classes,
 )
 from .errors import CompileError
-from .nets import MarkedNet, Process, enumerate_transactions, min_places
+from .nets import MarkedNet, Process, enumerate_transactions, isolated_places, min_places
 from .terms import Constant, ConstantKey, Dead, Identity, Par, Seq, Term, make_sum, subsets_lex
 
 DEFAULT_DEPTH_GUARD = 64
@@ -57,18 +57,25 @@ def compile_net(marked: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) ->
 def _compile_tree(tree: TreeNode, fuel: int) -> Term:
     if fuel <= 0:
         raise CompileError("recursion depth guard exceeded while compiling")
+    # Canonical forms nest their layers to the left: fold that spine in a
+    # loop, first layer first.  Fuel only falls inside cells, not along ;.
+    later: list[TreeNode] = []
+    while isinstance(tree, SeqNode):
+        later.append(tree.second)
+        tree = tree.first
     if isinstance(tree, IdentityLeaf):
-        return Identity(tree.places)
-    if isinstance(tree, CellLeaf):
-        return compile_cell(tree.cell.subnet, depth_guard=fuel)
-    if isinstance(tree, ParNode):
+        term: Term = Identity(tree.places)
+    elif isinstance(tree, CellLeaf):
+        term = compile_cell(tree.cell.subnet, depth_guard=fuel)
+    elif isinstance(tree, ParNode):
         term = _compile_tree(tree.children[0], fuel)
         for child in tree.children[1:]:
             term = Par(term, _compile_tree(child, fuel))
-        return term
-    if isinstance(tree, SeqNode):
-        return Seq(_compile_tree(tree.first, fuel), _compile_tree(tree.second, fuel))
-    raise CompileError(f"unexpected composition tree node {tree!r}")
+    else:
+        raise CompileError(f"unexpected composition tree node {tree!r}")
+    for second in reversed(later):
+        term = Seq(term, _compile_tree(second, fuel))
+    return term
 
 
 def compile_cell(cell: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) -> Term:
@@ -82,11 +89,11 @@ def compile_cell(cell: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) -> 
     """
     if depth_guard <= 0:
         raise CompileError("recursion depth guard exceeded while compiling a cell")
-    parts = scells(cell.net, cell.marking)
-    if len(parts) != 1 or parts[0].subnet.net != cell.net:
+    classes = cell_classes(cell.net)
+    if len(classes) != 1 or isolated_places(cell.net):
         raise CompileError(
             "not a single s-cell: the net decomposes into "
-            f"{len(parts)} cell(s) and possibly identity wires"
+            f"{len(classes)} cell(s) and possibly identity wires"
         )
     unmarked = cell.inputs
     if not unmarked:

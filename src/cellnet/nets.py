@@ -135,6 +135,20 @@ class Net:
     def _has_flow_cycle(self) -> bool:
         return len(self._flow_order) < len(self.places) + len(self.transitions)
 
+    @cached_property
+    def _occurrence_report(self) -> "ValidationReport":
+        # Kept, so a net is walked once however often it is checked;
+        # validate_occurrence is looked up in the module at call time.
+        return validate_occurrence(self)
+
+    @cached_property
+    def _min_places(self) -> frozenset[PlaceId]:
+        return frozenset(p for p in self.places if not self._pre[p])
+
+    @cached_property
+    def _max_places(self) -> frozenset[PlaceId]:
+        return frozenset(p for p in self.places if not self._post[p])
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -254,19 +268,21 @@ def _self_conflict_witness(
 
 
 def ensure_occurrence(net: Net) -> None:
-    report = validate_occurrence(net)
+    """Raise unless the net is an occurrence net.  The report is
+    computed once per :class:`Net` object and kept on it."""
+    report = net._occurrence_report
     if not report.ok:
         raise OccurrenceError(f"not an occurrence net:\n{report}")
 
 
 def min_places(net: Net) -> frozenset[PlaceId]:
     """Initial places: empty pre-set."""
-    return frozenset(p for p in net.places if not net.pre(p))
+    return net._min_places
 
 
 def max_places(net: Net) -> frozenset[PlaceId]:
     """Final places: empty post-set."""
-    return frozenset(p for p in net.places if not net.post(p))
+    return net._max_places
 
 
 def isolated_places(net: Net) -> frozenset[PlaceId]:

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Generator, Iterable, Mapping, NamedTuple
 
 from .cells import stratify
 from .errors import CompositionError, TermError, TermSyntaxError
@@ -169,25 +168,82 @@ class TermType:
     outputs: frozenset[str]
 
 
-@lru_cache(maxsize=65536)
+class TypecheckInfo(NamedTuple):
+    """What :func:`typecheck` has done in this process: ``misses`` is
+    the number of term nodes whose type it computed."""
+
+    misses: int
+
+
+_TYPE = "_type"  # the instance attribute that holds a node's type
+_types_computed = 0
+
+
 def typecheck(term: Term) -> TermType:
     """Infer the unique type of a term, rejecting ill-formed ones:
     overlapping node sets under +, interface mismatches under ;, and
-    sums with missing or inconsistently-typed branches."""
+    sums with missing or inconsistently-typed branches.
+
+    Each node's type is computed once, bottom-up, and kept on the node
+    itself (outside its dataclass fields, so equality and hashing do
+    not change): typing a term again, or a larger term that contains
+    it, reads the stored types instead of walking the subterm.  No
+    global table holds terms.  The walk is iterative and checks
+    children left to right, so an ill-typed term raises the same error
+    however deep it is, and a node that fails stores nothing.
+    """
+    global _types_computed
+    known = _known_type(term)
+    if known is not None:
+        return known
+    path = [(term, _type_steps(term))]
+    sent: TermType | None = None
+    while True:
+        node, steps = path[-1]
+        try:
+            child = steps.send(sent)
+        except StopIteration as done:
+            ty = done.value
+            node.__dict__[_TYPE] = ty
+            _types_computed += 1
+            path.pop()
+            if not path:
+                return ty
+            sent = ty
+            continue
+        sent = _known_type(child)
+        if sent is None:
+            path.append((child, _type_steps(child)))
+
+
+def _typecheck_info() -> TypecheckInfo:
+    return TypecheckInfo(_types_computed)
+
+
+typecheck.cache_info = _typecheck_info  # type: ignore[attr-defined]
+
+
+def _known_type(term: Term) -> TermType | None:
+    return term.__dict__.get(_TYPE) if isinstance(term, Term) else None
+
+
+def _type_steps(term: Term) -> Generator[Term, TermType, TermType]:
+    """The typing rule of one node.  It yields each child whose type it
+    needs, in order, receives that type, and returns the node's type."""
     if isinstance(term, Identity):
         return TermType(term.places, term.places, term.places)
     if isinstance(term, Dead):
         return TermType(frozenset(), term.places, term.places)
     if isinstance(term, Par):
-        t1 = typecheck(term.left)
-        t2 = typecheck(term.right)
+        t1 = yield term.left
+        t2 = yield term.right
         overlap = t1.nodes & t2.nodes
         if overlap:
             raise TermError(f"parallel terms share nodes {sorted(overlap)}")
         return TermType(t1.inputs | t2.inputs, t1.nodes | t2.nodes, t1.outputs | t2.outputs)
     if isinstance(term, Seq):
-        t1 = typecheck(term.first)
-        t2 = typecheck(term.second)
+        t1 = yield term.first
+        t2 = yield term.second
         if t1.outputs != t2.inputs:
             raise TermError(
                 "sequential interface mismatch: "
@@ -217,7 +273,7 @@ def typecheck(term: Term) -> TermType:
         outputs: frozenset[str] | None = None
         nodes = frozenset(term.inputs)
         for m, sub in term.branches:
-            ty = typecheck(sub)
+            ty = yield sub
             if ty.inputs:
                 raise TermError(
                     f"sum branch {render_place_set(m)} has unfed inputs {sorted(ty.inputs)}"
@@ -241,8 +297,9 @@ def constants_of(term: Term) -> frozenset[ConstantKey]:
     make δ ambiguous and is rejected."""
     typecheck(term)
     found: dict[str, ConstantKey] = {}
-
-    def walk(t: Term) -> None:
+    pending = [term]  # a stack, so children go on it right to left
+    while pending:
+        t = pending.pop()
         if isinstance(t, Constant):
             prior = found.get(t.key.signature)
             if prior is not None and prior != t.key:
@@ -251,16 +308,11 @@ def constants_of(term: Term) -> frozenset[ConstantKey]:
                 )
             found[t.key.signature] = t.key
         elif isinstance(t, Par):
-            walk(t.left)
-            walk(t.right)
+            pending += (t.right, t.left)
         elif isinstance(t, Seq):
-            walk(t.first)
-            walk(t.second)
+            pending += (t.second, t.first)
         elif isinstance(t, Sum):
-            for _, sub in t.branches:
-                walk(sub)
-
-    walk(term)
+            pending.extend(sub for _, sub in reversed(t.branches))
     return frozenset(found.values())
 
 

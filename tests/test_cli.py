@@ -224,3 +224,37 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+
+
+def _write_net(path, places, transitions, marking):
+    path.write_text(json.dumps({"places": places, "transitions": transitions, "marking": marking}))
+    return str(path)
+
+
+def test_compile_long_chain_prints_term_or_one_line_error(tmp_path, capsys):
+    n = 1000
+    chain = _write_net(
+        tmp_path / "chain.net",
+        [f"p{i}" for i in range(n + 1)],
+        [{"id": f"t{i}", "pre": [f"p{i}"], "post": [f"p{i + 1}"]} for i in range(n)],
+        ["p0"],
+    )
+    code = run(["compile", chain])
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert out.startswith("(") and not err
+    else:
+        assert code == 1 and not out
+        assert err.startswith("cellnet compile: ") and err.count("\n") == 1
+
+
+def test_constants_wide_net(tmp_path, capsys):
+    n = 600
+    wide = _write_net(
+        tmp_path / "wide.net",
+        [p for i in range(n) for p in (f"a{i}", f"b{i}")],
+        [{"id": f"t{i}", "pre": [f"a{i}"], "post": [f"b{i}"]} for i in range(n)],
+        [f"a{i}" for i in range(0, n, 2)],
+    )
+    assert run(["constants", wide]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == n

@@ -12,6 +12,7 @@ from cellnet import (
     Sum,
     compile_cell,
     compile_net,
+    constants_of,
     identity_net,
     render_term,
     scells,
@@ -171,6 +172,34 @@ def test_stranded_internal_place_in_restriction():
 def test_compile_cell_rejects_non_cell(three_cells):
     with pytest.raises(CompileError):
         compile_cell(three_cells)
+
+
+def test_compile_cell_rejects_two_disjoint_cells():
+    net = Net(fs({"p", "q", "r", "s"}), fs({"t", "u"}),
+              fs([("p", "t"), ("t", "q"), ("r", "u"), ("u", "s")]))
+    with pytest.raises(CompileError, match=r"not a single s-cell: the net decomposes into 2 cell\(s\)"):
+        compile_cell(MarkedNet(net, fs({"p"})))
+
+
+def test_compile_cell_rejects_extra_isolated_place():
+    net = Net(fs({"p", "q", "z"}), fs({"t"}), fs([("p", "t"), ("t", "q")]))
+    with pytest.raises(CompileError, match=r"not a single s-cell: the net decomposes into 1 cell\(s\)"):
+        compile_cell(MarkedNet(net, fs({"p"})))
+    alone = Net(net.places - {"z"}, net.transitions, net.flow)   # the same cell without z
+    assert isinstance(compile_cell(MarkedNet(alone, fs({"p"}))), Constant)
+
+
+def test_compile_long_chain():
+    # canonical forms nest their layers to the left; the fold must not
+    # recurse once per layer
+    n = 1000
+    places = fs(f"p{i}" for i in range(n + 1))
+    flow = fs((f"p{i}", f"t{i}") for i in range(n)) | fs((f"t{i}", f"p{i + 1}") for i in range(n))
+    marked = MarkedNet(Net(places, fs(f"t{i}" for i in range(n)), flow), fs({"p0"}))
+    term = compile_net(marked)
+    ty = typecheck(term)
+    assert ty.inputs == fs() and ty.outputs == fs({f"p{n}"})
+    assert sorted(key.signature for key in constants_of(term)) == sorted(f"t{i}" for i in range(n))
 
 
 def test_depth_guard():

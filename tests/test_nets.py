@@ -154,3 +154,27 @@ def test_transactions_single_transition():
 def test_transactions_require_full_marking(three_cells):
     with pytest.raises(OccurrenceError):
         enumerate_transactions(three_cells)  # place 1 unmarked
+
+
+def test_each_net_is_validated_once(monkeypatch):
+    import cellnet.nets
+    from cellnet import scells
+
+    calls = []
+
+    def counted(net):
+        calls.append(net)
+        return validate_occurrence(net)
+
+    monkeypatch.setattr(cellnet.nets, "validate_occurrence", counted)
+    flow = fs([("p", "t"), ("t", "q")])
+    net = Net(fs({"p", "q"}), fs({"t"}), flow)
+    MarkedNet(net, fs({"p"}))
+    MarkedNet(net, fs())
+    scells(net)
+    assert [n is net for n in calls] == [True, False]   # the net, then its cell's subnet
+    bad = Net(fs({"p", "q"}), fs({"t"}), flow | {("q", "t")})
+    for _ in range(2):
+        with pytest.raises(OccurrenceError):
+            MarkedNet(bad)
+    assert calls[2:] == [bad]

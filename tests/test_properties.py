@@ -23,13 +23,15 @@ from cellnet import (
     fold_tree,
     immediate_conflict,
     interpret,
+    isolated_places,
     min_places,
     permutation_arrow,
+    scell_preorder,
     scells,
     typecheck,
     validate_occurrence,
 )
-from cellnet.cells import cell_leaves
+from cellnet.cells import cell_classes, cell_leaves
 from conftest import random_delta, random_occurrence_net
 
 fs = frozenset
@@ -320,3 +322,61 @@ def test_validation_matches_reference_on_random_nets():
         assert report == _reference_report(net)
         verdicts.update(line.split()[0] for line in report.splitlines())
     assert verdicts == {"OK", "cycle", "backward-conflict", "self-conflict"}
+
+
+def _reference_scells(net, marking):
+    """The s-cells by mutual reachability in ``scell_preorder``, each
+    subnet cut out of the whole flow relation: (members, places,
+    transitions, flow, marking) per cell, in ``scells`` order."""
+    reach = scell_preorder(net)
+    classes = {}
+    for t in net.transitions:
+        if t not in classes:
+            cls = fs(y for y in reach[t] if t in reach[y])
+            classes.update(dict.fromkeys(cls, cls))
+    cells = []
+    for cls in {classes[t] for t in net.transitions}:
+        transitions = cls & net.transitions
+        nodes = set(cls).union(*(net.post(t) for t in transitions))
+        flow = fs((src, dst) for src, dst in net.flow if src in nodes and dst in nodes)
+        places = fs(nodes) & net.places
+        initial = places - {dst for _, dst in flow}
+        cells.append((cls, places, transitions, flow, marking & initial))
+    return sorted(cells, key=lambda cell: min(cell[1] & cell[0]))
+
+
+def _scells_cases():
+    rng = random.Random(19)
+    for _ in range(150):
+        marked = random_occurrence_net(rng, 12, 9)
+        yield marked.net, marked.marking
+    for _ in range(1500):
+        net = _any_net(rng)
+        if validate_occurrence(net).ok:
+            markable = sorted(min_places(net) - isolated_places(net))
+            yield net, fs(p for p in markable if rng.random() < 0.5)
+
+
+def test_scells_match_preorder_reference_on_random_nets():
+    cases = checked = 0
+    for net, marking in _scells_cases():
+        cases += 1
+        expected = _reference_scells(net, marking)
+        found = [
+            (c.members, c.subnet.net.places, c.subnet.net.transitions, c.subnet.net.flow,
+             c.subnet.marking)
+            for c in scells(net, marking)
+        ]
+        assert found == expected
+        # compile_cell's test for "exactly one s-cell", against the cells
+        candidates = [net] + [c.subnet.net for c in scells(net)] + [
+            Net(c.subnet.net.places | {"zz"}, c.subnet.net.transitions, c.subnet.net.flow)
+            for c in scells(net)
+        ]
+        for candidate in candidates:
+            cells = _reference_scells(candidate, fs())
+            whole = len(cells) == 1 and (cells[0][1], cells[0][2], cells[0][3]) == (
+                candidate.places, candidate.transitions, candidate.flow)
+            assert (len(cell_classes(candidate)) == 1 and not isolated_places(candidate)) == whole
+            checked += whole
+    assert cases > 300 and checked > 300

@@ -5,11 +5,15 @@ from cellnet import (
     ConstantKey,
     Dead,
     Identity,
+    MarkedNet,
+    Net,
     Par,
     Process,
     Seq,
+    Sum,
     TermError,
     TermSyntaxError,
+    TermType,
     compile_net,
     constants_of,
     make_sum,
@@ -18,6 +22,7 @@ from cellnet import (
     render_term,
     typecheck,
 )
+from cellnet.terms import render_place_set, subsets_lex
 
 fs = frozenset
 
@@ -221,3 +226,191 @@ def test_parse_rejects_garbage():
     for bad in ("", "I", "I{", "(I{a} ? I{a})", "cell[]", "sum{a}[]", "I{a} I{b}"):
         with pytest.raises(TermSyntaxError):
             parse_term(bad)
+
+
+def _wide_net(n, prefix="w"):
+    """n independent one-transition cells, every other one marked."""
+    places = fs(f"{prefix}{x}{i}" for i in range(n) for x in "ab")
+    flow = fs((f"{prefix}a{i}", f"{prefix}t{i}") for i in range(n)) | fs(
+        (f"{prefix}t{i}", f"{prefix}b{i}") for i in range(n))
+    return MarkedNet(Net(places, fs(f"{prefix}t{i}" for i in range(n)), flow),
+                     fs(f"{prefix}a{i}" for i in range(0, n, 2)))
+
+
+def test_typecheck_equal_distinct_wide_terms():
+    # compiles under two depth guards are remembered apart: equal terms,
+    # distinct objects, whose + chains are 400 deep
+    marked = _wide_net(400)
+    first = compile_net(marked)
+    second = compile_net(marked, depth_guard=63)
+    assert first is not second
+    assert render_term(first) == render_term(second)
+    assert typecheck(first) == typecheck(second)
+    assert typecheck(first).outputs == fs(f"wb{i}" for i in range(400))
+
+
+def test_typed_term_is_not_kept_alive():
+    import gc
+    import weakref
+
+    term = Par(Identity(fs({"x"})), Constant(key_ab()))
+    assert typecheck(term).nodes == fs({"x", "1", "a", "b", "4", "5"})
+    ref = weakref.ref(term)
+    del term
+    gc.collect()
+    assert ref() is None
+
+
+def test_typecheck_counts_computed_types():
+    before = typecheck.cache_info().misses
+    term = Seq(Identity(fs({"y"})), Par(Identity(fs({"y"})), Dead(fs({"z"}))))
+    typecheck(term)
+    typecheck(term)
+    assert typecheck.cache_info().misses - before == 5   # one per node, once
+
+
+def _reference_typecheck(term):
+    """The type of a term by the typing rules, recursively and with no
+    memo: the order in which it checks is the order errors must come in."""
+    if isinstance(term, Identity):
+        return TermType(term.places, term.places, term.places)
+    if isinstance(term, Dead):
+        return TermType(fs(), term.places, term.places)
+    if isinstance(term, Par):
+        t1 = _reference_typecheck(term.left)
+        t2 = _reference_typecheck(term.right)
+        overlap = t1.nodes & t2.nodes
+        if overlap:
+            raise TermError(f"parallel terms share nodes {sorted(overlap)}")
+        return TermType(t1.inputs | t2.inputs, t1.nodes | t2.nodes, t1.outputs | t2.outputs)
+    if isinstance(term, Seq):
+        t1 = _reference_typecheck(term.first)
+        t2 = _reference_typecheck(term.second)
+        if t1.outputs != t2.inputs:
+            raise TermError(
+                "sequential interface mismatch: "
+                f"uncovered outputs {sorted(t1.outputs - t2.inputs)}, "
+                f"unfed inputs {sorted(t2.inputs - t1.outputs)}"
+            )
+        middle = t1.nodes & t2.nodes
+        if middle != t1.outputs:
+            raise TermError(
+                f"sequential terms share nodes beyond the interface: {sorted(middle ^ t1.outputs)}"
+            )
+        return TermType(t1.inputs, t1.nodes | t2.nodes, t2.outputs)
+    if isinstance(term, Constant):
+        return TermType(fs(), term.key.marked | term.key.nodes, term.key.outputs)
+    assert isinstance(term, Sum)
+    expected = set(subsets_lex(term.inputs))
+    present = {m for m, _ in term.branches}
+    if expected - present:
+        rendered = sorted(render_place_set(m) for m in expected - present)
+        raise TermError(f"sum is missing branches for {rendered}")
+    if present - expected:
+        rendered = sorted(render_place_set(m) for m in present - expected)
+        raise TermError(f"sum has branches outside its input set: {rendered}")
+    outputs = None
+    nodes = fs(term.inputs)
+    for m, sub in term.branches:
+        ty = _reference_typecheck(sub)
+        if ty.inputs:
+            raise TermError(f"sum branch {render_place_set(m)} has unfed inputs {sorted(ty.inputs)}")
+        if outputs is None:
+            outputs = ty.outputs
+        elif ty.outputs != outputs:
+            raise TermError(
+                f"sum branch {render_place_set(m)} outputs {sorted(ty.outputs)} "
+                f"disagree with {sorted(outputs)}"
+            )
+        nodes |= ty.nodes
+    return TermType(term.inputs, nodes, outputs)
+
+
+def _positions(term, path=()):
+    yield path, term
+    if isinstance(term, Par):
+        children = (term.left, term.right)
+    elif isinstance(term, Seq):
+        children = (term.first, term.second)
+    elif isinstance(term, Sum):
+        children = tuple(sub for _, sub in term.branches)
+    else:
+        children = ()
+    for i, child in enumerate(children):
+        yield from _positions(child, path + (i,))
+
+
+def _replaced(term, path, new):
+    if not path:
+        return new
+    i, rest = path[0], path[1:]
+    if isinstance(term, Par):
+        parts = [term.left, term.right]
+        parts[i] = _replaced(parts[i], rest, new)
+        return Par(*parts)
+    if isinstance(term, Seq):
+        parts = [term.first, term.second]
+        parts[i] = _replaced(parts[i], rest, new)
+        return Seq(*parts)
+    branches = list(term.branches)
+    branches[i] = (branches[i][0], _replaced(branches[i][1], rest, new))
+    return Sum(term.inputs, tuple(branches))
+
+
+def _mutated(term, rng):
+    """The term with one random local fault: a sum branch dropped or
+    added, a node put twice under +, the two sides of a ; swapped, or a
+    node replaced by another node of the term."""
+    positions = list(_positions(term))
+    path, node = rng.choice(positions)
+    kind = rng.choice(["drop", "add", "twice", "swap", "graft"])
+    if kind == "drop" and isinstance(node, Sum):
+        branches = list(node.branches)
+        branches.pop(rng.randrange(len(branches)))
+        new = Sum(node.inputs, tuple(branches))
+    elif kind == "add" and isinstance(node, Sum):
+        new = Sum(node.inputs, node.branches + ((fs({"zz"}), node.branches[0][1]),))
+    elif kind == "swap" and isinstance(node, Seq):
+        new = Seq(node.second, node.first)
+    elif kind == "graft":
+        new = rng.choice(positions)[1]
+    else:
+        new = Par(node, node)
+    return _replaced(term, path, new)
+
+
+def _outcome(check, term):
+    try:
+        ty = check(term)
+    except TermError as exc:
+        return str(exc)
+    return (sorted(ty.inputs), sorted(ty.nodes), sorted(ty.outputs))
+
+
+def test_typecheck_errors_match_reference_on_mutated_terms():
+    import random
+
+    from conftest import random_occurrence_net
+
+    rng = random.Random(20)
+    messages = set()
+    for _ in range(300):
+        term = compile_net(random_occurrence_net(rng, 12, 9))
+        for _ in range(rng.randint(1, 3)):
+            term = _mutated(term, rng)
+        expected = _outcome(_reference_typecheck, term)
+        assert _outcome(typecheck, term) == expected
+        assert _outcome(typecheck, term) == expected   # a failed check stored nothing
+        if isinstance(expected, str):
+            messages.add(" ".join(expected.split()[:2]))
+    assert len(messages) >= 5
+
+
+def test_constants_of_reports_the_first_shared_signature():
+    # both signatures name two keys; the walk meets a's pair first
+    term = parse_term(
+        "sum{x}[{}: (cell[{p}>{q}: {a}:{p}>{q}] + cell[{r}>{s}: {b}:{r}>{s}]), "
+        "{x}: (cell[{p,p2}>{q}: {a}:{p}>{q}] + cell[{r,r2}>{s}: {b}:{r}>{s}])]"
+    )
+    with pytest.raises(TermError, match="share the signature 'a'"):
+        constants_of(term)
