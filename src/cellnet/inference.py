@@ -108,14 +108,10 @@ class Predicate:
     def from_evidence(cls, wiring: Wiring, evidence: Mapping[PlaceId, bool]) -> "Predicate":
         """The sharp predicate holding exactly on subsets that agree
         with the observed presence/absence of tokens."""
-        for place in evidence:
-            wiring.position(place)
-        values = np.zeros(wiring.size)
-        for k in range(wiring.size):
-            subset = wiring.subset_at(k)
-            if all((place in subset) == bool(present) for place, present in evidence.items()):
-                values[k] = 1.0
-        return cls(wiring, values)
+        agree = np.ones(wiring.size, dtype=bool)
+        for place, present in evidence.items():
+            agree &= _marked(wiring, place) == bool(present)
+        return cls(wiring, agree.astype(float))
 
     def value(self, subset: Iterable[PlaceId]) -> float:
         return float(self.values[self.wiring.index(subset)])
@@ -130,10 +126,23 @@ def marginalize(arrow: KleisliArrow, keep: Iterable[PlaceId]) -> KleisliArrow:
         raise InferenceError(f"cannot keep unknown output places {sorted(stray)}")
     new_out = Wiring(tuple(p for p in arrow.out_wiring.places if p in keep))
     matrix = np.zeros((arrow.in_wiring.size, new_out.size))
-    for col in range(arrow.out_wiring.size):
-        target = new_out.index(arrow.out_wiring.subset_at(col) & keep)
-        matrix[:, target] += arrow.matrix[:, col]
+    # unbuffered, in column order: each sum is accumulated left to right
+    np.add.at(matrix, (slice(None), _restriction_index(arrow.out_wiring, new_out)), arrow.matrix)
     return KleisliArrow(arrow.in_wiring, new_out, matrix)
+
+
+def _marked(wiring: Wiring, place: PlaceId) -> np.ndarray:
+    """For each subset index of the wiring, whether the place is in it."""
+    return np.arange(wiring.size) >> (wiring.position(place) - 1) & 1
+
+
+def _restriction_index(wiring: Wiring, kept: Wiring) -> np.ndarray:
+    """Index vector r with r[k] = kept.index(wiring.subset_at(k) & kept
+    places), for a wiring ``kept`` of a subset of the wiring's places."""
+    index = np.zeros(wiring.size, dtype=np.intp)
+    for bit, place in enumerate(kept.places):
+        index |= _marked(wiring, place) << bit
+    return index
 
 
 def restrict_state(state: State, keep: Iterable[PlaceId]) -> State:
@@ -144,8 +153,7 @@ def restrict_state(state: State, keep: Iterable[PlaceId]) -> State:
         raise InferenceError(f"cannot keep unknown places {sorted(stray)}")
     new_wiring = Wiring(tuple(p for p in state.wiring.places if p in keep))
     probs = np.zeros(new_wiring.size)
-    for k, v in enumerate(state.probs):
-        probs[new_wiring.index(state.wiring.subset_at(k) & keep)] += v
+    np.add.at(probs, _restriction_index(state.wiring, new_wiring), state.probs)
     return State(new_wiring, probs)
 
 

@@ -4,10 +4,17 @@ An interface of n places, once given a wiring (a total order on the
 places), indexes the 2^n subsets of the interface: the first wired place
 is the least-significant bit, so for places p < q the induced order is
 {}, {p}, {q}, {p,q}.  A Kleisli arrow is then a row-stochastic matrix
-from input subsets to output subsets; interpreting a term composes such
-arrows with relabellings (row and column gathers), Kronecker products,
-matrix products and row-stacking, with each cell constant contributing
-one row driven by the δ table's distribution over its transactions.
+from input subsets to output subsets.
+
+Interpreting a term pushes rows through it instead of building its
+layers: the identity on the term's inputs is carried through each ``;``
+in turn, and through each ``+`` one factor at a time, contracting the
+factor's matrix into the bit axes of the places it consumes.  Only cell
+constants (one row driven by the δ table's distribution over their
+transactions), dead wires and sums (one stacked row per input subset)
+build matrices of their own, so no Kronecker product or whole layer is
+ever formed.  One column gather relabels the result to the requested
+wiring.
 """
 
 from __future__ import annotations
@@ -32,11 +39,14 @@ from .terms import (
     Term,
     TermType,
     render_place_set,
+    subsets_lex,
     typecheck,
 )
 
 DEFAULT_WIDTH_CAP = 20
 _TOLERANCE_ENV = "CELLNET_TOLERANCE"
+
+Places = tuple[PlaceId, ...]  # a wiring's places, without the Wiring checks
 
 
 def stochastic_tolerance() -> float:
@@ -173,13 +183,7 @@ class KleisliArrow:
         expected = (self.in_wiring.size, self.out_wiring.size)
         if matrix.shape != expected:
             raise WiringError(f"matrix shape {matrix.shape} does not match interfaces {expected}")
-        tol = stochastic_tolerance()
-        if matrix.min(initial=0.0) < -tol:
-            raise WiringError(f"matrix has a negative entry: {matrix.min()}")
-        sums = matrix.sum(axis=1)
-        worst = float(np.abs(sums - 1.0).max(initial=0.0))
-        if worst > tol:
-            raise WiringError(f"matrix is not row-stochastic (worst row error {worst:.3e})")
+        _check_stochastic(matrix, stochastic_tolerance())
         matrix = matrix.copy()
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
@@ -190,6 +194,17 @@ class KleisliArrow:
     def row_dist(self, inp: Iterable[PlaceId]) -> Dist:
         row = self.matrix[self.in_wiring.index(inp)]
         return Dist({self.out_wiring.subset_at(k): float(v) for k, v in enumerate(row) if v > 0})
+
+
+def _check_stochastic(matrix: np.ndarray, tol: float) -> None:
+    """Refuse a matrix with a negative entry or a row that does not sum
+    to one, both within ``tol``."""
+    if matrix.min(initial=0.0) < -tol:
+        raise WiringError(f"matrix has a negative entry: {matrix.min()}")
+    sums = matrix.sum(axis=1)
+    worst = float(np.abs(sums - 1.0).max(initial=0.0))
+    if worst > tol:
+        raise WiringError(f"matrix is not row-stochastic (worst row error {worst:.3e})")
 
 
 def identity_arrow(wiring: Wiring) -> KleisliArrow:
@@ -265,9 +280,13 @@ def dead_arrow(places: Iterable[PlaceId], out_wiring: Wiring) -> KleisliArrow:
     places = frozenset(places)
     if out_wiring.place_set != places:
         raise WiringError(f"wiring {out_wiring.places} does not wire {sorted(places)}")
-    row = np.zeros((1, out_wiring.size))
+    return KleisliArrow(Wiring(()), out_wiring, _dead_row(out_wiring.size))
+
+
+def _dead_row(size: int) -> np.ndarray:
+    row = np.zeros((1, size))
     row[0, 0] = 1.0
-    return KleisliArrow(Wiring(()), out_wiring, row)
+    return row
 
 
 @dataclass(frozen=True)
@@ -413,12 +432,16 @@ def constant_arrow(key: ConstantKey, delta: DeltaTable, out_wiring: Wiring) -> K
             f"wiring {out_wiring.places} does not wire the constant outputs "
             f"{sorted(key.outputs)}"
         )
+    return KleisliArrow(Wiring(()), out_wiring, _constant_row(key, delta, out_wiring))
+
+
+def _constant_row(key: ConstantKey, delta: DeltaTable, out_wiring: Wiring) -> np.ndarray:
     dist = delta.distribution_for(key)
     row = np.zeros((1, out_wiring.size))
     # sorted so that float accumulation is reproducible across runs
     for proc in sorted(key.transactions, key=lambda p: p.sort_key()):
         row[0, out_wiring.index(proc.final_places)] += dist.prob(proc.transitions)
-    return KleisliArrow(Wiring(()), out_wiring, row)
+    return row
 
 
 def interpret(
@@ -432,12 +455,19 @@ def interpret(
     """Interpret a well-typed term as a Kleisli arrow.
 
     ``in_wiring``/``out_wiring`` must wire the term's input/output
-    interfaces (default: lexicographic).  Every subterm is interpreted
-    between the lexicographic wirings of its own type, and the result is
-    relabelled to the requested wirings once, at the root.  By the
+    interfaces (default: lexicographic).  The identity on the inputs, in
+    their lexicographic wiring, is pushed through the term (see
+    :func:`_push`); no Kronecker product, layer matrix or permutation
+    matrix is built.  The result is relabelled to the requested wirings
+    once, by one row and one column gather.  By the
     permutation-conjugation property, interpreting under other wirings
-    gives the same arrow up to that relabelling, so the internal choice
-    does not change the result.
+    gives the same arrow up to that relabelling.
+
+    ``width_cap`` bounds every subterm's interface and every cut the
+    pushed rows range over.  Every intermediate matrix must be
+    non-negative and row-stochastic within the tolerance, read from
+    ``CELLNET_TOLERANCE`` once per call; the returned arrow checks
+    itself, as every arrow does.
     """
     ty = typecheck(term)
     if in_wiring is None:
@@ -452,44 +482,123 @@ def interpret(
         raise WiringError(
             f"output wiring {out_wiring.places} does not wire the term outputs {sorted(ty.outputs)}"
         )
-    return _relabel(_interpret(term, ty, delta, width_cap), in_wiring, out_wiring)
+    matrix, places = _interpret(term, ty, delta, width_cap, stochastic_tolerance())
+    rows = _gather_index(lex_wiring(ty.inputs), in_wiring)
+    cols = _gather_index(Wiring(places), out_wiring)
+    return KleisliArrow(in_wiring, out_wiring, matrix[np.ix_(rows, cols)])
 
 
-def _check_width(ty: TermType, cap: int) -> None:
-    widest = max(len(ty.inputs), len(ty.outputs))
-    if widest > cap:
+def _check_width(width: int, cap: int) -> None:
+    if width > cap:
         raise InterfaceWidthError(
-            f"interface of width {widest} exceeds the cap {cap}: the dense matrix "
-            f"would have 2^{widest} columns (exponential blowup); raise the cap "
+            f"interface of width {width} exceeds the cap {cap}: the dense matrix "
+            f"would have 2^{width} columns (exponential blowup); raise the cap "
             "explicitly if this is intended"
         )
 
 
-def _interpret(term: Term, ty: TermType, delta: DeltaTable, cap: int) -> KleisliArrow:
-    """The term's arrow between the lexicographic wirings of its type."""
-    _check_width(ty, cap)
-    pi, rho = lex_wiring(ty.inputs), lex_wiring(ty.outputs)
-    if isinstance(term, Identity):
-        return identity_arrow(pi)
+def _type_width(ty: TermType) -> int:
+    return max(len(ty.inputs), len(ty.outputs))
+
+
+def _interpret(
+    term: Term, ty: TermType, delta: DeltaTable, cap: int, tol: float
+) -> tuple[np.ndarray, Places]:
+    """The term's matrix, its rows indexed by the lexicographic wiring of
+    its inputs, and the places that wire its columns, first place lowest."""
+    _check_width(_type_width(ty), cap)
+    if isinstance(term, (Identity, Par, Seq)):
+        ins = tuple(sorted(ty.inputs))
+        return _push(np.eye(1 << len(ins)), ins, term, delta, cap, tol)
+    outs = tuple(sorted(ty.outputs))
     if isinstance(term, Dead):
-        return dead_arrow(term.places, rho)
-    if isinstance(term, Constant):
-        return constant_arrow(term.key, delta, rho)
-    if isinstance(term, Par):
-        left = _interpret(term.left, typecheck(term.left), delta, cap)
-        right = _interpret(term.right, typecheck(term.right), delta, cap)
-        return _relabel(tensor(left, right), pi, rho)
-    if isinstance(term, Seq):
-        first = _interpret(term.first, typecheck(term.first), delta, cap)
-        second = _interpret(term.second, typecheck(term.second), delta, cap)
-        return compose_arrows(first, second)
-    if isinstance(term, Sum):
+        matrix = _dead_row(1 << len(outs))
+    elif isinstance(term, Constant):
+        matrix = _constant_row(term.key, delta, Wiring(outs))
+    elif isinstance(term, Sum):
         rows = []
-        for k in range(pi.size):
-            branch = term.branch(pi.subset_at(k))
-            rows.append(_interpret(branch, typecheck(branch), delta, cap))
-        return copair(rows, pi)
-    raise WiringError(f"not a term: {term!r}")
+        for m in subsets_lex(ty.inputs):
+            branch = term.branch(m)
+            row, places = _interpret(branch, typecheck(branch), delta, cap, tol)
+            rows.append(row[:, _gather_index(Wiring(places), Wiring(outs))])
+        matrix = np.vstack(rows)
+    else:
+        raise WiringError(f"not a term: {term!r}")
+    _check_stochastic(matrix, tol)
+    return matrix, outs
+
+
+def _push(
+    matrix: np.ndarray, places: Places, term: Term, delta: DeltaTable, cap: int, tol: float
+) -> tuple[np.ndarray, Places]:
+    """Push rows through a term: ``matrix``'s columns range over the
+    subsets of a cut of places, wired by ``places``, that includes the
+    term's inputs; the result's range over the cut with those inputs
+    replaced by the term's outputs.
+
+    ``;`` pushes its first part, then its second, and ``+`` its factors
+    one after another, narrowing ones first, so that the cut through one
+    layer never grows beyond the wider end of that layer.  Constants,
+    dead wires and sums are the only factors with a matrix of their own,
+    contracted into the cut by :func:`_contract`; identity wires stay
+    where they are.  The walk keeps its own stack, so a long chain of
+    layers does not recurse.
+    """
+    pending = [term]
+    while pending:
+        t = pending.pop()
+        if isinstance(t, Par):
+            pending += reversed(_narrowing_first(t, cap))
+            continue
+        ty = typecheck(t)
+        _check_width(_type_width(ty), cap)
+        if isinstance(t, Seq):
+            pending += (t.second, t.first)
+        elif not isinstance(t, Identity):
+            # the cut this factor leaves, checked before anything is allocated
+            _check_width(len(places) - len(ty.inputs) + len(ty.outputs), cap)
+            factor, outs = _interpret(t, ty, delta, cap, tol)
+            matrix, places = _contract(matrix, places, factor, tuple(sorted(ty.inputs)), outs)
+            _check_stochastic(matrix, tol)
+    return matrix, places
+
+
+def _narrowing_first(term: Par, cap: int) -> list[Term]:
+    """The factors of a ``+`` tree, stably sorted by how many places each
+    adds to the cut (outputs minus inputs), after checking the width of
+    every ``+`` node in it."""
+    factors: list[Term] = []
+    pending: list[Term] = [term]
+    while pending:
+        t = pending.pop()
+        if isinstance(t, Par):
+            _check_width(_type_width(typecheck(t)), cap)
+            pending += (t.right, t.left)
+        else:
+            factors.append(t)
+
+    def growth(factor: Term) -> int:
+        ty = typecheck(factor)
+        return len(ty.outputs) - len(ty.inputs)
+
+    return sorted(factors, key=growth)
+
+
+def _contract(
+    matrix: np.ndarray, places: Places, factor: np.ndarray, ins: Places, outs: Places
+) -> tuple[np.ndarray, Places]:
+    """Contract ``factor`` (rows wired by ``ins``, columns by ``outs``)
+    into the cut: split the columns into one size-2 axis per place, move
+    the inputs' axes last in their wiring's bit order, multiply once,
+    and let the outputs take the low bits."""
+    n = len(places)
+    consumed = set(ins)
+    rest = tuple(p for p in places if p not in consumed)
+    axis = {p: n - bit for bit, p in enumerate(places)}  # axis 0 holds the rows
+    order = [0] + [axis[p] for p in reversed(rest)] + [axis[p] for p in reversed(ins)]
+    rows = matrix.shape[0]
+    cut = matrix.reshape((rows,) + (2,) * n).transpose(order).reshape(-1, factor.shape[0])
+    return (cut @ factor).reshape(rows, -1), outs + rest
 
 
 # --------------------------------------------------------------------- #

@@ -398,31 +398,49 @@ def render_process(proc: Process) -> str:
     return body
 
 
+class _Text(str):
+    """Literal text waiting on :func:`render_term`'s stack."""
+
+
 def render_term(term: Term) -> str:
-    if isinstance(term, Identity):
-        return f"I{render_place_set(term.places)}"
-    if isinstance(term, Dead):
-        return f"Bot{render_place_set(term.places)}"
-    if isinstance(term, Par):
-        return f"({render_term(term.left)} + {render_term(term.right)})"
-    if isinstance(term, Seq):
-        return f"({render_term(term.first)} ; {render_term(term.second)})"
-    if isinstance(term, Constant):
-        key = term.key
-        processes = "; ".join(
-            render_process(p) for p in sorted(key.transactions, key=Process.sort_key)
-        )
-        return (
-            f"cell[{render_place_set(key.marked)}>"
-            f"{render_place_set(key.outputs)}: {processes}]"
-        )
-    if isinstance(term, Sum):
-        branches = ", ".join(
-            f"{render_place_set(m)}: {render_term(term.branch(m))}"
-            for m in subsets_lex(term.inputs)
-        )
-        return f"sum{render_place_set(term.inputs)}[{branches}]"
-    raise TermError(f"not a term: {term!r}")
+    """The term's text in the grammar above.  The walk keeps its own
+    stack of terms still to render and text still to emit, so deep
+    terms do not recurse."""
+    pieces: list[str] = []
+    pending: list[Term | _Text] = [term]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, _Text):
+            pieces.append(item)
+        elif isinstance(item, Identity):
+            pieces.append(f"I{render_place_set(item.places)}")
+        elif isinstance(item, Dead):
+            pieces.append(f"Bot{render_place_set(item.places)}")
+        elif isinstance(item, Par):
+            pieces.append("(")
+            pending += (_Text(")"), item.right, _Text(" + "), item.left)
+        elif isinstance(item, Seq):
+            pieces.append("(")
+            pending += (_Text(")"), item.second, _Text(" ; "), item.first)
+        elif isinstance(item, Constant):
+            key = item.key
+            processes = "; ".join(
+                render_process(p) for p in sorted(key.transactions, key=Process.sort_key)
+            )
+            pieces.append(
+                f"cell[{render_place_set(key.marked)}>"
+                f"{render_place_set(key.outputs)}: {processes}]"
+            )
+        elif isinstance(item, Sum):
+            pieces.append(f"sum{render_place_set(item.inputs)}[")
+            parts: list[Term | _Text] = []
+            for m in subsets_lex(item.inputs):
+                parts += (_Text(f"{render_place_set(m)}: "), item.branch(m), _Text(", "))
+            parts[-1] = _Text("]")
+            pending += reversed(parts)
+        else:
+            raise TermError(f"not a term: {item!r}")
+    return "".join(pieces)
 
 
 _TOKEN = re.compile(r"\s*([{}()\[\]+;:>,|]|[A-Za-z0-9_.\-]+)")

@@ -61,6 +61,36 @@ def build_confusion_net() -> MarkedNet:
     return MarkedNet(net, frozenset({"1", "3"}))
 
 
+def disjoint_copies(marked: MarkedNet, k: int) -> MarkedNet:
+    """k disjoint copies of a marked net; copy i suffixes every node with _i."""
+    net = marked.net
+    return MarkedNet(
+        Net(
+            fs(f"{p}_{i}" for i in range(k) for p in net.places),
+            fs(f"{t}_{i}" for i in range(k) for t in net.transitions),
+            fs((f"{a}_{i}", f"{b}_{i}") for i in range(k) for a, b in net.flow),
+        ),
+        fs(f"{p}_{i}" for i in range(k) for p in marked.marking),
+    )
+
+
+def confusion_chain(n: int) -> MarkedNet:
+    """n confusion nets in a row: c_i puts the token on the a/b choice
+    place 1_{i+1} of the next net (the last c on 5); every 3_i is marked
+    and 1_0 is the single input."""
+    places, transitions, flow = {"5"}, set(), set()
+    for i in range(n):
+        nxt = f"1_{i + 1}" if i + 1 < n else "5"
+        places |= {f"1_{i}", f"3_{i}", f"4_{i}", f"6_{i}"}
+        transitions |= {f"a_{i}", f"b_{i}", f"c_{i}", f"d_{i}"}
+        flow |= {
+            (f"1_{i}", f"a_{i}"), (f"a_{i}", f"4_{i}"), (f"1_{i}", f"b_{i}"),
+            (f"3_{i}", f"c_{i}"), (f"c_{i}", nxt),
+            (f"3_{i}", f"d_{i}"), (f"4_{i}", f"d_{i}"), (f"d_{i}", f"6_{i}"),
+        }
+    return MarkedNet(Net(fs(places), fs(transitions), fs(flow)), fs(f"3_{i}" for i in range(n)))
+
+
 def three_cell_delta(pa=0.3, pc=0.6, pf=0.5, pg=0.7, pgp=0.2) -> DeltaTable:
     return DeltaTable(
         {

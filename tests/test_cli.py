@@ -231,21 +231,37 @@ def _write_net(path, places, transitions, marking):
     return str(path)
 
 
-def test_compile_long_chain_prints_term_or_one_line_error(tmp_path, capsys):
-    n = 1000
+def _long_chain(tmp_path, n=1000):
+    """A chain p0 -> t0 -> p1 -> ... -> p<n>, p0 marked, and a δ file
+    giving each one-transition cell probability 1."""
     chain = _write_net(
         tmp_path / "chain.net",
         [f"p{i}" for i in range(n + 1)],
         [{"id": f"t{i}", "pre": [f"p{i}"], "post": [f"p{i + 1}"]} for i in range(n)],
         ["p0"],
     )
-    code = run(["compile", chain])
+    delta = tmp_path / "chain.delta"
+    delta.write_text(json.dumps(
+        [{"signature": f"t{i}", "probabilities": {f"t{i}": 1.0}} for i in range(n)]
+    ))
+    return chain, str(delta)
+
+
+def test_compile_long_chain_prints_term(tmp_path, capsys):
+    chain, _ = _long_chain(tmp_path)
+    assert run(["compile", chain]) == 0
     out, err = capsys.readouterr()
-    if code == 0:
-        assert out.startswith("(") and not err
-    else:
-        assert code == 1 and not out
-        assert err.startswith("cellnet compile: ") and err.count("\n") == 1
+    assert not err
+    assert out.startswith("(" * 999 + "cell[{p0}>{p1}: {t0}:{p0}>{p1}] ; sum{p1}[")
+    assert out.count(" ; ") == 999 and out.endswith("{p999}>{p1000}]])\n")
+
+
+def test_matrix_long_chain(tmp_path, capsys):
+    chain, delta = _long_chain(tmp_path)
+    assert run(["matrix", chain, delta]) == 0
+    out, err = capsys.readouterr()
+    assert not err
+    assert [line.split() for line in out.splitlines()] == [["{}", "{p1000}"], ["{}", "0", "1"]]
 
 
 def test_constants_wide_net(tmp_path, capsys):

@@ -5,34 +5,60 @@ randomly generated occurrence nets."""
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellnet import (
     CellLeaf,
+    Constant,
+    Dead,
+    DeltaTable,
+    Identity,
     MarkedNet,
     Net,
+    Par,
+    Seq,
     SeqNode,
+    Sum,
+    TermError,
     Wiring,
     canonical_form,
     cell_order,
     compile_net,
     compose_arrows,
     conflict,
+    constant_arrow,
+    copair,
+    dead_arrow,
     enumerate_transactions,
     fold_tree,
+    identity_arrow,
     immediate_conflict,
     interpret,
     isolated_places,
+    lex_wiring,
+    make_sum,
     min_places,
+    normalize,
     permutation_arrow,
     scell_preorder,
     scells,
+    tensor,
     typecheck,
     validate_occurrence,
 )
 from cellnet.cells import cell_classes, cell_leaves
-from conftest import random_delta, random_occurrence_net
+from cellnet.kleisli import _relabel
+from cellnet.terms import subsets_lex
+from conftest import (
+    confusion_chain,
+    confusion_delta,
+    disjoint_copies,
+    random_delta,
+    random_occurrence_net,
+    three_cell_delta,
+)
 
 fs = frozenset
 
@@ -380,3 +406,95 @@ def test_scells_match_preorder_reference_on_random_nets():
             assert (len(cell_classes(candidate)) == 1 and not isolated_places(candidate)) == whole
             checked += whole
     assert cases > 300 and checked > 300
+
+
+# ------------------------------------------------------------------ #
+# interpret: row pushing against the Kronecker interpreter it replaced
+# ------------------------------------------------------------------ #
+
+def _kronecker_interpret(term, delta):
+    """The term's arrow between the lexicographic wirings of its type,
+    built layer by layer: + as a Kronecker product relabelled by
+    gathers, ; as a matrix product, a sum as its stacked branch rows."""
+    ty = typecheck(term)
+    pi, rho = lex_wiring(ty.inputs), lex_wiring(ty.outputs)
+    if isinstance(term, Identity):
+        return identity_arrow(pi)
+    if isinstance(term, Dead):
+        return dead_arrow(term.places, rho)
+    if isinstance(term, Constant):
+        return constant_arrow(term.key, delta, rho)
+    if isinstance(term, Par):
+        left = _kronecker_interpret(term.left, delta)
+        right = _kronecker_interpret(term.right, delta)
+        return _relabel(tensor(left, right), pi, rho)
+    if isinstance(term, Seq):
+        first = _kronecker_interpret(term.first, delta)
+        second = _kronecker_interpret(term.second, delta)
+        return compose_arrows(first, second)
+    assert isinstance(term, Sum)
+    rows = [_kronecker_interpret(term.branch(pi.subset_at(k)), delta) for k in range(pi.size)]
+    return copair(rows, pi)
+
+
+def _interpreter_cases():
+    from conftest import build_confusion_net, build_three_cell_net
+
+    rng = random.Random(21)
+    yield build_three_cell_net(), three_cell_delta()
+    yield build_confusion_net(), confusion_delta()
+    for marked in (disjoint_copies(build_three_cell_net(), 2), confusion_chain(9)):
+        yield marked, random_delta(marked, rng)
+    for _ in range(80):
+        marked = random_occurrence_net(rng, 10, 8)
+        try:
+            delta = random_delta(marked, rng)
+        except TermError:  # two constants share a signature
+            continue
+        yield marked, delta
+
+
+def test_interpret_matches_kronecker_reference():
+    rng = random.Random(22)
+    compared = 0
+    for marked, delta in _interpreter_cases():
+        term = compile_net(marked)
+        for t in (term, normalize(term)):
+            expected = _kronecker_interpret(t, delta)
+            ins, outs = list(expected.in_wiring.places), list(expected.out_wiring.places)
+            rng.shuffle(ins)
+            rng.shuffle(outs)
+            for w_in, w_out in ((None, None), (Wiring(tuple(ins)), Wiring(tuple(outs)))):
+                arrow = interpret(t, delta, w_in, w_out)
+                want = _relabel(expected, arrow.in_wiring, arrow.out_wiring)
+                np.testing.assert_allclose(arrow.matrix, want.matrix, rtol=0, atol=1e-12)
+                compared += 1
+    assert compared > 250
+
+
+def _drain(inputs, outputs):
+    """A sum over ``inputs`` whose every branch is the dead term on
+    ``outputs``: it consumes more places than it produces."""
+    return make_sum(inputs, {m: Dead(fs(outputs)) for m in subsets_lex(inputs)})
+
+
+def test_interpret_pushes_narrowing_factors_first():
+    # left to right, the cut would hold x1..x3 and i1..i3 at once: six
+    # places against a cap of three that every type respects
+    term = Par(Dead(fs({"x1", "x2", "x3"})), _drain({"i1", "i2", "i3"}, ()))
+    assert max(len(typecheck(term).inputs), len(typecheck(term).outputs)) == 3
+    arrow = interpret(term, DeltaTable({}), width_cap=3)
+    np.testing.assert_array_equal(arrow.matrix, _kronecker_interpret(term, DeltaTable({})).matrix)
+
+
+def test_interpret_refuses_a_cut_wider_than_the_cap():
+    from cellnet import InterfaceWidthError
+
+    # each factor opens three places and closes them into two, so pushing
+    # the second one holds 2 + 3 places although no type is wider than 4
+    first = Seq(Dead(fs({"m1", "m2", "m3"})), _drain({"m1", "m2", "m3"}, ("a1", "a2")))
+    second = Seq(Dead(fs({"n1", "n2", "n3"})), _drain({"n1", "n2", "n3"}, ("b1", "b2")))
+    term = Par(first, second)
+    assert interpret(term, DeltaTable({}), width_cap=5).matrix.shape == (1, 16)
+    with pytest.raises(InterfaceWidthError, match="width 5 exceeds the cap 4"):
+        interpret(term, DeltaTable({}), width_cap=4)
