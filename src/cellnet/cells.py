@@ -18,8 +18,8 @@ restriction view derived from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
 from typing import Iterator
 
@@ -29,11 +29,13 @@ from .nets import (
     Net,
     NodeId,
     PlaceId,
+    Walk,
     ensure_occurrence,
     identity_net,
     isolated_places,
     max_places,
     min_places,
+    run,
 )
 
 
@@ -259,72 +261,45 @@ def sequential_compose(m1: MarkedNet, m2: MarkedNet) -> MarkedNet:
 # Canonical form
 # --------------------------------------------------------------------- #
 
+@dataclass(frozen=True)
 class TreeNode:
     """Node of a composition tree; leaves are cell subnets and identity
-    nets, internal nodes are parallel (n-ary) or sequential (binary)."""
+    nets, internal nodes are parallel (n-ary) or sequential (binary).
+    Each node works out its interface once, when it is built."""
 
-    @property
-    def inputs(self) -> frozenset[PlaceId]:
-        raise NotImplementedError
+    inputs: frozenset[PlaceId] = field(init=False, compare=False, repr=False)
+    outputs: frozenset[PlaceId] = field(init=False, compare=False, repr=False)
 
-    @property
-    def outputs(self) -> frozenset[PlaceId]:
-        raise NotImplementedError
-
-    @property
-    def marking(self) -> frozenset[PlaceId]:
-        raise NotImplementedError
+    def _interface(self, inputs: frozenset[PlaceId], outputs: frozenset[PlaceId]) -> None:
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "outputs", outputs)
 
 
 @dataclass(frozen=True)
 class CellLeaf(TreeNode):
     cell: SCell
 
-    @property
-    def inputs(self) -> frozenset[PlaceId]:
-        return self.cell.subnet.inputs
-
-    @property
-    def outputs(self) -> frozenset[PlaceId]:
-        return self.cell.subnet.outputs
-
-    @property
-    def marking(self) -> frozenset[PlaceId]:
-        return self.cell.subnet.marking
+    def __post_init__(self) -> None:
+        self._interface(self.cell.subnet.inputs, self.cell.subnet.outputs)
 
 
 @dataclass(frozen=True)
 class IdentityLeaf(TreeNode):
     places: frozenset[PlaceId]
 
-    @property
-    def inputs(self) -> frozenset[PlaceId]:
-        return self.places
-
-    @property
-    def outputs(self) -> frozenset[PlaceId]:
-        return self.places
-
-    @property
-    def marking(self) -> frozenset[PlaceId]:
-        return frozenset()
+    def __post_init__(self) -> None:
+        self._interface(self.places, self.places)
 
 
 @dataclass(frozen=True)
 class ParNode(TreeNode):
     children: tuple[TreeNode, ...]
 
-    @cached_property
-    def inputs(self) -> frozenset[PlaceId]:
-        return frozenset().union(*(c.inputs for c in self.children))
-
-    @cached_property
-    def outputs(self) -> frozenset[PlaceId]:
-        return frozenset().union(*(c.outputs for c in self.children))
-
-    @cached_property
-    def marking(self) -> frozenset[PlaceId]:
-        return frozenset().union(*(c.marking for c in self.children))
+    def __post_init__(self) -> None:
+        self._interface(
+            frozenset().union(*(c.inputs for c in self.children)),
+            frozenset().union(*(c.outputs for c in self.children)),
+        )
 
 
 @dataclass(frozen=True)
@@ -332,17 +307,8 @@ class SeqNode(TreeNode):
     first: TreeNode
     second: TreeNode
 
-    @property
-    def inputs(self) -> frozenset[PlaceId]:
-        return self.first.inputs
-
-    @property
-    def outputs(self) -> frozenset[PlaceId]:
-        return self.second.outputs
-
-    @property
-    def marking(self) -> frozenset[PlaceId]:
-        return self.first.marking | self.second.marking
+    def __post_init__(self) -> None:
+        self._interface(self.first.inputs, self.second.outputs)
 
 
 def stratify(
@@ -438,53 +404,71 @@ def canonical_form(marked: MarkedNet) -> TreeNode:
         if pad:
             children.append(IdentityLeaf(pad))
         layers.append(children[0] if len(children) == 1 else ParNode(tuple(children)))
-
-    tree = layers[0]
-    for nxt in layers[1:]:
-        tree = SeqNode(tree, nxt)
-    return tree
+    return reduce(SeqNode, layers)
 
 
 def fold_tree(tree: TreeNode) -> MarkedNet:
     """Recompose a composition tree back into a marked net."""
-    if isinstance(tree, CellLeaf):
-        return tree.cell.subnet
-    if isinstance(tree, IdentityLeaf):
-        return identity_net(tree.places)
-    if isinstance(tree, ParNode):
-        return _disjoint_union(tuple(fold_tree(child) for child in tree.children))
-    if isinstance(tree, SeqNode):
-        return sequential_compose(fold_tree(tree.first), fold_tree(tree.second))
-    raise TypeError(f"not a composition tree node: {tree!r}")
+
+    def fold(node: TreeNode) -> Walk[MarkedNet]:
+        if isinstance(node, CellLeaf):
+            return node.cell.subnet
+        if isinstance(node, IdentityLeaf):
+            return identity_net(node.places)
+        if isinstance(node, ParNode):
+            parts = []
+            for child in node.children:
+                parts.append((yield fold(child)))
+            return _disjoint_union(tuple(parts))
+        if isinstance(node, SeqNode):
+            return sequential_compose((yield fold(node.first)), (yield fold(node.second)))
+        raise TypeError(f"not a composition tree node: {node!r}")
+
+    return run(fold(tree))
 
 
 def cell_leaves(tree: TreeNode) -> tuple[CellLeaf, ...]:
-    if isinstance(tree, CellLeaf):
-        return (tree,)
-    if isinstance(tree, IdentityLeaf):
-        return ()
-    if isinstance(tree, ParNode):
-        return tuple(leaf for c in tree.children for leaf in cell_leaves(c))
-    if isinstance(tree, SeqNode):
-        return cell_leaves(tree.first) + cell_leaves(tree.second)
-    raise TypeError(f"not a composition tree node: {tree!r}")
+    """The cell leaves of a composition tree, left to right."""
+    leaves: list[CellLeaf] = []
+
+    def collect(node: TreeNode) -> Walk[None]:
+        if isinstance(node, CellLeaf):
+            leaves.append(node)
+        elif isinstance(node, ParNode):
+            for child in node.children:
+                yield collect(child)
+        elif isinstance(node, SeqNode):
+            yield collect(node.first)
+            yield collect(node.second)
+        elif not isinstance(node, IdentityLeaf):
+            raise TypeError(f"not a composition tree node: {node!r}")
+
+    run(collect(tree))
+    return tuple(leaves)
 
 
 def render_tree(tree: TreeNode) -> str:
     """Bracketed textual form used by the CLI."""
-    if isinstance(tree, CellLeaf):
-        body = ",".join(sorted(tree.cell.members))
-        marking = tree.cell.subnet.marking
-        if marking:
-            return f"cell{{{body} | m={','.join(sorted(marking))}}}"
-        return f"cell{{{body}}}"
-    if isinstance(tree, IdentityLeaf):
-        return f"I{{{','.join(sorted(tree.places))}}}"
-    if isinstance(tree, ParNode):
-        return "(" + " + ".join(render_tree(c) for c in tree.children) + ")"
-    if isinstance(tree, SeqNode):
-        return f"({render_tree(tree.first)} ; {render_tree(tree.second)})"
-    raise TypeError(f"not a composition tree node: {tree!r}")
+
+    def render(node: TreeNode) -> Walk[str]:
+        if isinstance(node, CellLeaf):
+            body = ",".join(sorted(node.cell.members))
+            marking = node.cell.subnet.marking
+            if marking:
+                return f"cell{{{body} | m={','.join(sorted(marking))}}}"
+            return f"cell{{{body}}}"
+        if isinstance(node, IdentityLeaf):
+            return f"I{{{','.join(sorted(node.places))}}}"
+        if isinstance(node, ParNode):
+            parts = []
+            for child in node.children:
+                parts.append((yield render(child)))
+            return "(" + " + ".join(parts) + ")"
+        if isinstance(node, SeqNode):
+            return f"({(yield render(node.first))} ; {(yield render(node.second))})"
+        raise TypeError(f"not a composition tree node: {node!r}")
+
+    return run(render(tree))
 
 
 # --------------------------------------------------------------------- #

@@ -179,7 +179,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"cellnet {args.command}: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        # Some term walks still recurse once per nesting level.
+        # Only json.loads still recurses, on files nested thousands deep.
         print(
             f"cellnet {args.command}: the input nests too deeply for this command "
             "(Python recursion limit reached)",

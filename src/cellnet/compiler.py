@@ -27,7 +27,7 @@ from .cells import (
     cell_classes,
 )
 from .errors import CompileError
-from .nets import MarkedNet, Process, enumerate_transactions, isolated_places, min_places
+from .nets import MarkedNet, Process, Walk, enumerate_transactions, isolated_places, min_places, run
 from .terms import Constant, ConstantKey, Dead, Identity, Par, Seq, Term, make_sum, subsets_lex
 
 DEFAULT_DEPTH_GUARD = 64
@@ -55,27 +55,26 @@ def compile_net(marked: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) ->
 
 
 def _compile_tree(tree: TreeNode, fuel: int) -> Term:
+    # Fuel only falls inside cells, where compile_cell compiles each
+    # restricted cell's tree with one less, not along ; or +.
     if fuel <= 0:
         raise CompileError("recursion depth guard exceeded while compiling")
-    # Canonical forms nest their layers to the left: fold that spine in a
-    # loop, first layer first.  Fuel only falls inside cells, not along ;.
-    later: list[TreeNode] = []
-    while isinstance(tree, SeqNode):
-        later.append(tree.second)
-        tree = tree.first
-    if isinstance(tree, IdentityLeaf):
-        term: Term = Identity(tree.places)
-    elif isinstance(tree, CellLeaf):
-        term = compile_cell(tree.cell.subnet, depth_guard=fuel)
-    elif isinstance(tree, ParNode):
-        term = _compile_tree(tree.children[0], fuel)
-        for child in tree.children[1:]:
-            term = Par(term, _compile_tree(child, fuel))
-    else:
-        raise CompileError(f"unexpected composition tree node {tree!r}")
-    for second in reversed(later):
-        term = Seq(term, _compile_tree(second, fuel))
-    return term
+
+    def fold(node: TreeNode) -> Walk[Term]:
+        if isinstance(node, IdentityLeaf):
+            return Identity(node.places)
+        if isinstance(node, CellLeaf):
+            return compile_cell(node.cell.subnet, depth_guard=fuel)
+        if isinstance(node, ParNode):
+            term = yield fold(node.children[0])
+            for child in node.children[1:]:
+                term = Par(term, (yield fold(child)))
+            return term
+        if isinstance(node, SeqNode):
+            return Seq((yield fold(node.first)), (yield fold(node.second)))
+        raise CompileError(f"unexpected composition tree node {node!r}")
+
+    return run(fold(tree))
 
 
 def compile_cell(cell: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) -> Term:
@@ -125,21 +124,15 @@ def _clip_to_boundary(transactions, boundary: frozenset[str]):
     semantics drops it; the stranded places stay accounted among the
     transaction's nodes.
     """
-    clipped = set()
-    for proc in transactions:
-        stranded = proc.final_places - boundary
-        if not stranded:
-            clipped.add(proc)
-        else:
-            clipped.add(
-                Process(
-                    proc.transitions,
-                    proc.initial_places,
-                    proc.final_places & boundary,
-                    proc.internal_places | stranded,
-                )
-            )
-    return frozenset(clipped)
+    return frozenset(
+        Process(
+            proc.transitions,
+            proc.initial_places,
+            proc.final_places & boundary,
+            proc.internal_places | (proc.final_places - boundary),
+        )
+        for proc in transactions
+    )
 
 
 def _pad_dead(dead_finals: frozenset[str], inner: Term) -> Term:

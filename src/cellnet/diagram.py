@@ -28,28 +28,28 @@ def export_diagram(tree: TreeNode) -> str:
         for p in leaf.cell.min_places:
             consumer[p] = leaf
 
+    ports: dict[str, None] = {}  # point nodes of boundary wires, in order of first use
     wires: list[tuple[str, str, str]] = []
     for p in sorted(tree.inputs):
-        head = names[consumer[p]] if p in consumer else _port(lines, p, "out")
-        tail = _port(lines, p, "in")
+        head = names[consumer[p]] if p in consumer else _port(ports, p, "out")
+        tail = _port(ports, p, "in")
         wires.append((tail, head, p))
     for leaf in leaves:
         for p in sorted(leaf.outputs):
             if p in consumer and consumer[p] is not leaf:
                 wires.append((names[leaf], names[consumer[p]], p))
             else:
-                wires.append((names[leaf], _port(lines, p, "out"), p))
+                wires.append((names[leaf], _port(ports, p, "out"), p))
+    lines += (f'  {name} [shape=point, label=""];' for name in ports)
     for tail, head, label in wires:
         lines.append(f'  {tail} -> {head} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _port(lines: list[str], place: str, kind: str) -> str:
+def _port(ports: dict[str, None], place: str, kind: str) -> str:
     name = f"{kind}_{_mangle(place)}"
-    decl = f'  {name} [shape=point, label=""];'
-    if decl not in lines:
-        lines.append(decl)
+    ports[name] = None
     return name
 
 

@@ -27,7 +27,7 @@ from typing import Hashable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import DeltaError, FileFormatError, InterfaceWidthError, WiringError
-from .nets import PlaceId
+from .nets import PlaceId, Walk, run
 from .terms import (
     Constant,
     ConstantKey,
@@ -482,7 +482,7 @@ def interpret(
         raise WiringError(
             f"output wiring {out_wiring.places} does not wire the term outputs {sorted(ty.outputs)}"
         )
-    matrix, places = _interpret(term, ty, delta, width_cap, stochastic_tolerance())
+    matrix, places = run(_interpret(term, ty, delta, width_cap, stochastic_tolerance()))
     rows = _gather_index(lex_wiring(ty.inputs), in_wiring)
     cols = _gather_index(Wiring(places), out_wiring)
     return KleisliArrow(in_wiring, out_wiring, matrix[np.ix_(rows, cols)])
@@ -503,63 +503,73 @@ def _type_width(ty: TermType) -> int:
 
 def _interpret(
     term: Term, ty: TermType, delta: DeltaTable, cap: int, tol: float
-) -> tuple[np.ndarray, Places]:
+) -> Walk[tuple[np.ndarray, Places]]:
     """The term's matrix, its rows indexed by the lexicographic wiring of
     its inputs, and the places that wire its columns, first place lowest."""
+    if isinstance(term, (Dead, Constant)):
+        return _own_matrix(term, ty, delta, cap, tol)
     _check_width(_type_width(ty), cap)
-    if isinstance(term, (Identity, Par, Seq)):
+    if not isinstance(term, Sum):
         ins = tuple(sorted(ty.inputs))
-        return _push(np.eye(1 << len(ins)), ins, term, delta, cap, tol)
+        return (yield _push(np.eye(1 << len(ins)), ins, (term,), delta, cap, tol))
+    outs = tuple(sorted(ty.outputs))
+    rows = []
+    for m in subsets_lex(ty.inputs):
+        branch = term.branch(m)
+        if isinstance(branch, (Dead, Constant)):
+            row, places = _own_matrix(branch, typecheck(branch), delta, cap, tol)
+        else:  # a branch has no inputs: push the one empty row through it
+            row, places = yield _push(np.eye(1), (), (branch,), delta, cap, tol)
+        rows.append(row[:, _gather_index(Wiring(places), Wiring(outs))])
+    matrix = np.vstack(rows)
+    _check_stochastic(matrix, tol)
+    return matrix, outs
+
+
+def _own_matrix(
+    term: Dead | Constant, ty: TermType, delta: DeltaTable, cap: int, tol: float
+) -> tuple[np.ndarray, Places]:
+    """The one-row matrix of a dead wire or a constant, and its outputs."""
+    _check_width(_type_width(ty), cap)
     outs = tuple(sorted(ty.outputs))
     if isinstance(term, Dead):
         matrix = _dead_row(1 << len(outs))
-    elif isinstance(term, Constant):
-        matrix = _constant_row(term.key, delta, Wiring(outs))
-    elif isinstance(term, Sum):
-        rows = []
-        for m in subsets_lex(ty.inputs):
-            branch = term.branch(m)
-            row, places = _interpret(branch, typecheck(branch), delta, cap, tol)
-            rows.append(row[:, _gather_index(Wiring(places), Wiring(outs))])
-        matrix = np.vstack(rows)
     else:
-        raise WiringError(f"not a term: {term!r}")
+        matrix = _constant_row(term.key, delta, Wiring(outs))
     _check_stochastic(matrix, tol)
     return matrix, outs
 
 
 def _push(
-    matrix: np.ndarray, places: Places, term: Term, delta: DeltaTable, cap: int, tol: float
-) -> tuple[np.ndarray, Places]:
-    """Push rows through a term: ``matrix``'s columns range over the
-    subsets of a cut of places, wired by ``places``, that includes the
-    term's inputs; the result's range over the cut with those inputs
-    replaced by the term's outputs.
+    matrix: np.ndarray, places: Places, terms: Iterable[Term], delta: DeltaTable, cap: int, tol: float
+) -> Walk[tuple[np.ndarray, Places]]:
+    """Push rows through terms, one after another: ``matrix``'s columns
+    range over the subsets of a cut of places, wired by ``places``, that
+    includes a term's inputs; after the term they range over the cut
+    with those inputs replaced by the term's outputs.
 
     ``;`` pushes its first part, then its second, and ``+`` its factors
     one after another, narrowing ones first, so that the cut through one
     layer never grows beyond the wider end of that layer.  Constants,
     dead wires and sums are the only factors with a matrix of their own,
     contracted into the cut by :func:`_contract`; identity wires stay
-    where they are.  The walk keeps its own stack, so a long chain of
-    layers does not recurse.
+    where they are.
     """
-    pending = [term]
-    while pending:
-        t = pending.pop()
-        if isinstance(t, Par):
-            pending += reversed(_narrowing_first(t, cap))
-            continue
-        ty = typecheck(t)
-        _check_width(_type_width(ty), cap)
-        if isinstance(t, Seq):
-            pending += (t.second, t.first)
-        elif not isinstance(t, Identity):
-            # the cut this factor leaves, checked before anything is allocated
-            _check_width(len(places) - len(ty.inputs) + len(ty.outputs), cap)
-            factor, outs = _interpret(t, ty, delta, cap, tol)
-            matrix, places = _contract(matrix, places, factor, tuple(sorted(ty.inputs)), outs)
-            _check_stochastic(matrix, tol)
+    for term in terms:
+        for t in _narrowing_first(term, cap) if isinstance(term, Par) else (term,):
+            ty = typecheck(t)
+            _check_width(_type_width(ty), cap)
+            if isinstance(t, Seq):
+                matrix, places = yield _push(matrix, places, (t.first, t.second), delta, cap, tol)
+            elif not isinstance(t, Identity):
+                # the cut this factor leaves, checked before anything is allocated
+                _check_width(len(places) - len(ty.inputs) + len(ty.outputs), cap)
+                if isinstance(t, Sum):
+                    factor, outs = yield _interpret(t, ty, delta, cap, tol)
+                else:
+                    factor, outs = _own_matrix(t, ty, delta, cap, tol)
+                matrix, places = _contract(matrix, places, factor, tuple(sorted(ty.inputs)), outs)
+                _check_stochastic(matrix, tol)
     return matrix, places
 
 

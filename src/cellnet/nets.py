@@ -12,13 +12,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Any, Generator, Iterable, TypeVar
 
 from .errors import NetError, OccurrenceError
 
 PlaceId = str
 TransitionId = str
 NodeId = str
+
+_R = TypeVar("_R")
+Walk = Generator[Any, Any, _R]  # a generator for run(), with result type _R
+
+
+def run(walk: Walk[_R]) -> _R:
+    """Run a walk: a generator that yields each sub-walk whose result it
+    needs, receives that result, and returns its own.  Walks in progress
+    wait on this function's list, not on Python's stack."""
+    path, result = [walk], None
+    while path:
+        try:
+            sub = path[-1].send(result)
+        except StopIteration as done:
+            path.pop()
+            result = done.value
+        else:
+            path.append(sub)
+            result = None
+    return result
 
 
 def _frozen(items: Iterable[str]) -> frozenset[str]:
@@ -413,7 +433,7 @@ def enumerate_transactions(marked: MarkedNet) -> frozenset[Process]:
     net = marked.net
     memo: dict[frozenset[PlaceId], frozenset[frozenset[TransitionId]]] = {}
 
-    def completions(m: frozenset[PlaceId]) -> frozenset[frozenset[TransitionId]]:
+    def completions(m: frozenset[PlaceId]) -> Walk[frozenset[frozenset[TransitionId]]]:
         if m in memo:
             return memo[m]
         fireable = sorted(t for t in net.transitions if net.pre(t) <= m)
@@ -423,13 +443,13 @@ def enumerate_transactions(marked: MarkedNet) -> frozenset[Process]:
             acc: set[frozenset[TransitionId]] = set()
             for t in fireable:
                 after = (m - net.pre(t)) | net.post(t)
-                for rest in completions(after):
+                for rest in (yield completions(after)):
                     acc.add(rest | {t})
             result = frozenset(acc)
         memo[m] = result
         return result
 
-    return frozenset(process_of(net, fired) for fired in completions(marked.marking))
+    return frozenset(process_of(net, fired) for fired in run(completions(marked.marking)))
 
 
 def maximal_firing_outcomes(marked: MarkedNet) -> frozenset[frozenset[PlaceId]]:

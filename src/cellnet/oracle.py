@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .compiler import compile_net
 from .errors import CellnetError, DeltaError, NetError
 from .kleisli import DeltaTable, Dist
-from .nets import MarkedNet, Net, PlaceId, Process, TransitionId
+from .nets import MarkedNet, Net, PlaceId, Process, TransitionId, Walk, run
 from .terms import (
     Constant,
     ConstantKey,
@@ -226,9 +226,7 @@ def configurations_within(pes: PES, block: frozenset[TransitionId]) -> frozenset
     ordered = sorted(block)
     found: set[Configuration] = set()
 
-    def grow(current: frozenset[TransitionId]) -> None:
-        if current in found:
-            return
+    def grow(current: frozenset[TransitionId]) -> Walk[None]:
         found.add(current)
         for e in ordered:
             if e in current:
@@ -237,9 +235,11 @@ def configurations_within(pes: PES, block: frozenset[TransitionId]) -> frozenset
                 continue
             if pes._rivals.get(e, frozenset()) & current:
                 continue
-            grow(current | {e})
+            nxt = current | {e}
+            if nxt not in found:
+                yield grow(nxt)
 
-    grow(frozenset())
+    run(grow(frozenset()))
     return frozenset(found)
 
 
@@ -296,11 +296,10 @@ def maximal_r_stopped(pes: PES) -> frozenset[Configuration]:
 # Configurations of a term
 # --------------------------------------------------------------------- #
 
-def _split_input(m: frozenset[str], ty_inputs: frozenset[str], where: str) -> frozenset[str]:
+def _split_input(m: frozenset[str], ty_inputs: frozenset[str], where: str) -> None:
     stray = m - ty_inputs
     if stray:
         raise NetError(f"{where}: marking mentions non-input places {sorted(stray)}")
-    return m
 
 
 def conf_of_term(term: Term, m: Iterable[PlaceId]) -> frozenset[Configuration]:
@@ -311,37 +310,30 @@ def conf_of_term(term: Term, m: Iterable[PlaceId]) -> frozenset[Configuration]:
     m = frozenset(m)
     ty = typecheck(term)
     _split_input(m, ty.inputs, "conf_of_term")
-    runs = _play(term, m, lambda key: ((proc, 1.0) for proc in key.transactions))
+    runs = run(_play(term, m, lambda key: ((proc, 1.0) for proc in key.transactions)))
     return frozenset(v for v, _fin in runs)
+
+
+Runs = dict[tuple[Configuration, frozenset[str]], float]
 
 
 def _play(
     term: Term,
     m: frozenset[str],
     outcomes: Callable[[ConstantKey], Iterable[tuple[Process, float]]],
-) -> dict[tuple[Configuration, frozenset[str]], float]:
+) -> Walk[Runs]:
     """Weighted (configuration, final marking) pairs of a term under
     input m, where ``outcomes`` says which transactions, with which
     weights, each constant yields.  The final marking mirrors the matrix
     semantics (identities pass their tokens through, constants emit
     exactly a transaction's final places); parallel parts multiply and
-    sequential parts feed final markings forward."""
-    if isinstance(term, Identity):
-        return {(frozenset(), m): 1.0}
-    if isinstance(term, Dead):
-        return {(frozenset(), frozenset()): 1.0}
-    if isinstance(term, Constant):
-        out: dict[tuple[Configuration, frozenset[str]], float] = {}
-        for proc, p in outcomes(term.key):
-            key = (proc.transitions, proc.final_places)
-            out[key] = out.get(key, 0.0) + p
-        return out
+    sequential parts feed final markings forward.  Leaves are played by
+    :func:`_leaf_runs`, without a walk of their own."""
+    out: Runs = {}
     if isinstance(term, Par):
-        t1 = typecheck(term.left)
-        t2 = typecheck(term.right)
-        left = _play(term.left, m & t1.inputs, outcomes)
-        right = _play(term.right, m & t2.inputs, outcomes)
-        out = {}
+        m1, m2 = m & typecheck(term.left).inputs, m & typecheck(term.right).inputs
+        left = _leaf_runs(term.left, m1, outcomes) or (yield _play(term.left, m1, outcomes))
+        right = _leaf_runs(term.right, m2, outcomes) or (yield _play(term.right, m2, outcomes))
         for (v1, f1), p1 in left.items():
             for (v2, f2), p2 in right.items():
                 key = (v1 | v2, f1 | f2)
@@ -349,15 +341,39 @@ def _play(
         return out
     if isinstance(term, Seq):
         t2 = typecheck(term.second)
-        out = {}
-        for (v1, f1), p1 in _play(term.first, m, outcomes).items():
-            for (v2, f2), p2 in _play(term.second, f1 & t2.inputs, outcomes).items():
+        first = _leaf_runs(term.first, m, outcomes) or (yield _play(term.first, m, outcomes))
+        for (v1, f1), p1 in first.items():
+            m2 = f1 & t2.inputs
+            second = _leaf_runs(term.second, m2, outcomes) or (yield _play(term.second, m2, outcomes))
+            for (v2, f2), p2 in second.items():
                 key = (v1 | v2, f2)
                 out[key] = out.get(key, 0.0) + p1 * p2
         return out
     if isinstance(term, Sum):
-        return _play(term.branch(m), frozenset(), outcomes)
-    raise NetError(f"not a term: {term!r}")
+        branch = term.branch(m)
+        return _leaf_runs(branch, frozenset(), outcomes) or (yield _play(branch, frozenset(), outcomes))
+    return _leaf_runs(term, m, outcomes)  # callers typecheck, so this is a leaf
+
+
+def _leaf_runs(
+    term: Term,
+    m: frozenset[str],
+    outcomes: Callable[[ConstantKey], Iterable[tuple[Process, float]]],
+) -> Runs | None:
+    """The runs of an identity, a dead wire or a constant, which are
+    never empty (δ gives some transaction of each constant a positive
+    weight); None for any other term."""
+    if isinstance(term, Identity):
+        return {(frozenset(), m): 1.0}
+    if isinstance(term, Dead):
+        return {(frozenset(), frozenset()): 1.0}
+    if not isinstance(term, Constant):
+        return None
+    out: Runs = {}
+    for proc, p in outcomes(term.key):
+        key = (proc.transitions, proc.final_places)
+        out[key] = out.get(key, 0.0) + p
+    return out
 
 
 # --------------------------------------------------------------------- #
@@ -461,7 +477,7 @@ def enumerate_outcome_distribution(
             if p > 0:
                 yield proc, p
 
-    weights = _play(term, arriving, weighted)
+    weights = run(_play(term, arriving, weighted))
     joint = Dist(weights)
     markings: dict[frozenset[str], float] = {}
     configs: dict[Configuration, float] = {}
@@ -523,6 +539,6 @@ def sample_outcome_distribution(
         raise DeltaError(f"sampled unknown transaction {sorted(chosen)}")
 
     for _ in range(samples):
-        ((_config, outcome),) = _play(term, arriving, draw)
+        ((_config, outcome),) = run(_play(term, arriving, draw))
         counts[outcome] = counts.get(outcome, 0) + 1
     return SampleSummary(samples, seed, counts)

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Generator, Iterable, Mapping, NamedTuple
+from functools import reduce
+from typing import Iterable, Mapping, NamedTuple
 
 from .cells import stratify
 from .errors import CompositionError, TermError, TermSyntaxError
-from .nets import PlaceId, Process
+from .nets import PlaceId, Process, Walk, run
 
 
 def render_place_set(places: Iterable[str]) -> str:
@@ -135,13 +136,15 @@ class Sum(Term):
             )
         )
         object.__setattr__(self, "branches", normalized)
+        # Outside the fields, like the stored type; reversed, so that a
+        # subset listed twice names its first branch.
+        self.__dict__["_by_subset"] = dict(reversed(normalized))
 
     def branch(self, m: frozenset[PlaceId]) -> Term:
-        m = frozenset(m)
-        for key, term in self.branches:
-            if key == m:
-                return term
-        raise TermError(f"sum has no branch for {render_place_set(m)}")
+        try:
+            return self._by_subset[frozenset(m)]
+        except KeyError:
+            raise TermError(f"sum has no branch for {render_place_set(m)}") from None
 
 
 def make_sum(inputs: Iterable[PlaceId], branches: Mapping[frozenset[PlaceId], Term]) -> Sum:
@@ -150,12 +153,7 @@ def make_sum(inputs: Iterable[PlaceId], branches: Mapping[frozenset[PlaceId], Te
 
 def par_all(terms: list[Term]) -> Term:
     """Left-associated parallel composition; empty list gives I{}."""
-    if not terms:
-        return Identity(frozenset())
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = Par(acc, t)
-    return acc
+    return reduce(Par, terms) if terms else Identity(frozenset())
 
 
 @dataclass(frozen=True)
@@ -188,62 +186,38 @@ def typecheck(term: Term) -> TermType:
     itself (outside its dataclass fields, so equality and hashing do
     not change): typing a term again, or a larger term that contains
     it, reads the stored types instead of walking the subterm.  No
-    global table holds terms.  The walk is iterative and checks
-    children left to right, so an ill-typed term raises the same error
-    however deep it is, and a node that fails stores nothing.
+    global table holds terms.  Children are typed left to right, so an
+    ill-typed term raises the same error however deep it is, and a node
+    that fails stores nothing.
     """
-    global _types_computed
-    known = _known_type(term)
-    if known is not None:
-        return known
-    path = [(term, _type_steps(term))]
-    sent: TermType | None = None
-    while True:
-        node, steps = path[-1]
-        try:
-            child = steps.send(sent)
-        except StopIteration as done:
-            ty = done.value
-            node.__dict__[_TYPE] = ty
-            _types_computed += 1
-            path.pop()
-            if not path:
-                return ty
-            sent = ty
-            continue
-        sent = _known_type(child)
-        if sent is None:
-            path.append((child, _type_steps(child)))
+    return _known_type(term) or run(_typing(term))
 
 
-def _typecheck_info() -> TypecheckInfo:
-    return TypecheckInfo(_types_computed)
-
-
-typecheck.cache_info = _typecheck_info  # type: ignore[attr-defined]
+typecheck.cache_info = lambda: TypecheckInfo(_types_computed)  # type: ignore[attr-defined]
 
 
 def _known_type(term: Term) -> TermType | None:
     return term.__dict__.get(_TYPE) if isinstance(term, Term) else None
 
 
-def _type_steps(term: Term) -> Generator[Term, TermType, TermType]:
-    """The typing rule of one node.  It yields each child whose type it
-    needs, in order, receives that type, and returns the node's type."""
+def _typing(term: Term) -> Walk[TermType]:
+    """The typing rule of one node, as a walk over the children whose
+    type is not stored yet; stores the type it computes."""
+    global _types_computed
     if isinstance(term, Identity):
-        return TermType(term.places, term.places, term.places)
-    if isinstance(term, Dead):
-        return TermType(frozenset(), term.places, term.places)
-    if isinstance(term, Par):
-        t1 = yield term.left
-        t2 = yield term.right
+        ty = TermType(term.places, term.places, term.places)
+    elif isinstance(term, Dead):
+        ty = TermType(frozenset(), term.places, term.places)
+    elif isinstance(term, Par):
+        t1 = _known_type(term.left) or (yield _typing(term.left))
+        t2 = _known_type(term.right) or (yield _typing(term.right))
         overlap = t1.nodes & t2.nodes
         if overlap:
             raise TermError(f"parallel terms share nodes {sorted(overlap)}")
-        return TermType(t1.inputs | t2.inputs, t1.nodes | t2.nodes, t1.outputs | t2.outputs)
-    if isinstance(term, Seq):
-        t1 = yield term.first
-        t2 = yield term.second
+        ty = TermType(t1.inputs | t2.inputs, t1.nodes | t2.nodes, t1.outputs | t2.outputs)
+    elif isinstance(term, Seq):
+        t1 = _known_type(term.first) or (yield _typing(term.first))
+        t2 = _known_type(term.second) or (yield _typing(term.second))
         if t1.outputs != t2.inputs:
             raise TermError(
                 "sequential interface mismatch: "
@@ -255,11 +229,11 @@ def _type_steps(term: Term) -> Generator[Term, TermType, TermType]:
             raise TermError(
                 f"sequential terms share nodes beyond the interface: {sorted(middle ^ t1.outputs)}"
             )
-        return TermType(t1.inputs, t1.nodes | t2.nodes, t2.outputs)
-    if isinstance(term, Constant):
+        ty = TermType(t1.inputs, t1.nodes | t2.nodes, t2.outputs)
+    elif isinstance(term, Constant):
         key = term.key
-        return TermType(frozenset(), key.marked | key.nodes, key.outputs)
-    if isinstance(term, Sum):
+        ty = TermType(frozenset(), key.marked | key.nodes, key.outputs)
+    elif isinstance(term, Sum):
         expected = set(subsets_lex(term.inputs))
         present = {m for m, _ in term.branches}
         missing = expected - present
@@ -273,22 +247,26 @@ def _type_steps(term: Term) -> Generator[Term, TermType, TermType]:
         outputs: frozenset[str] | None = None
         nodes = frozenset(term.inputs)
         for m, sub in term.branches:
-            ty = yield sub
-            if ty.inputs:
+            sub_ty = _known_type(sub) or (yield _typing(sub))
+            if sub_ty.inputs:
                 raise TermError(
-                    f"sum branch {render_place_set(m)} has unfed inputs {sorted(ty.inputs)}"
+                    f"sum branch {render_place_set(m)} has unfed inputs {sorted(sub_ty.inputs)}"
                 )
             if outputs is None:
-                outputs = ty.outputs
-            elif ty.outputs != outputs:
+                outputs = sub_ty.outputs
+            elif sub_ty.outputs != outputs:
                 raise TermError(
-                    f"sum branch {render_place_set(m)} outputs {sorted(ty.outputs)} "
+                    f"sum branch {render_place_set(m)} outputs {sorted(sub_ty.outputs)} "
                     f"disagree with {sorted(outputs)}"
                 )
-            nodes |= ty.nodes
+            nodes |= sub_ty.nodes
         assert outputs is not None
-        return TermType(term.inputs, nodes, outputs)
-    raise TermError(f"not a term: {term!r}")
+        ty = TermType(term.inputs, nodes, outputs)
+    else:
+        raise TermError(f"not a term: {term!r}")
+    term.__dict__[_TYPE] = ty
+    _types_computed += 1
+    return ty
 
 
 def constants_of(term: Term) -> frozenset[ConstantKey]:
@@ -327,18 +305,20 @@ class _Atom:
     outputs: frozenset[str]
 
 
-def _atoms(term: Term) -> list[_Atom]:
+def _atoms(term: Term) -> Walk[list[_Atom]]:
     if isinstance(term, Identity):
         return []
     if isinstance(term, Dead):
         return [_Atom(Dead(frozenset({p})), frozenset(), frozenset({p})) for p in sorted(term.places)]
     if isinstance(term, (Par, Seq)):
         first, second = (term.left, term.right) if isinstance(term, Par) else (term.first, term.second)
-        return _atoms(first) + _atoms(second)
+        return (yield _atoms(first)) + (yield _atoms(second))
     if isinstance(term, Constant):
         return [_Atom(term, frozenset(), term.key.outputs)]
     if isinstance(term, Sum):
-        branches = {m: normalize(sub) for m, sub in term.branches}
+        branches = {}
+        for m, sub in term.branches:
+            branches[m] = yield _normal_form(sub)
         new_sum = make_sum(term.inputs, branches)
         ty = typecheck(new_sum)
         return [_Atom(new_sum, ty.inputs, ty.outputs)]
@@ -354,8 +334,12 @@ def normalize(term: Term) -> Term:
     blocks within a layer ordered by their rendering.  Idempotent, type
     preserving, and interpretation preserving.
     """
+    return run(_normal_form(term))
+
+
+def _normal_form(term: Term) -> Walk[Term]:
     ty = typecheck(term)
-    atoms = _atoms(term)
+    atoms = yield _atoms(term)
     if not atoms:
         return Identity(ty.inputs)
 
@@ -369,10 +353,7 @@ def normalize(term: Term) -> Term:
         if pad:
             blocks.append(Identity(pad))
         layers.append(par_all(blocks))
-    result = layers[0]
-    for nxt in layers[1:]:
-        result = Seq(result, nxt)
-    return result
+    return reduce(Seq, layers)
 
 
 # --------------------------------------------------------------------- #
@@ -398,32 +379,24 @@ def render_process(proc: Process) -> str:
     return body
 
 
-class _Text(str):
-    """Literal text waiting on :func:`render_term`'s stack."""
-
-
 def render_term(term: Term) -> str:
-    """The term's text in the grammar above.  The walk keeps its own
-    stack of terms still to render and text still to emit, so deep
-    terms do not recurse."""
+    """The term's text in the grammar above."""
     pieces: list[str] = []
-    pending: list[Term | _Text] = [term]
-    while pending:
-        item = pending.pop()
-        if isinstance(item, _Text):
-            pieces.append(item)
-        elif isinstance(item, Identity):
-            pieces.append(f"I{render_place_set(item.places)}")
-        elif isinstance(item, Dead):
-            pieces.append(f"Bot{render_place_set(item.places)}")
-        elif isinstance(item, Par):
+
+    def emit(t: Term) -> Walk[None]:
+        if isinstance(t, Identity):
+            pieces.append(f"I{render_place_set(t.places)}")
+        elif isinstance(t, Dead):
+            pieces.append(f"Bot{render_place_set(t.places)}")
+        elif isinstance(t, (Par, Seq)):
+            first, op, second = (t.left, " + ", t.right) if isinstance(t, Par) else (t.first, " ; ", t.second)
             pieces.append("(")
-            pending += (_Text(")"), item.right, _Text(" + "), item.left)
-        elif isinstance(item, Seq):
-            pieces.append("(")
-            pending += (_Text(")"), item.second, _Text(" ; "), item.first)
-        elif isinstance(item, Constant):
-            key = item.key
+            yield emit(first)
+            pieces.append(op)
+            yield emit(second)
+            pieces.append(")")
+        elif isinstance(t, Constant):
+            key = t.key
             processes = "; ".join(
                 render_process(p) for p in sorted(key.transactions, key=Process.sort_key)
             )
@@ -431,15 +404,16 @@ def render_term(term: Term) -> str:
                 f"cell[{render_place_set(key.marked)}>"
                 f"{render_place_set(key.outputs)}: {processes}]"
             )
-        elif isinstance(item, Sum):
-            pieces.append(f"sum{render_place_set(item.inputs)}[")
-            parts: list[Term | _Text] = []
-            for m in subsets_lex(item.inputs):
-                parts += (_Text(f"{render_place_set(m)}: "), item.branch(m), _Text(", "))
-            parts[-1] = _Text("]")
-            pending += reversed(parts)
+        elif isinstance(t, Sum):
+            pieces.append(f"sum{render_place_set(t.inputs)}[")
+            for i, m in enumerate(subsets_lex(t.inputs)):
+                pieces.append(f"{', ' if i else ''}{render_place_set(m)}: ")
+                yield emit(t.branch(m))
+            pieces.append("]")
         else:
-            raise TermError(f"not a term: {item!r}")
+            raise TermError(f"not a term: {t!r}")
+
+    run(emit(term))
     return "".join(pieces)
 
 
@@ -505,7 +479,7 @@ class _Parser:
             internal = self.place_set()
         return Process(transitions, initial, final, internal)
 
-    def term(self) -> Term:
+    def term(self) -> Walk[Term]:
         tok = self.peek()
         if tok == "I":
             self.take()
@@ -515,11 +489,11 @@ class _Parser:
             return Dead(self.place_set())
         if tok == "(":
             self.take("(")
-            left = self.term()
+            left = yield self.term()
             op = self.take()
             if op not in "+;":
                 raise TermSyntaxError(f"expected '+' or ';', found {op!r}")
-            right = self.term()
+            right = yield self.term()
             self.take(")")
             return Par(left, right) if op == "+" else Seq(left, right)
         if tok == "cell":
@@ -547,7 +521,7 @@ class _Parser:
             while True:
                 m = self.place_set()
                 self.take(":")
-                branches[m] = self.term()
+                branches[m] = yield self.term()
                 if self.peek() == ",":
                     self.take(",")
                     continue
@@ -559,7 +533,7 @@ class _Parser:
 
 def parse_term(text: str) -> Term:
     parser = _Parser(text)
-    term = parser.term()
+    term = run(parser.term())
     if parser.peek() is not None:
         raise TermSyntaxError(f"trailing input starting at {parser.peek()!r}")
     return term

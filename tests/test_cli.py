@@ -42,6 +42,15 @@ def test_validate_long_chain(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "OK"
 
 
+def test_validate_json_nested_too_deeply(tmp_path, capsys):
+    deep = tmp_path / "deep.net"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    assert run(["validate", str(deep)]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == "cellnet validate: the input nests too deeply for this command (Python recursion limit reached)\n"
+
+
 def test_validate_missing_file(capsys):
     assert run(["validate", "nets/nope.net"]) == 1
     assert "nope.net" in capsys.readouterr().err

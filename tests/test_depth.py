@@ -1,0 +1,142 @@
+"""No command or walk is limited by how deeply a net or term nests.
+
+deep(1000) is one chain of 1000 transitions, so its canonical form and
+its term nest 1000 sequential layers; wide(1000) is 1000 independent
+one-transition cells, so its term is a + chain 1000 deep.  Each test
+runs a term or tree walk down one of those nestings, far past Python's
+recursion limit."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from cellnet import (
+    DeltaTable,
+    canonical_form,
+    compile_net,
+    conf_of_term,
+    enumerate_outcome_distribution,
+    export_diagram,
+    fold_tree,
+    normalize,
+    parse_net,
+    parse_term,
+    render_term,
+    render_tree,
+    sample_outcome_distribution,
+    typecheck,
+)
+from cellnet.cli import run
+
+N = 1000
+
+
+def _deep(n: int) -> dict:
+    """p0 -> t0 -> p1 -> ... -> t<n-1> -> p<n>, the first place marked."""
+    ids = [f"{i:0{len(str(n))}d}" for i in range(n + 1)]
+    transitions = [{"id": f"t{a}", "pre": [f"p{a}"], "post": [f"p{b}"]} for a, b in zip(ids, ids[1:])]
+    return {"places": [f"p{i}" for i in ids], "transitions": transitions, "marking": [f"p{ids[0]}"]}
+
+
+def _wide(n: int) -> dict:
+    """n independent cells p<i> -> t<i> -> q<i>, every p<i> marked."""
+    ids = [f"{i:0{len(str(n - 1))}d}" for i in range(n)]
+    return {
+        "places": [f"p{i}" for i in ids] + [f"q{i}" for i in ids],
+        "transitions": [{"id": f"t{i}", "pre": [f"p{i}"], "post": [f"q{i}"]} for i in ids],
+        "marking": [f"p{i}" for i in ids],
+    }
+
+
+SHAPES = {"deep": _deep, "wide": _wide}
+
+
+@pytest.fixture(scope="module", params=sorted(SHAPES))
+def shape(request):
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def docs():
+    return {name: make(N) for name, make in SHAPES.items()}
+
+
+@pytest.fixture(scope="module")
+def files(docs, tmp_path_factory):
+    root = tmp_path_factory.mktemp("depth")
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = root / f"{name}.net"
+        paths[name].write_text(json.dumps(doc))
+    return paths
+
+
+@pytest.fixture(scope="module")
+def nets(docs):
+    return {name: parse_net(json.dumps(doc)) for name, doc in docs.items()}
+
+
+@pytest.fixture(scope="module")
+def trees(nets):
+    return {name: canonical_form(marked) for name, marked in nets.items()}
+
+
+@pytest.fixture(scope="module")
+def terms(nets):
+    return {name: compile_net(marked) for name, marked in nets.items()}
+
+
+UNIFORM = DeltaTable({}, strict=False)
+
+
+@pytest.mark.parametrize("args", [["canon"], ["canon", "--dot"], ["diagram"]])
+def test_tree_commands_on_the_deep_net(files, args, capsys):
+    assert run([args[0], str(files["deep"])] + args[1:]) == 0
+    out, err = capsys.readouterr()
+    assert out and not err
+
+
+def test_check_term_reads_what_compile_prints(files, shape, tmp_path, capsys):
+    assert run(["compile", str(files[shape])]) == 0
+    term_file = tmp_path / "term.txt"
+    term_file.write_text(capsys.readouterr().out)
+    assert run(["check-term", str(term_file)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("OK: {} -> {") and not err
+
+
+def test_render_term_round_trips_through_parse_term(terms, shape):
+    text = render_term(terms[shape])
+    assert render_term(parse_term(text)) == text
+
+
+def test_normalize_keeps_the_type(terms, shape):
+    assert typecheck(normalize(terms[shape])) == typecheck(terms[shape])
+
+
+def test_conf_of_term_fires_every_transition(nets, terms, shape):
+    assert conf_of_term(terms[shape], frozenset()) == {nets[shape].net.transitions}
+
+
+def test_outcome_enumeration_and_sampling(nets, shape):
+    marked = nets[shape]
+    outcome = enumerate_outcome_distribution(marked, UNIFORM)
+    assert dict(outcome.markings) == {marked.outputs: 1.0}
+    sampled = sample_outcome_distribution(marked, UNIFORM, samples=2)
+    assert dict(sampled.marking_counts) == {marked.outputs: 2}
+
+
+def test_render_tree_of_the_deep_net(trees):
+    assert render_tree(trees["deep"]).startswith("(" * (N - 1) + "cell{")
+
+
+def test_diagram_of_the_deep_net(trees):
+    assert export_diagram(trees["deep"]).count("->") == N
+
+
+def test_fold_tree_of_the_wide_net(nets, trees):
+    # deep(1000) is left out: folding it revalidates the growing net at
+    # each of its 999 sequential steps, which takes seconds
+    assert fold_tree(trees["wide"]) == nets["wide"]

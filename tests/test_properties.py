@@ -15,9 +15,11 @@ from cellnet import (
     Dead,
     DeltaTable,
     Identity,
+    IdentityLeaf,
     MarkedNet,
     Net,
     Par,
+    ParNode,
     Seq,
     SeqNode,
     Sum,
@@ -206,6 +208,43 @@ def test_maximal_firing_outcomes_match_transactions():
 def test_canonical_round_trip_on_random_nets():
     for marked in _random_nets(8, 60):
         assert fold_tree(canonical_form(marked)) == marked
+
+
+def _subtrees(tree):
+    nodes, pending = [], [tree]
+    while pending:
+        node = pending.pop()
+        nodes.append(node)
+        if isinstance(node, ParNode):
+            pending += node.children
+        elif isinstance(node, SeqNode):
+            pending += (node.first, node.second)
+    return nodes
+
+
+def _interface_of_leaves(tree):
+    """Inputs and outputs of the net the leaves of ``tree`` form: its
+    places no leaf produces, less the marked ones, and its places no
+    leaf consumes."""
+    places, produced, consumed, marking = set(), set(), set(), set()
+    for leaf in _subtrees(tree):
+        if isinstance(leaf, CellLeaf):
+            net = leaf.cell.subnet.net
+            places |= net.places
+            produced |= {q for t in net.transitions for q in net.post(t)}
+            consumed |= {p for t in net.transitions for p in net.pre(t)}
+            marking |= leaf.cell.subnet.marking
+        elif isinstance(leaf, IdentityLeaf):
+            places |= leaf.places
+    return fs(places - produced - marking), fs(places - consumed)
+
+
+def test_tree_nodes_carry_the_interface_of_their_leaves():
+    for marked in _random_nets(21, 60):
+        tree = canonical_form(marked)
+        assert (tree.inputs, tree.outputs) == (marked.inputs, marked.outputs)
+        for node in _subtrees(tree):
+            assert (node.inputs, node.outputs) == _interface_of_leaves(node)
 
 
 def _layers(tree):

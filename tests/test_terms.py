@@ -414,3 +414,27 @@ def test_constants_of_reports_the_first_shared_signature():
     )
     with pytest.raises(TermError, match="share the signature 'a'"):
         constants_of(term)
+
+
+def test_wide_sum_renders_and_interprets_every_branch():
+    # 12 inputs, 4,096 branches: branch k is Bot{y} when k % 3 == 0 and
+    # otherwise a constant that marks y with probability 1/4
+    from cellnet import DeltaTable, Dist, interpret
+
+    inputs = [f"x{i:02d}" for i in range(12)]
+    key = ConstantKey(
+        fs({"c"}), fs({"y"}),
+        fs({Process(fs({"t"}), fs({"c"}), fs({"y"})), Process(fs({"u"}), fs({"c"}), fs())}),
+    )
+    subsets = subsets_lex(inputs)
+    branches = {m: Dead(fs({"y"})) if k % 3 == 0 else Constant(key) for k, m in enumerate(subsets)}
+    term = make_sum(inputs, branches)
+    constant = "cell[{c}>{y}: {t}:{c}>{y}; {u}:{c}>{}]"
+    expected = ", ".join(
+        f"{render_place_set(m)}: {'Bot{y}' if k % 3 == 0 else constant}"
+        for k, m in enumerate(subsets)
+    )
+    assert render_term(term) == f"sum{render_place_set(inputs)}[{expected}]"
+    delta = DeltaTable({"t|u": Dist({fs({"t"}): 0.25, fs({"u"}): 0.75})})
+    rows = interpret(term, delta).matrix.tolist()
+    assert rows == [[1.0, 0.0] if k % 3 == 0 else [0.75, 0.25] for k in range(len(subsets))]
