@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import CompositionError, NetError
 from .nets import (
@@ -31,11 +31,11 @@ from .nets import (
     PlaceId,
     Walk,
     ensure_occurrence,
-    identity_net,
     isolated_places,
     max_places,
     min_places,
     run,
+    subnet_of,
 )
 
 
@@ -113,6 +113,8 @@ def scells(net: Net, marking: frozenset[PlaceId] = frozenset()) -> tuple[SCell, 
     :func:`scell_preorder` that hold a transition, found by one pass of
     Tarjan's algorithm.  Each cell's subnet is its member transitions
     with their pre- and post-places, and inherits ``marking ∩ minp``.
+    The net is checked (once per object); each subnet inherits that
+    check and keeps its one class, so neither is worked out again.
     """
     ensure_occurrence(net)
     pre, post = net._pre, net._post
@@ -122,7 +124,8 @@ def scells(net: Net, marking: frozenset[PlaceId] = frozenset()) -> tuple[SCell, 
         places = (members - transitions).union(*(post[t] for t in transitions))
         flow = [(p, t) for t in transitions for p in pre[t]]
         flow += [(t, q) for t in transitions for q in post[t]]
-        subnet = Net(places, transitions, frozenset(flow))
+        subnet = subnet_of(net, places, transitions, flow)
+        object.__setattr__(subnet, "_cell_classes", (members,))
         inherited = marking & min_places(subnet)
         cells.append(SCell(members, MarkedNet(subnet, inherited)))
     return tuple(sorted(cells, key=SCell.sort_key))
@@ -135,7 +138,13 @@ def cell_classes(net: Net) -> list[frozenset[NodeId]]:
     transition back to its pre-places.  A transition and its pre-places
     are always in one component, so a component holds a transition
     exactly when it has more than one node.
+
+    A cell's subnet from :func:`scells` keeps its classes: its members
+    are one class there, and each other node (a post-place outside the
+    members, with no consumer in the subnet) is a class of its own.
     """
+    if hasattr(net, "_cell_classes"):
+        return list(net._cell_classes)
     pre, post, transitions = net._pre, net._post, net.transitions
 
     def successors(x: NodeId) -> Iterator[NodeId]:
@@ -204,27 +213,40 @@ def cell_order(net: Net, cells: tuple[SCell, ...]) -> frozenset[tuple[int, int]]
 # Net algebra: parallel and sequential composition
 # --------------------------------------------------------------------- #
 
+class _Parts(NamedTuple):
+    """A marked net's parts and interface, composed without building the
+    net, so that each step checks the interfaces only."""
+
+    places: frozenset[PlaceId]
+    transitions: frozenset[str]
+    flow: frozenset[tuple[NodeId, NodeId]]
+    marking: frozenset[PlaceId]
+    inputs: frozenset[PlaceId]
+    outputs: frozenset[PlaceId]
+
+    @classmethod
+    def of(cls, m: MarkedNet) -> "_Parts":
+        net = m.net
+        return cls(net.places, net.transitions, net.flow, m.marking, m.inputs, m.outputs)
+
+    def build(self) -> MarkedNet:
+        return MarkedNet(Net(self.places, self.transitions, self.flow), self.marking)
+
+
 def parallel_compose(m1: MarkedNet, m2: MarkedNet) -> MarkedNet:
     """Disjoint union of two marked nets (the ⊕ of the net algebra)."""
-    return _disjoint_union((m1, m2))
+    return _disjoint_union((_Parts.of(m1), _Parts.of(m2))).build()
 
 
-def _disjoint_union(parts: tuple[MarkedNet, ...]) -> MarkedNet:
-    """⊕ of several marked nets at once, validated as one net."""
+def _disjoint_union(parts: tuple[_Parts, ...]) -> _Parts:
+    """⊕ of several nets at once."""
     seen: set[NodeId] = set()
     for part in parts:
-        shared = seen & part.net.nodes
+        shared = seen & (part.places | part.transitions)
         if shared:
             raise CompositionError(f"parallel composition overlaps on nodes {sorted(shared)}")
-        seen |= part.net.nodes
-    return MarkedNet(
-        Net(
-            frozenset().union(*(part.net.places for part in parts)),
-            frozenset().union(*(part.net.transitions for part in parts)),
-            frozenset().union(*(part.net.flow for part in parts)),
-        ),
-        frozenset().union(*(part.marking for part in parts)),
-    )
+        seen |= part.places | part.transitions
+    return _Parts(*(frozenset().union(*field) for field in zip(*parts)))  # field by field
 
 
 def sequential_compose(m1: MarkedNet, m2: MarkedNet) -> MarkedNet:
@@ -234,7 +256,11 @@ def sequential_compose(m1: MarkedNet, m2: MarkedNet) -> MarkedNet:
     which must be exactly maxp(m1) and exactly the unmarked initial
     places of m2.
     """
-    shared = m1.net.nodes & m2.net.nodes
+    return _glue(_Parts.of(m1), _Parts.of(m2)).build()
+
+
+def _glue(m1: _Parts, m2: _Parts) -> _Parts:
+    shared = (m1.places | m1.transitions) & (m2.places | m2.transitions)
     out1 = m1.outputs
     in2 = m2.inputs
     if out1 != in2:
@@ -247,13 +273,14 @@ def sequential_compose(m1: MarkedNet, m2: MarkedNet) -> MarkedNet:
     if shared != out1:
         stray = sorted(shared ^ out1)
         raise CompositionError(f"nets share nodes beyond the interface: {stray}")
-    return MarkedNet(
-        Net(
-            m1.net.places | m2.net.places,
-            m1.net.transitions | m2.net.transitions,
-            m1.net.flow | m2.net.flow,
-        ),
+    # with the checks passed, the glued net's interface is m1's inputs and m2's outputs
+    return _Parts(
+        m1.places | m2.places,
+        m1.transitions | m2.transitions,
+        m1.flow | m2.flow,
         m1.marking | m2.marking,
+        m1.inputs,
+        m2.outputs,
     )
 
 
@@ -408,23 +435,25 @@ def canonical_form(marked: MarkedNet) -> TreeNode:
 
 
 def fold_tree(tree: TreeNode) -> MarkedNet:
-    """Recompose a composition tree back into a marked net."""
+    """Recompose a composition tree back into a marked net, checked once:
+    each ⊕ and ; step checks only its interfaces, and each intermediate
+    net is a subnet of the whole, so the final check implies theirs."""
 
-    def fold(node: TreeNode) -> Walk[MarkedNet]:
+    def fold(node: TreeNode) -> Walk[_Parts]:
         if isinstance(node, CellLeaf):
-            return node.cell.subnet
+            return _Parts.of(node.cell.subnet)
         if isinstance(node, IdentityLeaf):
-            return identity_net(node.places)
+            return _Parts(node.places, frozenset(), frozenset(), frozenset(), node.places, node.places)
         if isinstance(node, ParNode):
             parts = []
             for child in node.children:
                 parts.append((yield fold(child)))
             return _disjoint_union(tuple(parts))
         if isinstance(node, SeqNode):
-            return sequential_compose((yield fold(node.first)), (yield fold(node.second)))
+            return _glue((yield fold(node.first)), (yield fold(node.second)))
         raise TypeError(f"not a composition tree node: {node!r}")
 
-    return run(fold(tree))
+    return run(fold(tree)).build()
 
 
 def cell_leaves(tree: TreeNode) -> tuple[CellLeaf, ...]:
@@ -524,21 +553,16 @@ def remove_places(cell: MarkedNet, dead: frozenset[PlaceId]) -> PlaceRemoval:
         if net.pre(p) and consumers and consumers <= dead_transitions:
             dead_places.add(p)
 
+    # A surviving transition keeps its whole pre-set (a dead pre-place kills
+    # it; stranded and isolated places feed none), as subnet_of requires.
     places = net.places - dead_places
     transitions = net.transitions - dead_transitions
-    flow = frozenset(
-        (src, dst)
-        for src, dst in net.flow
-        if src in places | transitions and dst in places | transitions
-    )
-    trimmed = Net(frozenset(places), frozenset(transitions), flow)
+    kept = places | transitions
+    flow = frozenset((src, dst) for src, dst in net.flow if src in kept and dst in kept)
+    trimmed = subnet_of(net, places, transitions, flow)
     lonely = isolated_places(trimmed)
     dropped = frozenset(lonely & cell.marking)
-    final = Net(
-        trimmed.places - lonely,
-        trimmed.transitions,
-        trimmed.flow,
-    )
+    final = subnet_of(net, trimmed.places - lonely, trimmed.transitions, trimmed.flow)
     marking = cell.marking & final.places
     return PlaceRemoval(
         result=MarkedNet(final, marking),

@@ -40,7 +40,7 @@ def parse_net_parts(text: str) -> tuple[Net, frozenset[str]]:
     if len(seen) != len(places):
         raise FileFormatError("duplicate place identifiers")
 
-    transitions: list[str] = []
+    transitions: set[str] = set()
     flow: set[tuple[str, str]] = set()
     raw_transitions = doc.get("transitions", [])
     if not isinstance(raw_transitions, list):
@@ -56,7 +56,7 @@ def parse_net_parts(text: str) -> tuple[Net, frozenset[str]]:
             raise FileFormatError(f"transition id must be a non-empty string, got {tid!r}")
         if tid in seen or tid in transitions:
             raise FileFormatError(f"duplicate identifier {tid!r}")
-        transitions.append(tid)
+        transitions.add(tid)
         pre = _id_list(entry.get("pre"), f"pre of {tid!r}")
         post = _id_list(entry.get("post", []), f"post of {tid!r}")
         for p in pre + post:

@@ -4,6 +4,8 @@ conflict relations, token-game firing, and maximal-process enumeration.
 Places and transitions are opaque strings living in disjoint namespaces.
 All values are immutable after construction and every operation is a pure
 function of its inputs, so nets can be shared freely across threads.
+Each :class:`Net` is checked once; a subnet derived from a checked net
+(:func:`subnet_of`: s-cells and their restrictions) inherits that check.
 Set-valued results are deterministic: whenever an order is needed it is
 the lexicographic order on identifiers.
 """
@@ -295,6 +297,19 @@ def ensure_occurrence(net: Net) -> None:
         raise OccurrenceError(f"not an occurrence net:\n{report}")
 
 
+def subnet_of(parent: Net, places: Iterable[PlaceId], transitions: Iterable[TransitionId],
+              flow: Iterable[tuple[NodeId, NodeId]]) -> Net:
+    """A subnet of a checked occurrence net: some of its nodes, the flow
+    between them and the whole pre-set of each transition kept.  It is
+    acyclic, has a subset of each place's producers, and its conflicting
+    causes conflict in the parent: an occurrence net, so not rechecked."""
+    ensure_occurrence(parent)
+    sub = object.__new__(Net)  # skips Net's well-formedness checks, implied by the parent's
+    sub.__dict__.update(places=frozenset(places), transitions=frozenset(transitions),
+                        flow=frozenset(flow), _occurrence_report=parent._occurrence_report)
+    return sub
+
+
 def min_places(net: Net) -> frozenset[PlaceId]:
     """Initial places: empty pre-set."""
     return net._min_places
@@ -322,7 +337,8 @@ class MarkedNet:
 
     The unmarked initial places form the input interface (tokens may
     arrive there from the context); the final places form the output
-    interface.
+    interface.  Construction checks the marking, and the net unless that
+    net was checked already or inherits its parent's check.
     """
 
     net: Net

@@ -91,6 +91,23 @@ def confusion_chain(n: int) -> MarkedNet:
     return MarkedNet(Net(fs(places), fs(transitions), fs(flow)), fs(f"3_{i}" for i in range(n)))
 
 
+def deep_doc(n: int) -> dict:
+    """p0 -> t0 -> p1 -> ... -> t<n-1> -> p<n>, the first place marked."""
+    ids = [f"{i:0{len(str(n))}d}" for i in range(n + 1)]
+    transitions = [{"id": f"t{a}", "pre": [f"p{a}"], "post": [f"p{b}"]} for a, b in zip(ids, ids[1:])]
+    return {"places": [f"p{i}" for i in ids], "transitions": transitions, "marking": [f"p{ids[0]}"]}
+
+
+def wide_doc(n: int) -> dict:
+    """n independent cells p<i> -> t<i> -> q<i>, every p<i> marked."""
+    ids = [f"{i:0{len(str(n - 1))}d}" for i in range(n)]
+    return {
+        "places": [f"p{i}" for i in ids] + [f"q{i}" for i in ids],
+        "transitions": [{"id": f"t{i}", "pre": [f"p{i}"], "post": [f"q{i}"]} for i in ids],
+        "marking": [f"p{i}" for i in ids],
+    }
+
+
 def three_cell_delta(pa=0.3, pc=0.6, pf=0.5, pg=0.7, pgp=0.2) -> DeltaTable:
     return DeltaTable(
         {

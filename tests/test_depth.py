@@ -29,28 +29,12 @@ from cellnet import (
     typecheck,
 )
 from cellnet.cli import run
+from conftest import deep_doc, wide_doc
 
 N = 1000
 
 
-def _deep(n: int) -> dict:
-    """p0 -> t0 -> p1 -> ... -> t<n-1> -> p<n>, the first place marked."""
-    ids = [f"{i:0{len(str(n))}d}" for i in range(n + 1)]
-    transitions = [{"id": f"t{a}", "pre": [f"p{a}"], "post": [f"p{b}"]} for a, b in zip(ids, ids[1:])]
-    return {"places": [f"p{i}" for i in ids], "transitions": transitions, "marking": [f"p{ids[0]}"]}
-
-
-def _wide(n: int) -> dict:
-    """n independent cells p<i> -> t<i> -> q<i>, every p<i> marked."""
-    ids = [f"{i:0{len(str(n - 1))}d}" for i in range(n)]
-    return {
-        "places": [f"p{i}" for i in ids] + [f"q{i}" for i in ids],
-        "transitions": [{"id": f"t{i}", "pre": [f"p{i}"], "post": [f"q{i}"]} for i in ids],
-        "marking": [f"p{i}" for i in ids],
-    }
-
-
-SHAPES = {"deep": _deep, "wide": _wide}
+SHAPES = {"deep": deep_doc, "wide": wide_doc}
 
 
 @pytest.fixture(scope="module", params=sorted(SHAPES))
@@ -137,6 +121,8 @@ def test_diagram_of_the_deep_net(trees):
 
 
 def test_fold_tree_of_the_wide_net(nets, trees):
-    # deep(1000) is left out: folding it revalidates the growing net at
-    # each of its 999 sequential steps, which takes seconds
     assert fold_tree(trees["wide"]) == nets["wide"]
+
+
+def test_fold_tree_of_the_deep_net(nets, trees):
+    assert fold_tree(trees["deep"]) == nets["deep"]

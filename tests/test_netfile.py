@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from cellnet import FileFormatError, load_net, parse_net, render_net
@@ -39,3 +41,11 @@ def test_rejections():
     for text in bad_documents:
         with pytest.raises(FileFormatError):
             parse_net(text)
+
+
+@pytest.mark.parametrize("places, transitions", [(["p"], ["t", "t"]), (["p", "t"], ["t"])])
+def test_duplicate_transition_identifier(places, transitions):
+    # a transition id that repeats an earlier transition's, or a place's
+    doc = {"places": places, "transitions": [{"id": t, "pre": ["p"]} for t in transitions]}
+    with pytest.raises(FileFormatError, match=r"^duplicate identifier 't'$"):
+        parse_net(json.dumps(doc))

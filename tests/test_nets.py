@@ -158,7 +158,7 @@ def test_transactions_require_full_marking(three_cells):
 
 def test_each_net_is_validated_once(monkeypatch):
     import cellnet.nets
-    from cellnet import scells
+    from cellnet import compile_cell, load_net, scells
 
     calls = []
 
@@ -172,9 +172,16 @@ def test_each_net_is_validated_once(monkeypatch):
     MarkedNet(net, fs({"p"}))
     MarkedNet(net, fs())
     scells(net)
-    assert [n is net for n in calls] == [True, False]   # the net, then its cell's subnet
+    assert [n is net for n in calls] == [True]   # its cell's subnet inherits the check
     bad = Net(fs({"p", "q"}), fs({"t"}), flow | {("q", "t")})
     for _ in range(2):
         with pytest.raises(OccurrenceError):
             MarkedNet(bad)
-    assert calls[2:] == [bad]
+    assert calls[1:] == [bad]
+    # a parsed net is checked once; its cells, and each cell restricted
+    # to every subset of its inputs, are derived without a check
+    del calls[:]
+    marked = load_net("nets/three_cells.net")
+    for cell in scells(marked.net, marked.marking):
+        compile_cell(cell.subnet)
+    assert [n is marked.net for n in calls] == [True]

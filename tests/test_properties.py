@@ -2,6 +2,7 @@
 coherence, net relations, enumeration, and canonical-form round-trips on
 randomly generated occurrence nets."""
 
+import json
 import random
 
 import numpy as np
@@ -18,6 +19,7 @@ from cellnet import (
     IdentityLeaf,
     MarkedNet,
     Net,
+    OccurrenceError,
     Par,
     ParNode,
     Seq,
@@ -25,6 +27,7 @@ from cellnet import (
     Sum,
     TermError,
     Wiring,
+    at_marking,
     canonical_form,
     cell_order,
     compile_net,
@@ -40,10 +43,13 @@ from cellnet import (
     interpret,
     isolated_places,
     lex_wiring,
+    load_net,
     make_sum,
     min_places,
     normalize,
+    parse_net,
     permutation_arrow,
+    remove_places,
     scell_preorder,
     scells,
     tensor,
@@ -52,14 +58,18 @@ from cellnet import (
 )
 from cellnet.cells import cell_classes, cell_leaves
 from cellnet.kleisli import _relabel
+from cellnet.nets import subnet_of
 from cellnet.terms import subsets_lex
 from conftest import (
+    build_three_cell_net,
     confusion_chain,
     confusion_delta,
+    deep_doc,
     disjoint_copies,
     random_delta,
     random_occurrence_net,
     three_cell_delta,
+    wide_doc,
 )
 
 fs = frozenset
@@ -445,6 +455,69 @@ def test_scells_match_preorder_reference_on_random_nets():
             assert (len(cell_classes(candidate)) == 1 and not isolated_places(candidate)) == whole
             checked += whole
     assert cases > 300 and checked > 300
+
+
+# ------------------------------------------------------------------ #
+# Derived subnets inherit their parent's occurrence check
+# ------------------------------------------------------------------ #
+
+def _derived_nets(marked):
+    """(parent, subnet, kept classes or None) for every net derived from
+    ``marked`` without a check of its own: each s-cell's subnet, that
+    cell restricted by ``remove_places`` and ``at_marking`` to every
+    subset of its inputs, and, as ``compile_cell`` does, the same again
+    inside each restriction of a cell with inputs (which shrinks it)."""
+    pending = [marked]
+    while pending:
+        marked = pending.pop()
+        for cell in scells(marked.net, marked.marking):
+            sub = cell.subnet
+            yield marked.net, sub.net, (cell.members,)
+            for arriving in subsets_lex(sub.inputs):
+                yield sub.net, remove_places(sub, sub.inputs - arriving).result.net, None
+                view = at_marking(sub, arriving).marked
+                yield sub.net, view.net, None
+                if sub.inputs:
+                    pending.append(view)
+
+
+def _soundness_cases():
+    rng = random.Random(23)
+    yield from (random_occurrence_net(rng, 12, 9) for _ in range(150))
+    yield from (load_net(f"nets/{name}.net") for name in ("three_cells", "confusion"))
+    yield disjoint_copies(build_three_cell_net(), 2)
+    yield confusion_chain(9)
+    yield from (parse_net(json.dumps(make(30))) for make in (wide_doc, deep_doc))
+
+
+def test_derived_subnets_are_the_occurrence_nets_they_claim_to_be():
+    derived = 0
+    for marked in _soundness_cases():
+        for parent, sub, classes in _derived_nets(marked):
+            derived += 1
+            # rebuilt through the public, fully checked constructor from
+            # the parent's flow between the subnet's nodes
+            nodes = sub.places | sub.transitions
+            flow = fs(arc for arc in parent.flow if arc[0] in nodes and arc[1] in nodes)
+            copy = Net(sub.places, sub.transitions, flow)
+            assert validate_occurrence(copy).ok
+            assert copy == sub
+            assert all(parent.pre(t) <= sub.places for t in sub.transitions)
+            if classes is not None:
+                assert cell_classes(copy) == list(classes)
+    assert derived > 2000
+
+
+def test_a_subnet_of_a_non_occurrence_net_is_refused():
+    cyclic = Net(fs({"p", "q"}), fs({"t"}), fs([("p", "t"), ("t", "q"), ("q", "t")]))
+    two_producers = Net(
+        fs({"p", "r", "q"}), fs({"t", "u"}), fs([("p", "t"), ("r", "u"), ("t", "q"), ("u", "q")])
+    )
+    for net in (cyclic, two_producers):
+        with pytest.raises(OccurrenceError):
+            subnet_of(net, fs({"p"}), fs(), fs())
+        with pytest.raises(OccurrenceError):
+            scells(net)
 
 
 # ------------------------------------------------------------------ #
