@@ -36,6 +36,7 @@ from .nets import (
     min_places,
     run,
     subnet_of,
+    topological_order,
 )
 
 
@@ -191,22 +192,26 @@ def cell_classes(net: Net) -> list[frozenset[NodeId]]:
     return classes
 
 
-def cell_precedes(reach: dict[NodeId, frozenset[NodeId]], a: SCell, b: SCell) -> bool:
-    """a ⊑ b lifted to cells (any representative pair suffices)."""
-    rep_a = next(iter(a.members))
-    rep_b = next(iter(b.members))
-    return rep_b in reach[rep_a]
-
-
 def cell_order(net: Net, cells: tuple[SCell, ...]) -> frozenset[tuple[int, int]]:
-    """Strict order pairs (i, j) with cells[i] ⊑ cells[j], i ≠ j."""
-    reach = scell_preorder(net)
-    pairs = set()
-    for i, a in enumerate(cells):
-        for j, b in enumerate(cells):
-            if i != j and cell_precedes(reach, a, b):
-                pairs.add((i, j))
-    return frozenset(pairs)
+    """Strict order pairs (i, j) with cells[i] ⊑ cells[j], i ≠ j, for
+    the cells of ``net``.
+
+    A place with a consumer is in that consumer's cell, so a path of ⊑
+    between two cells runs through cell members only, and ⊑ on cells is
+    reachability in the acyclic graph with an arc for each flow arc
+    between two cells.  Reach sets are unioned in reverse topological
+    order, as for :attr:`Net._descendants`."""
+    ensure_occurrence(net)
+    cell_of = {x: i for i, cell in enumerate(cells) for x in cell.members}
+    succ: dict[int, set[int]] = {i: set() for i in range(len(cells))}
+    for x, y in net.flow:
+        i, j = cell_of.get(x), cell_of.get(y)
+        if i is not None and j is not None and i != j:
+            succ[i].add(j)
+    reach: dict[int, frozenset[int]] = {}
+    for i in reversed(topological_order(succ)):
+        reach[i] = frozenset(succ[i]).union(*(reach[j] for j in succ[i]))
+    return frozenset((i, j) for i, above in reach.items() for j in above)
 
 
 # --------------------------------------------------------------------- #
@@ -364,9 +369,8 @@ def stratify(
                 raise CompositionError(f"place {p} is consumed twice")
             consumer[p] = i
 
-    # Longest path from the inputs, in Kahn's topological order.
-    waiting = [0] * len(blocks)
-    users: list[list[int]] = [[] for _ in blocks]
+    # Longest path from the inputs, in topological order.
+    users: dict[int, list[int]] = {i: [] for i in range(len(blocks))}
     for i, (consumed, _) in enumerate(blocks):
         for p in consumed:
             if p in inputs:
@@ -374,20 +378,13 @@ def stratify(
             if p not in producer:
                 raise CompositionError(f"place {p} is consumed but never produced")
             users[producer[p]].append(i)
-            waiting[i] += 1
+    order = topological_order(users)
+    if len(order) < len(blocks):
+        raise CompositionError("cyclic place dataflow")
     layer = [1] * len(blocks)
-    ready = [i for i, n in enumerate(waiting) if n == 0]
-    placed = 0
-    while ready:
-        i = ready.pop()
-        placed += 1
+    for i in order:
         for j in users[i]:
             layer[j] = max(layer[j], layer[i] + 1)
-            waiting[j] -= 1
-            if not waiting[j]:
-                ready.append(j)
-    if placed < len(blocks):
-        raise CompositionError("cyclic place dataflow")
 
     depth = max(layer)
     pads: list[set[PlaceId]] = [set() for _ in range(depth)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Generator, Iterable, TypeVar
+from typing import Any, Generator, Hashable, Iterable, Mapping, TypeVar
 
 from .errors import NetError, OccurrenceError
 
@@ -23,6 +23,7 @@ TransitionId = str
 NodeId = str
 
 _R = TypeVar("_R")
+_K = TypeVar("_K", bound=Hashable)
 Walk = Generator[Any, Any, _R]  # a generator for run(), with result type _R
 
 
@@ -41,6 +42,26 @@ def run(walk: Walk[_R]) -> _R:
             path.append(sub)
             result = None
     return result
+
+
+def topological_order(succ: Mapping[_K, Iterable[_K]]) -> list[_K]:
+    """The keys of a successor map in a topological order (Kahn's
+    algorithm); keys on a cycle, or after one, are left out.  A
+    successor listed twice waits for both arcs."""
+    waiting = dict.fromkeys(succ, 0)
+    for ys in succ.values():
+        for y in ys:
+            waiting[y] += 1
+    ready = [x for x, n in waiting.items() if n == 0]
+    order = []
+    while ready:
+        x = ready.pop()
+        order.append(x)
+        for y in succ[x]:
+            waiting[y] -= 1
+            if not waiting[y]:
+                ready.append(y)
+    return order
 
 
 def _frozen(items: Iterable[str]) -> frozenset[str]:
@@ -139,19 +160,9 @@ class Net:
 
     @cached_property
     def _flow_order(self) -> tuple[NodeId, ...]:
-        """Nodes in a topological order of F (Kahn's algorithm); nodes on
-        a cycle, or after one, are left out."""
-        waiting = {x: len(self._pre[x]) for x in self.nodes}
-        ready = [x for x, n in waiting.items() if n == 0]
-        order = []
-        while ready:
-            x = ready.pop()
-            order.append(x)
-            for y in self._post[x]:
-                waiting[y] -= 1
-                if not waiting[y]:
-                    ready.append(y)
-        return tuple(order)
+        """Nodes in a topological order of F; nodes on a cycle, or after
+        one, are left out."""
+        return tuple(topological_order(self._post))
 
     @cached_property
     def _has_flow_cycle(self) -> bool:

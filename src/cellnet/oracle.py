@@ -3,9 +3,9 @@
 This module recomputes, from first principles, what the compiler and
 matrix backend claim: the prime event structure of a marked net, its
 branching cells (initial stopping prefixes of futures), the
-recursively-stopped configurations built by completing one branching
-cell at a time, the configurations denoted by a term, and the exact
-outcome distribution obtained by playing the term operationally.  The
+recursively-stopped configurations built by completing branching
+cells, the configurations denoted by a term, and the exact outcome
+distribution obtained by playing the term operationally.  The
 correspondence and equivalence checks diff the two routes.
 
 The event structure is built once per net, for the fully marked net,
@@ -16,6 +16,21 @@ equals the structure of the net with those inputs removed, because:
 - a transition dies exactly when a dead input lies below it;
 - paths between surviving transitions survive;
 - two surviving conflicting transitions keep their shared pre-place.
+
+The search for maximal r-stopped configurations rests on two more
+facts:
+
+- The branching cells enabled after a configuration are pairwise
+  disjoint and compatible: an event in conflict with a cell lies above
+  one of its events.  Completing one cell leaves the others enabled and
+  unchanged, so completions commute, and :func:`maximal_r_stopped`
+  completes every enabled cell in one step.
+- A future is determined by its event set.  Every future built here is
+  the fully marked structure restricted to a set that holds every cause
+  outside the configuration, so its causes, conflicts and immediate
+  conflicts are that structure's tables cut down to the set.  One check
+  therefore keeps each future's branching cells by event set and shares
+  them across all input subsets.
 """
 
 from __future__ import annotations
@@ -23,6 +38,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .compiler import compile_net
@@ -120,9 +136,13 @@ class PES:
         return not any(self._rivals.get(e, frozenset()) & v for e in v)
 
     def restrict(self, keep: frozenset[TransitionId]) -> PES:
-        """The sub-structure on the events in ``keep``; causes and
-        conflicts come from this structure's tables, so neither pair set
-        is scanned again."""
+        """The sub-structure on the events in ``keep``; causes, conflicts
+        and immediate conflicts come from this structure's tables, so no
+        pair set is scanned again.
+
+        Immediate conflict survives the cut when every cause dropped
+        from below a kept event conflicts with nothing kept, as in a
+        downward-closed set or the events of a future."""
         none: frozenset[TransitionId] = frozenset()
         causes = {e: self._causes.get(e, none) & keep for e in keep}
         rivals = {e: self._rivals.get(e, none) & keep for e in keep}
@@ -133,6 +153,9 @@ class PES:
         )
         sub.__dict__["_causes"] = causes
         sub.__dict__["_rivals"] = {e: fs for e, fs in rivals.items() if fs}
+        sub.__dict__["_immediate"] = {
+            e: fs & keep for e, fs in self._immediate.items() if e in keep
+        }
         return sub
 
 
@@ -182,36 +205,41 @@ def pes_of_net(marked: MarkedNet) -> PES:
     return whole.restrict(_live_events(marked.net, marked.inputs))
 
 
+def _future_events(pes: PES, v: Configuration) -> frozenset[TransitionId]:
+    return pes.events.difference(v, *(pes._rivals.get(f, ()) for f in v))
+
+
 def future(pes: PES, v: Iterable[TransitionId]) -> PES:
     """The events executable after configuration v: outside v and
     compatible with all of it."""
     v = frozenset(v)
     if not pes.is_configuration(v):
         raise NetError(f"{sorted(v)} is not a configuration")
-    return pes.restrict(pes.events.difference(v, *(pes._rivals.get(f, ()) for f in v)))
+    return pes.restrict(_future_events(pes, v))
 
 
 def initial_stopping_prefixes(pes: PES) -> frozenset[frozenset[TransitionId]]:
     """Minimal non-empty prefixes closed under immediate conflict.
 
-    Every such prefix is the closure of a single event under causes and
-    immediate conflicts, so it suffices to close each event and keep the
-    minimal results.
+    Such a prefix holds a minimal event (one with no cause but itself)
+    and is that event's closure under causes and immediate conflicts, so
+    it suffices to close the minimal events and keep the minimal
+    results.  A closure holds the closure of each minimal event in it,
+    so it is minimal exactly when those are all as large as it is.
     """
-    closures: set[frozenset[TransitionId]] = set()
+    closures: dict[TransitionId, frozenset[TransitionId]] = {}
     for seed in pes.events:
-        block = {seed}
-        changed = True
-        while changed:
-            changed = False
-            for e in list(block):
+        if pes.down(seed) <= {seed}:
+            block, pending = {seed}, [seed]
+            while pending:
+                e = pending.pop()
                 extra = (pes.down(e) | pes.immediate_conflicts(e)) - block
-                if extra:
-                    block |= extra
-                    changed = True
-        closures.add(frozenset(block))
+                block |= extra
+                pending.extend(extra)
+            closures[seed] = frozenset(block)
     return frozenset(
-        b for b in closures if not any(other < b for other in closures)
+        b for b in closures.values()
+        if all(len(closures[e]) == len(b) for e in b if e in closures)
     )
 
 
@@ -258,38 +286,72 @@ class RStopped:
     maximal: bool
 
 
+# Per enabled branching cell of a future, in sorted order, the cell's
+# maximal configurations in sorted order: the ways to complete it.
+CellTable = tuple[tuple[Configuration, ...], ...]
+# Cell tables by the event set of their future.
+CellTables = dict[frozenset[TransitionId], CellTable]
+
+
+def _cell_table(pes: PES, v: Configuration, tables: CellTables) -> CellTable:
+    """The cell table of the future of v, kept in ``tables`` by the
+    future's event set (see the module docstring); empty exactly when
+    the future is."""
+    keep = _future_events(pes, v)
+    table = tables.get(keep)
+    if table is None:
+        fut = pes if keep == pes.events else pes.restrict(keep)
+        table = tables[keep] = tuple(
+            tuple(sorted(maximal_configurations_within(fut, cell), key=sorted))
+            for cell in sorted(initial_stopping_prefixes(fut), key=sorted)
+        )
+    return table
+
+
 def r_stopped_configs(pes: PES) -> dict[Configuration, RStopped]:
     """All recursively-stopped configurations, found by repeatedly
-    completing one enabled branching cell.  Futures are memoised per
-    configuration, which keeps the search polynomial in the number of
+    completing one enabled branching cell.  Futures are built once per
+    event set, which keeps the search polynomial in the number of
     r-stopped configurations at desk scale."""
-    futures: dict[Configuration, PES] = {}
-
-    def future_of(v: Configuration) -> PES:
-        if v not in futures:
-            futures[v] = future(pes, v)
-        return futures[v]
-
-    info: dict[Configuration, RStopped] = {}
-    empty = frozenset()
-    info[empty] = RStopped(empty, (), not future_of(empty).events)
+    tables: CellTables = {}
+    empty: Configuration = frozenset()
+    info = {empty: RStopped(empty, (), not _cell_table(pes, empty, tables))}
     queue = [empty]
     while queue:
         v = queue.pop()
-        fut = future_of(v)
-        for cell in sorted(initial_stopping_prefixes(fut), key=sorted):
-            for w in sorted(maximal_configurations_within(fut, cell), key=sorted):
+        for completions in _cell_table(pes, v, tables):
+            for w in completions:
                 nxt = v | w
-                if nxt in info:
-                    continue
-                nxt_fut = future_of(nxt)
-                info[nxt] = RStopped(nxt, info[v].chain + (w,), not nxt_fut.events)
-                queue.append(nxt)
+                if nxt not in info:
+                    maximal = not _cell_table(pes, nxt, tables)
+                    info[nxt] = RStopped(nxt, info[v].chain + (w,), maximal)
+                    queue.append(nxt)
     return info
 
 
 def maximal_r_stopped(pes: PES) -> frozenset[Configuration]:
-    return frozenset(v for v, r in r_stopped_configs(pes).items() if r.maximal)
+    """The r-stopped configurations with an empty future, found by
+    completing every enabled branching cell at once (see the module
+    docstring for why this reaches the same ones as
+    :func:`r_stopped_configs`)."""
+    return _maximal_r_stopped(pes, {})
+
+
+def _maximal_r_stopped(pes: PES, tables: CellTables) -> frozenset[Configuration]:
+    empty: Configuration = frozenset()
+    found, seen, pending = set(), {empty}, [empty]
+    while pending:
+        v = pending.pop()
+        table = _cell_table(pes, v, tables)
+        if not table:
+            found.add(v)
+            continue
+        for choice in product(*table):
+            nxt = v.union(*choice)
+            if nxt not in seen:
+                seen.add(nxt)
+                pending.append(nxt)
+    return frozenset(found)
 
 
 # --------------------------------------------------------------------- #
@@ -307,20 +369,29 @@ def conf_of_term(term: Term, m: Iterable[PlaceId]) -> frozenset[Configuration]:
     receive tokens: constants contribute whole transactions, sums select
     the branch named by the arriving subset, sequential composition
     feeds each stage the final marking of the previous one."""
-    m = frozenset(m)
-    ty = typecheck(term)
-    _split_input(m, ty.inputs, "conf_of_term")
-    runs = run(_play(term, m, lambda key: ((proc, 1.0) for proc in key.transactions)))
+    return _conf_of_term(term, frozenset(m), {})
+
+
+def _conf_of_term(term: Term, m: frozenset[PlaceId], memo: Memo) -> frozenset[Configuration]:
+    _split_input(m, typecheck(term).inputs, "conf_of_term")
+    runs = run(_play(term, m, _transactions, memo))
     return frozenset(v for v, _fin in runs)
 
 
+def _transactions(key: ConstantKey) -> Iterator[tuple[Process, float]]:
+    return ((proc, 1.0) for proc in key.transactions)
+
+
 Runs = dict[tuple[Configuration, frozenset[str]], float]
+# The runs of each subterm already played, by (id(subterm), input).
+Memo = dict[tuple[int, frozenset[str]], Runs]
 
 
 def _play(
     term: Term,
     m: frozenset[str],
     outcomes: Callable[[ConstantKey], Iterable[tuple[Process, float]]],
+    memo: Memo,
 ) -> Walk[Runs]:
     """Weighted (configuration, final marking) pairs of a term under
     input m, where ``outcomes`` says which transactions, with which
@@ -328,31 +399,38 @@ def _play(
     semantics (identities pass their tokens through, constants emit
     exactly a transaction's final places); parallel parts multiply and
     sequential parts feed final markings forward.  Leaves are played by
-    :func:`_leaf_runs`, without a walk of their own."""
+    :func:`_leaf_runs`, without a walk of their own; every other subterm
+    is played once per input and kept in ``memo``, which may serve many
+    plays of one term when ``outcomes`` is deterministic."""
+
+    def known(sub: Term, m: frozenset[str]) -> Runs | None:
+        return _leaf_runs(sub, m, outcomes) or memo.get((id(sub), m))
+
     out: Runs = {}
     if isinstance(term, Par):
         m1, m2 = m & typecheck(term.left).inputs, m & typecheck(term.right).inputs
-        left = _leaf_runs(term.left, m1, outcomes) or (yield _play(term.left, m1, outcomes))
-        right = _leaf_runs(term.right, m2, outcomes) or (yield _play(term.right, m2, outcomes))
+        left = known(term.left, m1) or (yield _play(term.left, m1, outcomes, memo))
+        right = known(term.right, m2) or (yield _play(term.right, m2, outcomes, memo))
         for (v1, f1), p1 in left.items():
             for (v2, f2), p2 in right.items():
                 key = (v1 | v2, f1 | f2)
                 out[key] = out.get(key, 0.0) + p1 * p2
-        return out
-    if isinstance(term, Seq):
+    elif isinstance(term, Seq):
         t2 = typecheck(term.second)
-        first = _leaf_runs(term.first, m, outcomes) or (yield _play(term.first, m, outcomes))
+        first = known(term.first, m) or (yield _play(term.first, m, outcomes, memo))
         for (v1, f1), p1 in first.items():
             m2 = f1 & t2.inputs
-            second = _leaf_runs(term.second, m2, outcomes) or (yield _play(term.second, m2, outcomes))
+            second = known(term.second, m2) or (yield _play(term.second, m2, outcomes, memo))
             for (v2, f2), p2 in second.items():
                 key = (v1 | v2, f2)
                 out[key] = out.get(key, 0.0) + p1 * p2
-        return out
-    if isinstance(term, Sum):
+    elif isinstance(term, Sum):
         branch = term.branch(m)
-        return _leaf_runs(branch, frozenset(), outcomes) or (yield _play(branch, frozenset(), outcomes))
-    return _leaf_runs(term, m, outcomes)  # callers typecheck, so this is a leaf
+        out = known(branch, frozenset()) or (yield _play(branch, frozenset(), outcomes, memo))
+    else:
+        return _leaf_runs(term, m, outcomes)  # callers typecheck, so this is a leaf
+    memo[id(term), m] = out
+    return out
 
 
 def _leaf_runs(
@@ -423,15 +501,19 @@ def check_correspondence(marked: MarkedNet) -> CorrespondenceReport:
     The event structure is built once, for the fully marked net, and
     restricted for each j to the events with no input outside j below
     them (see :func:`pes_of_net`).  Tokens arriving on isolated input
-    places enable no events, so they change nothing there.
+    places enable no events, so they change nothing there.  All subsets
+    share one table of branching cells per future event set and one
+    play of each subterm per input.
     """
     term = compile_net(marked)
     whole = _net_pes(marked.net)
+    tables: CellTables = {}
+    memo: Memo = {}
     cases = []
     for arriving in subsets_lex(marked.inputs):
         live = _live_events(marked.net, marked.inputs - arriving)
-        ab = maximal_r_stopped(whole.restrict(live))
-        tv = conf_of_term(term, arriving)
+        ab = _maximal_r_stopped(whole.restrict(live), tables)
+        tv = _conf_of_term(term, arriving, memo)
         cases.append(CorrespondenceCase(arriving, ab, tv))
     return CorrespondenceReport(tuple(cases))
 
@@ -477,7 +559,7 @@ def enumerate_outcome_distribution(
             if p > 0:
                 yield proc, p
 
-    weights = run(_play(term, arriving, weighted))
+    weights = run(_play(term, arriving, weighted, {}))
     joint = Dist(weights)
     markings: dict[frozenset[str], float] = {}
     configs: dict[Configuration, float] = {}
@@ -539,6 +621,6 @@ def sample_outcome_distribution(
         raise DeltaError(f"sampled unknown transaction {sorted(chosen)}")
 
     for _ in range(samples):
-        ((_config, outcome),) = run(_play(term, arriving, draw))
+        ((_config, outcome),) = run(_play(term, arriving, draw, {}))
         counts[outcome] = counts.get(outcome, 0) + 1
     return SampleSummary(samples, seed, counts)

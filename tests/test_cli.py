@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cellnet.cli import run
-from conftest import build_three_cell_net
+from conftest import build_three_cell_net, wide_doc
 
 RUNNING = "nets/three_cells.net"
 RUNNING_DELTA = "nets/three_cells.delta"
@@ -184,6 +184,16 @@ def test_configs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "{c,e,g}" in lines and "{d,e}" in lines  # place 1 unmarked
     assert len(lines) == 3
+
+
+def test_configs_wide_net(tmp_path, capsys):
+    # 300 independent cells have 2^300 r-stopped configurations and one
+    # maximal one; completing every enabled cell at once finds it in a step
+    wide = tmp_path / "wide.net"
+    wide.write_text(json.dumps(wide_doc(300)))
+    assert run(["configs", str(wide)]) == 0
+    out, err = capsys.readouterr()
+    assert not err and len(out.splitlines()) == 1
 
 
 def test_oracle_check(capsys):

@@ -20,9 +20,11 @@ from cellnet import (
     enumerate_outcome_distribution,
     export_diagram,
     fold_tree,
+    maximal_r_stopped,
     normalize,
     parse_net,
     parse_term,
+    pes_of_net,
     render_term,
     render_tree,
     sample_outcome_distribution,
@@ -82,6 +84,15 @@ def test_tree_commands_on_the_deep_net(files, args, capsys):
     assert out and not err
 
 
+def test_cells_of_the_deep_net(files, capsys):
+    # every cell of the chain lies below every later one
+    assert run(["cells", str(files["deep"])]) == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert not err and len(lines) == N + N * (N - 1) // 2
+    assert lines[N] == "C1 < C2" and lines[-1] == f"C{N - 1} < C{N}"
+
+
 def test_check_term_reads_what_compile_prints(files, shape, tmp_path, capsys):
     assert run(["compile", str(files[shape])]) == 0
     term_file = tmp_path / "term.txt"
@@ -126,3 +137,8 @@ def test_fold_tree_of_the_wide_net(nets, trees):
 
 def test_fold_tree_of_the_deep_net(nets, trees):
     assert fold_tree(trees["deep"]) == nets["deep"]
+
+
+def test_maximal_r_stopped_of_the_wide_net(nets):
+    marked = nets["wide"]
+    assert maximal_r_stopped(pes_of_net(marked)) == {marked.net.transitions}

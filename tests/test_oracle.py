@@ -7,6 +7,7 @@ from cellnet import (
     MarkedNet,
     Net,
     NetError,
+    PES,
     State,
     Wiring,
     at_marking,
@@ -25,6 +26,7 @@ from cellnet import (
     r_stopped_configs,
     sample_outcome_distribution,
 )
+from cellnet.oracle import _cell_table
 from conftest import confusion_delta, random_occurrence_net, three_cell_delta
 
 fs = frozenset
@@ -90,12 +92,28 @@ def assert_indexes_match_scans(pes):
         assert pes.immediate_conflicts(e) == immediate
 
 
+def reference_stopping_prefixes(pes):
+    """The minimal non-empty event sets closed under causes and immediate
+    conflicts, by trying every subset."""
+    events = sorted(pes.events)
+    subsets = (
+        fs(e for i, e in enumerate(events) if bits >> i & 1) for bits in range(1, 2 ** len(events))
+    )
+    minimal = []
+    for block in sorted(subsets, key=len):
+        closed = all(pes.down(e) | pes.immediate_conflicts(e) <= block for e in block)
+        if closed and not any(m < block for m in minimal):
+            minimal.append(block)
+    return fs(minimal)
+
+
 def test_restricted_pes_matches_definition_on_random_nets():
     rng = random.Random(31)
     for size in [(8, 6)] * 60 + [(12, 9)] * 15:
         marked = random_occurrence_net(rng, *size)
         lonely = isolated_places(marked.net)
         report = check_correspondence(marked)
+        tables = {}                             # shared across subsets, as in the check
         for case in report.cases:
             extended = MarkedNet(marked.net, (marked.marking | case.arriving) - lonely)
             pes = pes_of_net(extended)
@@ -103,7 +121,17 @@ def test_restricted_pes_matches_definition_on_random_nets():
             assert case.from_event_structure == maximal_r_stopped(pes)
             assert_indexes_match_scans(pes)
             for e in pes.events:                # restricted again, to a future
-                assert_indexes_match_scans(future(pes, pes.down(e)))
+                fut = future(pes, pes.down(e))
+                assert_indexes_match_scans(fut)
+                for f in fut.events:            # and a future of that future
+                    again = future(fut, fut.down(f))
+                    assert "_immediate" in again.__dict__   # inherited, not rescanned
+                    assert_indexes_match_scans(again)
+            for v in r_stopped_configs(pes):
+                fut = future(pes, v)
+                assert initial_stopping_prefixes(fut) == reference_stopping_prefixes(fut)
+                fresh = PES(fut.events, fut.leq, fut.conflict)
+                assert _cell_table(pes, v, tables) == _cell_table(fresh, fs(), {})
 
 
 def test_initial_stopping_prefixes(pes_full):

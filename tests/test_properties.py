@@ -4,6 +4,7 @@ randomly generated occurrence nets."""
 
 import json
 import random
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from cellnet import (
     MarkedNet,
     Net,
     OccurrenceError,
+    PES,
     Par,
     ParNode,
     Seq,
@@ -45,10 +47,12 @@ from cellnet import (
     lex_wiring,
     load_net,
     make_sum,
+    maximal_r_stopped,
     min_places,
     normalize,
     parse_net,
     permutation_arrow,
+    r_stopped_configs,
     remove_places,
     scell_preorder,
     scells,
@@ -59,6 +63,7 @@ from cellnet import (
 from cellnet.cells import cell_classes, cell_leaves
 from cellnet.kleisli import _relabel
 from cellnet.nets import subnet_of
+from cellnet.oracle import _live_events, _maximal_r_stopped, _net_pes
 from cellnet.terms import subsets_lex
 from conftest import (
     build_three_cell_net,
@@ -455,6 +460,43 @@ def test_scells_match_preorder_reference_on_random_nets():
             assert (len(cell_classes(candidate)) == 1 and not isolated_places(candidate)) == whole
             checked += whole
     assert cases > 300 and checked > 300
+
+
+def test_cell_order_matches_pairwise_preorder_on_random_nets():
+    for net, marking in islice(_scells_cases(), 150):
+        cells = scells(net, marking)
+        reach = scell_preorder(net)
+        pairwise = {
+            (i, j)
+            for i, a in enumerate(cells)
+            for j, b in enumerate(cells)
+            if i != j and next(iter(b.members)) in reach[next(iter(a.members))]
+        }
+        assert cell_order(net, cells) == pairwise
+
+
+# ------------------------------------------------------------------ #
+# Maximal r-stopped configurations, one product step per future
+# ------------------------------------------------------------------ #
+
+def test_maximal_r_stopped_completes_every_enabled_cell_at_once():
+    # The product search must find the maximal configurations of the
+    # one-cell-at-a-time search, both with the cell tables shared across
+    # input subsets as check_correspondence shares them and on a
+    # structure built from its pair sets, which inherits no tables.
+    rng = random.Random(43)
+    cases = 0
+    for _ in range(200):
+        marked = random_occurrence_net(rng, 12, 9)
+        whole = _net_pes(marked.net)
+        tables = {}
+        for arriving in subsets_lex(marked.inputs):
+            pes = whole.restrict(_live_events(marked.net, marked.inputs - arriving))
+            expected = fs(v for v, r in r_stopped_configs(pes).items() if r.maximal)
+            assert _maximal_r_stopped(pes, tables) == expected
+            assert maximal_r_stopped(PES(pes.events, pes.leq, pes.conflict)) == expected
+            cases += 1
+    assert cases > 10000
 
 
 # ------------------------------------------------------------------ #
