@@ -77,12 +77,9 @@ from .nets import (
     MarkedNet,
     Net,
     Process,
-    causality_leq,
-    conflict,
     enumerate_transactions,
     fire,
     identity_net,
-    immediate_conflict,
     isolated_places,
     max_places,
     min_places,

@@ -5,7 +5,9 @@ is an equivalence class of the preorder generated by causality together
 with the inverse precondition relation.  Those classes are the strongly
 connected components of one graph (the flow plus an arc from each
 transition back to each of its pre-places), so :func:`scells` finds
-them all with one iterative pass of Tarjan's algorithm.  Cells are the
+them all with one pass of Tarjan's algorithm
+(:func:`nets.strong_components`, which also finds the cycles that
+:func:`nets.validate_occurrence` reports).  Cells are the
 indecomposable blocks of a marked occurrence net; every net factors
 uniquely (up to the commutative-monoidal axioms) into a layered
 parallel/sequential composition of cell subnets and identity nets,
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
-from typing import Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import CompositionError, NetError
 from .nets import (
@@ -30,11 +32,12 @@ from .nets import (
     NodeId,
     PlaceId,
     Walk,
+    dependents,
     ensure_occurrence,
-    isolated_places,
     max_places,
     min_places,
     run,
+    strong_components,
     subnet_of,
     topological_order,
 )
@@ -135,8 +138,8 @@ def scells(net: Net, marking: frozenset[PlaceId] = frozenset()) -> tuple[SCell, 
 def cell_classes(net: Net) -> list[frozenset[NodeId]]:
     """The equivalence classes of ⊑ that hold a transition.
 
-    Tarjan's algorithm, iterative, over the flow plus the arcs from each
-    transition back to its pre-places.  A transition and its pre-places
+    :func:`nets.strong_components` (Tarjan's algorithm) over the flow
+    plus the arcs from each transition back to its pre-places.  A transition and its pre-places
     are always in one component, so a component holds a transition
     exactly when it has more than one node.
 
@@ -148,48 +151,10 @@ def cell_classes(net: Net) -> list[frozenset[NodeId]]:
         return list(net._cell_classes)
     pre, post, transitions = net._pre, net._post, net.transitions
 
-    def successors(x: NodeId) -> Iterator[NodeId]:
-        return chain(post[x], pre[x]) if x in transitions else iter(post[x])
+    def successors(x: NodeId) -> Iterable[NodeId]:
+        return chain(post[x], pre[x]) if x in transitions else post[x]
 
-    index: dict[NodeId, int] = {}
-    low: dict[NodeId, int] = {}
-    stack: list[NodeId] = []
-    on_stack: set[NodeId] = set()
-    work: list[tuple[NodeId, Iterator[NodeId]]] = []  # the DFS path, with unvisited successors
-
-    def visit(x: NodeId) -> None:
-        index[x] = low[x] = len(index)
-        stack.append(x)
-        on_stack.add(x)
-        work.append((x, successors(x)))
-
-    classes = []
-    for root in transitions:
-        if root not in index:
-            visit(root)
-        while work:
-            x, pending = work[-1]
-            for y in pending:
-                if y not in index:
-                    visit(y)
-                    break
-                if y in on_stack and index[y] < low[x]:
-                    low[x] = index[y]
-            else:
-                work.pop()
-                if work and low[x] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[x]
-                if low[x] == index[x]:
-                    component = []
-                    while True:
-                        y = stack.pop()
-                        on_stack.discard(y)
-                        component.append(y)
-                        if y == x:
-                            break
-                    if len(component) > 1:
-                        classes.append(frozenset(component))
-    return classes
+    return [frozenset(c) for c in strong_components(transitions, successors) if len(c) > 1]
 
 
 def cell_order(net: Net, cells: tuple[SCell, ...]) -> frozenset[tuple[int, int]]:
@@ -525,47 +490,29 @@ def remove_places(cell: MarkedNet, dead: frozenset[PlaceId]) -> PlaceRemoval:
             f"places {sorted(stray)} are not unmarked initial places of the cell"
         )
     net = cell.net
-    dead_places = set(dead)
-    dead_transitions: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for t in net.transitions - dead_transitions:
-            if net.pre(t) & dead_places:
-                dead_transitions.add(t)
-                changed = True
-        for p in net.places - dead_places:
-            producer = net.pre(p)
-            if producer and producer <= dead_transitions:
-                dead_places.add(p)
-                changed = True
-
-    # Stranded places: produced within the net, but every consumer died.
-    # A token arriving there is unusable, so the place is cut away (its
-    # producer keeps firing, the token vanishes).  Initial places in the
-    # same situation become isolated and are handled below, where a
-    # marked one has its dropped token recorded.
-    for p in net.places - dead_places:
-        consumers = net.post(p)
-        if net.pre(p) and consumers and consumers <= dead_transitions:
-            dead_places.add(p)
+    doomed = dependents(net, dead)
+    dead_transitions = doomed & net.transitions
+    # A surviving place goes too when every consumer died, as a token
+    # there could never be used again: a produced place is cut away (its
+    # producer keeps firing, the token vanishes), and an initial place is
+    # left isolated (a marked one has its dropped token recorded).  A
+    # produced place with no consumer stays, as an output.
+    pre, post = net._pre, net._post
+    removed = (doomed - dead_transitions).union(
+        p for p in net.places - doomed if post[p] <= dead_transitions and (post[p] or not pre[p])
+    )
 
     # A surviving transition keeps its whole pre-set (a dead pre-place kills
-    # it; stranded and isolated places feed none), as subnet_of requires.
-    places = net.places - dead_places
+    # it; the removed places feed none), as subnet_of requires.
+    places = net.places - removed
     transitions = net.transitions - dead_transitions
     kept = places | transitions
     flow = frozenset((src, dst) for src, dst in net.flow if src in kept and dst in kept)
-    trimmed = subnet_of(net, places, transitions, flow)
-    lonely = isolated_places(trimmed)
-    dropped = frozenset(lonely & cell.marking)
-    final = subnet_of(net, trimmed.places - lonely, trimmed.transitions, trimmed.flow)
-    marking = cell.marking & final.places
     return PlaceRemoval(
-        result=MarkedNet(final, marking),
-        removed_places=frozenset(dead_places | lonely),
-        removed_transitions=frozenset(dead_transitions),
-        dropped_tokens=dropped,
+        result=MarkedNet(subnet_of(net, places, transitions, flow), cell.marking & places),
+        removed_places=removed,
+        removed_transitions=dead_transitions,
+        dropped_tokens=removed & cell.marking,
     )
 
 

@@ -1,5 +1,8 @@
-"""Finite occurrence Petri nets: structural validation, causality and
-conflict relations, token-game firing, and maximal-process enumeration.
+"""Finite occurrence Petri nets: structural validation, the flow's
+causal closure, token-game firing, and maximal-process enumeration.
+The graph passes that other modules share live here too: the generator
+driver :func:`run`, :func:`topological_order` and the strongly connected
+components of :func:`strong_components`.
 
 Places and transitions are opaque strings living in disjoint namespaces.
 All values are immutable after construction and every operation is a pure
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Generator, Hashable, Iterable, Mapping, TypeVar
+from typing import Any, Callable, Generator, Hashable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import NetError, OccurrenceError
 
@@ -62,6 +65,51 @@ def topological_order(succ: Mapping[_K, Iterable[_K]]) -> list[_K]:
             if not waiting[y]:
                 ready.append(y)
     return order
+
+
+def strong_components(roots: Iterable[_K], successors: Callable[[_K], Iterable[_K]]) -> list[list[_K]]:
+    """The strongly connected components of the graph reachable from
+    ``roots``, each a list of its nodes (Tarjan's algorithm).  The pass
+    is iterative: the depth-first path waits on a list, not on Python's
+    stack."""
+    index: dict[_K, int] = {}
+    low: dict[_K, int] = {}
+    stack: list[_K] = []
+    on_stack: set[_K] = set()
+    work: list[tuple[_K, Iterator[_K]]] = []  # the DFS path, with unvisited successors
+
+    def visit(x: _K) -> None:
+        index[x] = low[x] = len(index)
+        stack.append(x)
+        on_stack.add(x)
+        work.append((x, iter(successors(x))))
+
+    components = []
+    for root in roots:
+        if root not in index:
+            visit(root)
+        while work:
+            x, pending = work[-1]
+            for y in pending:
+                if y not in index:
+                    visit(y)
+                    break
+                if y in on_stack and index[y] < low[x]:
+                    low[x] = index[y]
+            else:
+                work.pop()
+                if work and low[x] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[x]
+                if low[x] == index[x]:
+                    component = []
+                    while True:
+                        y = stack.pop()
+                        on_stack.discard(y)
+                        component.append(y)
+                        if y == x:
+                            break
+                    components.append(component)
+    return components
 
 
 def _frozen(items: Iterable[str]) -> frozenset[str]:
@@ -139,20 +187,8 @@ class Net:
 
     @cached_property
     def _descendants(self) -> dict[NodeId, frozenset[NodeId]]:
-        # Reflexive-transitive closure of F, per node.
-        if self._has_flow_cycle:
-            # Straightforward saturation; a cycle leaves no topological order.
-            reach: dict[NodeId, set[NodeId]] = {x: {x} for x in self.nodes}
-            changed = True
-            while changed:
-                changed = False
-                for x in self.nodes:
-                    for y in self._post[x]:
-                        merged = reach[x] | reach[y]
-                        if merged != reach[x]:
-                            reach[x] = merged
-                            changed = True
-            return {x: frozenset(s) for x, s in reach.items()}
+        # Reflexive-transitive closure of F, per node, unioned in reverse
+        # topological order; an acyclic net's nodes all have one.
         closure: dict[NodeId, frozenset[NodeId]] = {}
         for x in reversed(self._flow_order):
             closure[x] = frozenset({x}).union(*(closure[y] for y in self._post[x]))
@@ -209,46 +245,11 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def causality_leq(net: Net, x: NodeId, y: NodeId) -> bool:
-    """x ≼ y: reflexive-transitive closure of the flow relation."""
-    if x not in net.nodes:
-        raise NetError(f"unknown node {x!r}")
-    if y not in net.nodes:
-        raise NetError(f"unknown node {y!r}")
-    return y in net._descendants[x]
-
-
-def immediate_conflict(net: Net, t1: TransitionId, t2: TransitionId) -> bool:
-    """t1 #0 t2: distinct transitions competing for a common pre-place."""
-    for t in (t1, t2):
-        if t not in net.transitions:
-            raise NetError(f"unknown transition {t!r}")
-    return t1 != t2 and bool(net.pre(t1) & net.pre(t2))
-
-
-def conflict(net: Net, x: NodeId, y: NodeId) -> bool:
-    """x # y: some immediate conflict t1 #0 t2 with t1 ≼ x and t2 ≼ y.
-
-    On validated occurrence nets this relation is symmetric and
-    irreflexive (irreflexivity is exactly the absence of
-    self-conflicts).
-    """
-    if x not in net.nodes:
-        raise NetError(f"unknown node {x!r}")
-    if y not in net.nodes:
-        raise NetError(f"unknown node {y!r}")
-    below_x = _ancestor_transitions(net, x)
-    below_y = _ancestor_transitions(net, y)
-    for t1 in below_x:
-        pre1 = net.pre(t1)
-        for t2 in below_y:
-            if t1 != t2 and pre1 & net.pre(t2):
-                return True
-    return False
-
-
-def _ancestor_transitions(net: Net, x: NodeId) -> frozenset[TransitionId]:
-    return frozenset(t for t in net.transitions if x in net._descendants[t])
+def dependents(net: Net, places: Iterable[PlaceId]) -> frozenset[NodeId]:
+    """The nodes with one of ``places`` below them, those places
+    included: on an occurrence net, everything that can no longer happen
+    when they never receive a token."""
+    return frozenset().union(*(net._descendants[p] for p in places))
 
 
 def validate_occurrence(net: Net) -> ValidationReport:
@@ -260,9 +261,11 @@ def validate_occurrence(net: Net) -> ValidationReport:
     """
     violations: list[Violation] = []
     if net._has_flow_cycle:
-        for x in sorted(net.nodes):
-            if _on_cycle(net, x):
-                violations.append(Violation("cycle", x, "node lies on a flow cycle"))
+        # F alternates places and transitions, so it has no loops: a node
+        # lies on a cycle exactly when its component has another node.
+        components = strong_components(net.nodes, net._post.__getitem__)
+        for x in sorted(x for c in components if len(c) > 1 for x in c):
+            violations.append(Violation("cycle", x, "node lies on a flow cycle"))
     for p in sorted(net.places):
         producers = net.pre(p)
         if len(producers) > 1:
@@ -279,10 +282,6 @@ def validate_occurrence(net: Net) -> ValidationReport:
                     Violation("self-conflict", t, f"conflicting causes {witness[0]} #0 {witness[1]}")
                 )
     return ValidationReport(tuple(violations))
-
-
-def _on_cycle(net: Net, x: NodeId) -> bool:
-    return any(x in net._descendants[y] for y in net._post[x])
 
 
 def _self_conflict_witness(

@@ -8,9 +8,12 @@ cells, the configurations denoted by a term, and the exact outcome
 distribution obtained by playing the term operationally.  The
 correspondence and equivalence checks diff the two routes.
 
-The event structure is built once per net, for the fully marked net,
-and restricted for each subset of inputs that receive tokens to the
-events with no input outside the subset below them.  The restriction
+The event structure is stored as two per-event tables, each event's
+causes and its rivals (the events in conflict with it).  It is built
+once per net, for the fully marked net, and restricted for each subset
+of inputs that receive tokens to the events with no input outside the
+subset below them; a restriction cuts both tables down to the kept
+events.  The restriction
 equals the structure of the net with those inputs removed, because:
 
 - a transition dies exactly when a dead input lies below it;
@@ -44,7 +47,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .compiler import compile_net
 from .errors import CellnetError, DeltaError, NetError
 from .kleisli import DeltaTable, Dist
-from .nets import MarkedNet, Net, PlaceId, Process, TransitionId, Walk, run
+from .nets import MarkedNet, Net, PlaceId, Process, TransitionId, Walk, dependents, run
 from .terms import (
     Constant,
     ConstantKey,
@@ -64,62 +67,57 @@ Configuration = frozenset[TransitionId]
 
 @dataclass(frozen=True)
 class PES:
-    """A prime event structure: events, a causality partial order
-    (stored as its reflexive pair set), and a symmetric irreflexive
-    conflict relation inherited along causality.
-
-    Causes, conflicts and immediate conflicts are indexed by event once
-    per structure, on first use."""
+    """A prime event structure, stored as two tables over its events:
+    ``causes`` maps each event to its causes, itself included (the
+    causality partial order), and ``rivals`` maps each event to the
+    events in conflict with it.  Construction checks that conflict is
+    irreflexive, symmetric and inherited along causality.  Immediate
+    conflicts are indexed once per structure, on first use."""
 
     events: frozenset[TransitionId]
-    leq: frozenset[tuple[TransitionId, TransitionId]]
-    conflict: frozenset[tuple[TransitionId, TransitionId]]
+    causes: Mapping[TransitionId, frozenset[TransitionId]]
+    rivals: Mapping[TransitionId, frozenset[TransitionId]]
 
     def __post_init__(self) -> None:
-        for e, f in self.conflict:
-            if e == f:
+        if self.causes.keys() != self.events or self.rivals.keys() != self.events:
+            raise NetError("causes and rivals must map exactly the events")
+        conflicted = frozenset(e for e, rivals in self.rivals.items() if rivals)
+        for e, rivals in self.rivals.items():
+            causes = self.causes[e]
+            if e not in causes or not causes <= self.events or not rivals <= self.events:
+                raise NetError(f"the causes of {e} must be events including {e}, its rivals events")
+            if e in rivals:
                 raise NetError(f"conflict must be irreflexive, got {e} # {e}")
-            if (f, e) not in self.conflict:
-                raise NetError(f"conflict must be symmetric, missing {f} # {e}")
-        for e1, e2 in self.conflict:
-            for e2b, e3 in self.leq:
-                if e2b == e2 and (e1, e3) not in self.conflict:
-                    raise NetError(
-                        f"conflict not inherited: {e1} # {e2} ≼ {e3} but not {e1} # {e3}"
-                    )
-
-    @cached_property
-    def _causes(self) -> dict[TransitionId, frozenset[TransitionId]]:
-        return _index((y, x) for x, y in self.leq)
-
-    @cached_property
-    def _rivals(self) -> dict[TransitionId, frozenset[TransitionId]]:
-        return _index(self.conflict)
+            for f in rivals:
+                if e not in self.rivals[f]:
+                    raise NetError(f"conflict must be symmetric, missing {f} # {e}")
+            for x in causes & conflicted:
+                if not self.rivals[x] <= rivals:
+                    f = min(self.rivals[x] - rivals)
+                    raise NetError(f"conflict not inherited: {f} # {x} ≼ {e} but not {f} # {e}")
 
     @cached_property
     def _immediate(self) -> dict[TransitionId, frozenset[TransitionId]]:
         # e #0 f exactly when, for every cause x of e, the rivals of x
         # below f are {f} if x = e and none otherwise.
         none: frozenset[TransitionId] = frozenset()
-        table = {}
-        for e, rivals in self._rivals.items():
-            causes = self._causes.get(e, none)
-            table[e] = frozenset(
+        return {
+            e: frozenset(
                 f
-                for f in rivals & self.events
+                for f in rivals
                 if all(
-                    self._rivals.get(x, none) & self._causes.get(f, none)
-                    == ({f} if x == e else none)
-                    for x in causes
+                    self.rivals[x] & self.causes[f] == ({f} if x == e else none)
+                    for x in self.causes[e]
                 )
             )
-        return table
+            for e, rivals in self.rivals.items()
+        }
 
     def down(self, e: TransitionId) -> frozenset[TransitionId]:
-        return self._causes.get(e, frozenset())
+        return self.causes.get(e, frozenset())
 
     def in_conflict(self, e: TransitionId, f: TransitionId) -> bool:
-        return (e, f) in self.conflict
+        return f in self.rivals.get(e, ())
 
     def immediate_conflicts(self, e: TransitionId) -> frozenset[TransitionId]:
         """Events f with e #0 f: in conflict with e, but with every other
@@ -130,43 +128,25 @@ class PES:
         v = frozenset(v)
         if not v <= self.events:
             return False
-        for e in v:
-            if not self.down(e) <= v:
-                return False
-        return not any(self._rivals.get(e, frozenset()) & v for e in v)
+        return all(self.causes[e] <= v and not self.rivals[e] & v for e in v)
 
     def restrict(self, keep: frozenset[TransitionId]) -> PES:
-        """The sub-structure on the events in ``keep``; causes, conflicts
-        and immediate conflicts come from this structure's tables, so no
-        pair set is scanned again.
+        """The sub-structure on the events in ``keep``: this structure's
+        tables cut down to them, checked again on construction.
 
         Immediate conflict survives the cut when every cause dropped
         from below a kept event conflicts with nothing kept, as in a
         downward-closed set or the events of a future."""
-        none: frozenset[TransitionId] = frozenset()
-        causes = {e: self._causes.get(e, none) & keep for e in keep}
-        rivals = {e: self._rivals.get(e, none) & keep for e in keep}
+        keep = self.events & keep
         sub = PES(
             keep,
-            frozenset((x, e) for e, xs in causes.items() for x in xs),
-            frozenset((e, f) for e, fs in rivals.items() for f in fs),
+            {e: self.causes[e] & keep for e in keep},
+            {e: self.rivals[e] & keep for e in keep},
         )
-        sub.__dict__["_causes"] = causes
-        sub.__dict__["_rivals"] = {e: fs for e, fs in rivals.items() if fs}
         sub.__dict__["_immediate"] = {
             e: fs & keep for e, fs in self._immediate.items() if e in keep
         }
         return sub
-
-
-def _index(
-    pairs: Iterable[tuple[TransitionId, TransitionId]],
-) -> dict[TransitionId, frozenset[TransitionId]]:
-    """The image of each element under a relation given as pairs."""
-    table: dict[TransitionId, set[TransitionId]] = {}
-    for x, y in pairs:
-        table.setdefault(x, set()).add(y)
-    return {x: frozenset(ys) for x, ys in table.items()}
 
 
 def _net_pes(net: Net) -> PES:
@@ -175,22 +155,29 @@ def _net_pes(net: Net) -> PES:
     is the shared-precondition relation inherited along causality."""
     events = net.transitions
     above = {t: net._descendants[t] & events for t in events}
-    leq = frozenset((t, u) for t in events for u in above[t])
-    conflict: set[tuple[TransitionId, TransitionId]] = set()
+    causes: dict[TransitionId, set[TransitionId]] = {t: set() for t in events}
+    rivals: dict[TransitionId, set[TransitionId]] = {t: set() for t in events}
+    for t in events:
+        for u in above[t]:
+            causes[u].add(t)
     for p in net.places:
         consumers = net.post(p)
         for t1 in consumers:
-            for t2 in consumers:
-                if t1 != t2:
-                    conflict.update((x, y) for x in above[t1] for y in above[t2] if x != y)
-    return PES(events, leq, frozenset(conflict))
+            others = frozenset().union(*(above[t2] for t2 in consumers if t2 != t1))
+            for x in above[t1]:
+                rivals[x] |= others
+    return PES(
+        events,
+        {e: frozenset(xs) for e, xs in causes.items()},
+        {e: frozenset(fs) for e, fs in rivals.items()},
+    )
 
 
 def _live_events(net: Net, dead: frozenset[PlaceId]) -> frozenset[TransitionId]:
     """The transitions with none of the ``dead`` initial places below
     them: exactly the ones that stay fireable when those places never
     receive a token."""
-    return net.transitions.difference(*(net._descendants[p] for p in dead))
+    return net.transitions - dependents(net, dead)
 
 
 def pes_of_net(marked: MarkedNet) -> PES:
@@ -206,7 +193,7 @@ def pes_of_net(marked: MarkedNet) -> PES:
 
 
 def _future_events(pes: PES, v: Configuration) -> frozenset[TransitionId]:
-    return pes.events.difference(v, *(pes._rivals.get(f, ()) for f in v))
+    return pes.events.difference(v, *(pes.rivals[f] for f in v))
 
 
 def future(pes: PES, v: Iterable[TransitionId]) -> PES:
@@ -261,7 +248,7 @@ def configurations_within(pes: PES, block: frozenset[TransitionId]) -> frozenset
                 continue
             if not pes.down(e) - {e} <= current:
                 continue
-            if pes._rivals.get(e, frozenset()) & current:
+            if pes.rivals[e] & current:
                 continue
             nxt = current | {e}
             if nxt not in found:

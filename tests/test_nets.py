@@ -5,12 +5,9 @@ from cellnet import (
     Net,
     NetError,
     OccurrenceError,
-    causality_leq,
-    conflict,
     enumerate_transactions,
     fire,
     identity_net,
-    immediate_conflict,
     isolated_places,
     max_places,
     min_places,
@@ -72,27 +69,6 @@ def test_identity_net_interfaces():
     assert min_places(ident.net) == fs({"s1", "s2"})
     assert max_places(ident.net) == fs({"s1", "s2"})
     assert isolated_places(ident.net) == fs({"s1", "s2"})
-
-
-def test_causality(three_cells):
-    net = three_cells.net
-    assert causality_leq(net, "1", "4")   # 1 -> a -> 4
-    assert causality_leq(net, "1", "8")   # through f
-    assert not causality_leq(net, "4", "1")
-    assert causality_leq(net, "e", "e")   # reflexive
-    with pytest.raises(NetError):
-        causality_leq(net, "nope", "1")
-
-
-def test_conflicts(three_cells):
-    net = three_cells.net
-    assert immediate_conflict(net, "a", "b")        # both consume place 1
-    assert not immediate_conflict(net, "a", "a")
-    assert conflict(net, "a", "b")
-    assert conflict(net, "b", "a")                  # symmetric
-    assert conflict(net, "b", "8")                  # inherited to f's output
-    for x in sorted(net.nodes):
-        assert not conflict(net, x, x)              # irreflexive
 
 
 def test_fire(three_cells):

@@ -45,8 +45,8 @@ def test_pes_of_fully_marked_net(pes_full):
     assert pes_full.in_conflict("d", "f")     # inherited: c #0 d, c ≼ f
     assert pes_full.in_conflict("b", "f")     # inherited: a #0 b, a ≼ f
     assert not pes_full.in_conflict("e", "g")
-    assert ("a", "f") in pes_full.leq
-    assert ("c", "g") in pes_full.leq
+    assert "a" in pes_full.down("f")
+    assert "c" in pes_full.down("g")
 
 
 def test_pes_restricts_unmarked_inputs(three_cells):
@@ -59,7 +59,7 @@ def test_pes_restricts_unmarked_inputs(three_cells):
 def test_pes_conflict_free_net():
     net = Net(fs({"p", "q"}), fs({"t"}), fs([("p", "t"), ("t", "q")]))
     pes = pes_of_net(MarkedNet(net, fs({"p"})))
-    assert pes.conflict == fs()
+    assert pes.rivals == {"t": fs()}
 
 
 def reference_pes(marked):
@@ -81,13 +81,20 @@ def reference_pes(marked):
     return events, leq, fs(conflict)
 
 
-def assert_indexes_match_scans(pes):
+def pairs(pes):
+    """A PES as the (events, leq, conflict) pair sets of its tables."""
+    leq = fs((x, e) for e in pes.events for x in pes.down(e))
+    conflict = fs((e, f) for e in pes.events for f in pes.rivals[e])
+    return pes.events, leq, conflict
+
+
+def assert_immediate_conflicts_match_scan(pes):
+    _events, _leq, conflict = pairs(pes)
     for e in pes.events:
-        assert pes.down(e) == fs(x for x, y in pes.leq if y == e)
         immediate = fs(
             f for f in pes.events
             if {(x, y) for x in pes.down(e) for y in pes.down(f)
-                if (x, y) in pes.conflict} == {(e, f)}
+                if (x, y) in conflict} == {(e, f)}
         )
         assert pes.immediate_conflicts(e) == immediate
 
@@ -117,21 +124,54 @@ def test_restricted_pes_matches_definition_on_random_nets():
         for case in report.cases:
             extended = MarkedNet(marked.net, (marked.marking | case.arriving) - lonely)
             pes = pes_of_net(extended)
-            assert (pes.events, pes.leq, pes.conflict) == reference_pes(extended)
+            assert pairs(pes) == reference_pes(extended)
             assert case.from_event_structure == maximal_r_stopped(pes)
-            assert_indexes_match_scans(pes)
+            assert_immediate_conflicts_match_scan(pes)
             for e in pes.events:                # restricted again, to a future
                 fut = future(pes, pes.down(e))
-                assert_indexes_match_scans(fut)
+                assert_immediate_conflicts_match_scan(fut)
                 for f in fut.events:            # and a future of that future
                     again = future(fut, fut.down(f))
                     assert "_immediate" in again.__dict__   # inherited, not rescanned
-                    assert_indexes_match_scans(again)
+                    assert_immediate_conflicts_match_scan(again)
             for v in r_stopped_configs(pes):
                 fut = future(pes, v)
                 assert initial_stopping_prefixes(fut) == reference_stopping_prefixes(fut)
-                fresh = PES(fut.events, fut.leq, fut.conflict)
+                fresh = PES(fut.events, fut.causes, fut.rivals)
                 assert _cell_table(pes, v, tables) == _cell_table(fresh, fs(), {})
+
+
+def reference_restrict(reference, keep):
+    events, leq, conflict = reference
+    kept = lambda pairs: fs((x, y) for x, y in pairs if x in keep and y in keep)
+    return events & keep, kept(leq), kept(conflict)
+
+
+def test_every_pes_is_its_checked_tables_on_random_nets():
+    # Each structure pes_of_net, future and restrict build is the one the
+    # public constructor checks and builds from its tables, and it cuts
+    # the definition's pair sets down to its events.
+    rng = random.Random(59)
+    built = 0
+    for _ in range(150):
+        marked = random_occurrence_net(rng, 12, 9)
+        fully = MarkedNet(marked.net, marked.marking | marked.inputs - isolated_places(marked.net))
+        structures = []
+        for m in (marked, fully):
+            pes, reference = pes_of_net(m), reference_pes(m)
+            _events, _leq, conflict = reference
+            structures.append((pes, reference))
+            for e in sorted(pes.events):
+                v = pes.down(e)
+                rest = fs(f for f in pes.events - v if not any((x, f) in conflict for x in v))
+                structures.append((future(pes, v), reference_restrict(reference, rest)))
+                rest = pes.events - {e}
+                structures.append((pes.restrict(rest), reference_restrict(reference, rest)))
+        for structure, expected in structures:
+            assert PES(structure.events, dict(structure.causes), dict(structure.rivals)) == structure
+            assert pairs(structure) == expected
+            built += 1
+    assert built > 1000
 
 
 def test_initial_stopping_prefixes(pes_full):

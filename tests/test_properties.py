@@ -34,14 +34,12 @@ from cellnet import (
     cell_order,
     compile_net,
     compose_arrows,
-    conflict,
     constant_arrow,
     copair,
     dead_arrow,
     enumerate_transactions,
     fold_tree,
     identity_arrow,
-    immediate_conflict,
     interpret,
     isolated_places,
     lex_wiring,
@@ -117,20 +115,6 @@ def _random_nets(seed, count):
     return [random_occurrence_net(rng) for _ in range(count)]
 
 
-def test_conflict_symmetric_irreflexive_on_random_nets():
-    for marked in _random_nets(5, 25):
-        net = marked.net
-        nodes = sorted(net.nodes)
-        for x in nodes:
-            assert not conflict(net, x, x)
-            for y in nodes:
-                assert conflict(net, x, y) == conflict(net, y, x)
-        for t in sorted(net.transitions):
-            for u in sorted(net.transitions):
-                if immediate_conflict(net, t, u):
-                    assert conflict(net, t, u)
-
-
 def test_safety_on_random_nets():
     # firing from the fully marked initial places never doubles a token
     for marked in _random_nets(6, 25):
@@ -168,7 +152,7 @@ def test_transactions_are_maximal_conflict_free_downward_closed():
             chosen = proc.transitions
             for t in chosen:
                 for u in chosen:
-                    assert not conflict(net, t, u)
+                    assert not _conflict(net, t, u)
                 # downward closure over causality restricted to transitions
                 for u in net.transitions:
                     if u != t and u in _transition_causes(net, t):
@@ -176,7 +160,7 @@ def test_transactions_are_maximal_conflict_free_downward_closed():
             # maximality: no compatible transition can be added
             for extra in sorted(net.transitions - chosen):
                 candidate = chosen | {extra}
-                compatible = all(not conflict(net, extra, t) for t in chosen)
+                compatible = all(not _conflict(net, extra, t) for t in chosen)
                 closed = _transition_causes(net, extra) <= candidate
                 assert not (compatible and closed), (
                     f"{sorted(chosen)} is not maximal: {extra} fits"
@@ -187,6 +171,14 @@ def _transition_causes(net, t):
     return fs(
         u for u in net.transitions if u != t and t in net._descendants[u]
     )
+
+
+def _conflict(net, t, u):
+    """t # u: distinct causes of t and u, each one or the other itself,
+    that share a pre-place."""
+    below_t = _transition_causes(net, t) | {t}
+    below_u = _transition_causes(net, u) | {u}
+    return any(a != b and net.pre(a) & net.pre(b) for a in below_t for b in below_u)
 
 
 def test_transaction_replay_reaches_final_places():
@@ -483,7 +475,8 @@ def test_maximal_r_stopped_completes_every_enabled_cell_at_once():
     # The product search must find the maximal configurations of the
     # one-cell-at-a-time search, both with the cell tables shared across
     # input subsets as check_correspondence shares them and on a
-    # structure built from its pair sets, which inherits no tables.
+    # structure rebuilt from its tables, which inherits no immediate
+    # conflicts.
     rng = random.Random(43)
     cases = 0
     for _ in range(200):
@@ -494,7 +487,7 @@ def test_maximal_r_stopped_completes_every_enabled_cell_at_once():
             pes = whole.restrict(_live_events(marked.net, marked.inputs - arriving))
             expected = fs(v for v, r in r_stopped_configs(pes).items() if r.maximal)
             assert _maximal_r_stopped(pes, tables) == expected
-            assert maximal_r_stopped(PES(pes.events, pes.leq, pes.conflict)) == expected
+            assert maximal_r_stopped(PES(pes.events, pes.causes, pes.rivals)) == expected
             cases += 1
     assert cases > 10000
 
@@ -548,6 +541,46 @@ def test_derived_subnets_are_the_occurrence_nets_they_claim_to_be():
             if classes is not None:
                 assert cell_classes(copy) == list(classes)
     assert derived > 2000
+
+
+def _reference_dead(net, dead):
+    """The places and transitions that die when the places ``dead`` never
+    receive a token, by saturation: a transition with a dead pre-place
+    dies, and so does a place whose producers all died."""
+    places, transitions = set(dead), set()
+    changed = True
+    while changed:
+        changed = False
+        for t in net.transitions - transitions:
+            if net.pre(t) & places:
+                transitions.add(t)
+                changed = True
+        for p in net.places - places:
+            if net.pre(p) and net.pre(p) <= transitions:
+                places.add(p)
+                changed = True
+    return fs(places), fs(transitions)
+
+
+def test_remove_places_and_live_events_kill_what_saturation_kills():
+    rng = random.Random(61)
+    cases = 0
+    for _ in range(150):
+        marked = random_occurrence_net(rng, 12, 9)
+        for cell in scells(marked.net, marked.marking):
+            sub = cell.subnet
+            for arriving in subsets_lex(sub.inputs):
+                dead = sub.inputs - arriving
+                places, transitions = _reference_dead(sub.net, dead)
+                removal = remove_places(sub, dead)
+                assert removal.removed_transitions == transitions
+                assert sub.net.transitions - _live_events(sub.net, dead) == transitions
+                # the rest of what goes is junk: places no survivor consumes
+                assert places <= removal.removed_places
+                for p in removal.removed_places - places:
+                    assert sub.net.post(p) <= transitions
+                cases += 1
+    assert cases > 1000
 
 
 def test_a_subnet_of_a_non_occurrence_net_is_refused():
