@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import FileFormatError, InferenceError
-from .kleisli import Dist, KleisliArrow, Wiring
+from .kleisli import Dist, KleisliArrow, Wiring, json_number, subset_index
 from .nets import PlaceId
 
 
@@ -35,6 +35,7 @@ class State:
                 f"state vector of length {probs.shape} does not match wiring "
                 f"{self.wiring.places}"
             )
+        _check_finite(self.wiring, probs, "state probability")
         if probs.min(initial=0.0) < -1e-12:
             raise InferenceError(f"state has a negative probability: {probs.min()}")
         if abs(float(probs.sum()) - 1.0) > 1e-9:
@@ -87,6 +88,7 @@ class Predicate:
                 f"predicate vector of length {values.shape} does not match wiring "
                 f"{self.wiring.places}"
             )
+        _check_finite(self.wiring, values, "predicate value")
         if values.min(initial=0.0) < -1e-12 or values.max(initial=0.0) > 1.0 + 1e-12:
             raise InferenceError("predicate values must lie in [0,1]")
         values = values.copy()
@@ -117,6 +119,15 @@ class Predicate:
         return float(self.values[self.wiring.index(subset)])
 
 
+def _check_finite(wiring: Wiring, vector: np.ndarray, what: str) -> None:
+    """Refuse a NaN or infinite entry, naming the subset it belongs to."""
+    bad = np.flatnonzero(~np.isfinite(vector))
+    if bad.size:
+        k = int(bad[0])
+        subset = ",".join(sorted(wiring.subset_at(k)))
+        raise InferenceError(f"{what} of {{{subset}}} is {vector[k]}, not finite")
+
+
 def marginalize(arrow: KleisliArrow, keep: Iterable[PlaceId]) -> KleisliArrow:
     """Discard the output wires outside ``keep``, summing the columns
     that agree on the kept places."""
@@ -127,22 +138,13 @@ def marginalize(arrow: KleisliArrow, keep: Iterable[PlaceId]) -> KleisliArrow:
     new_out = Wiring(tuple(p for p in arrow.out_wiring.places if p in keep))
     matrix = np.zeros((arrow.in_wiring.size, new_out.size))
     # unbuffered, in column order: each sum is accumulated left to right
-    np.add.at(matrix, (slice(None), _restriction_index(arrow.out_wiring, new_out)), arrow.matrix)
+    np.add.at(matrix, (slice(None), subset_index(arrow.out_wiring, new_out)), arrow.matrix)
     return KleisliArrow(arrow.in_wiring, new_out, matrix)
 
 
 def _marked(wiring: Wiring, place: PlaceId) -> np.ndarray:
     """For each subset index of the wiring, whether the place is in it."""
     return np.arange(wiring.size) >> (wiring.position(place) - 1) & 1
-
-
-def _restriction_index(wiring: Wiring, kept: Wiring) -> np.ndarray:
-    """Index vector r with r[k] = kept.index(wiring.subset_at(k) & kept
-    places), for a wiring ``kept`` of a subset of the wiring's places."""
-    index = np.zeros(wiring.size, dtype=np.intp)
-    for bit, place in enumerate(kept.places):
-        index |= _marked(wiring, place) << bit
-    return index
 
 
 def restrict_state(state: State, keep: Iterable[PlaceId]) -> State:
@@ -153,7 +155,7 @@ def restrict_state(state: State, keep: Iterable[PlaceId]) -> State:
         raise InferenceError(f"cannot keep unknown places {sorted(stray)}")
     new_wiring = Wiring(tuple(p for p in state.wiring.places if p in keep))
     probs = np.zeros(new_wiring.size)
-    np.add.at(probs, _restriction_index(state.wiring, new_wiring), state.probs)
+    np.add.at(probs, subset_index(state.wiring, new_wiring), state.probs)
     return State(new_wiring, probs)
 
 
@@ -223,7 +225,7 @@ def parse_state(text: str) -> State:
             raise FileFormatError(f"state mentions unknown places {sorted(stray)}")
         if subset in table:
             raise FileFormatError(f"duplicate subset {label!r} in state file")
-        table[subset] = float(value)
+        table[subset] = json_number(value, f"state probability of {{{label}}}")
     try:
         return State.from_mapping(wiring, table)
     except InferenceError as exc:

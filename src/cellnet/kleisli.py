@@ -20,6 +20,7 @@ wiring.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Mapping
@@ -132,6 +133,8 @@ class Dist(Mapping):
         cleaned: dict[Hashable, float] = {}
         for outcome, prob in table.items():
             prob = float(prob)
+            if not math.isfinite(prob):
+                raise DeltaError(f"probability {prob} for {outcome!r} is not finite")
             if prob < -1e-12:
                 raise DeltaError(f"negative probability {prob} for {outcome!r}")
             if prob > 0:
@@ -197,11 +200,15 @@ class KleisliArrow:
 
 
 def _check_stochastic(matrix: np.ndarray, tol: float) -> None:
-    """Refuse a matrix with a negative entry or a row that does not sum
-    to one, both within ``tol``."""
+    """Refuse a matrix with a non-finite entry, or with a negative entry
+    or a row that does not sum to one, both within ``tol``."""
+    sums = matrix.sum(axis=1)
+    if not np.isfinite(sums).all():  # a NaN or infinite entry spoils its row's sum
+        row = int(np.flatnonzero(~np.isfinite(sums))[0])
+        col = int(np.argmax(~np.isfinite(matrix[row])))
+        raise WiringError(f"matrix entry ({row}, {col}) is {matrix[row, col]}, not finite")
     if matrix.min(initial=0.0) < -tol:
         raise WiringError(f"matrix has a negative entry: {matrix.min()}")
-    sums = matrix.sum(axis=1)
     worst = float(np.abs(sums - 1.0).max(initial=0.0))
     if worst > tol:
         raise WiringError(f"matrix is not row-stochastic (worst row error {worst:.3e})")
@@ -217,17 +224,15 @@ def permutation_arrow(source: Wiring, target: Wiring) -> KleisliArrow:
     return _relabel(identity_arrow(source), source, target)
 
 
-def _gather_index(source: Wiring, target: Wiring) -> np.ndarray:
-    """Index vector g with g[k] = source.index(target.subset_at(k)):
-    bit b of k moves to the source position of target's b-th place."""
-    if source.place_set != target.place_set:
-        raise WiringError(
-            f"wirings order different sets: {source.places} vs {target.places}"
-        )
-    k = np.arange(target.size)
-    index = np.zeros(target.size, dtype=np.intp)
-    for bit, place in enumerate(target.places):
-        index |= (k >> bit & 1) << (source.position(place) - 1)
+def subset_index(wiring: Wiring, kept: Wiring) -> np.ndarray:
+    """Index vector r with r[k] = kept.index(wiring.subset_at(k) & kept's
+    places), for a wiring ``kept`` of some of the wiring's places: bit b
+    of r[k] is the bit of k at the wiring's position of kept's b-th
+    place.  When both wire one set, r relabels subset indices."""
+    k = np.arange(wiring.size)
+    index = np.zeros(wiring.size, dtype=np.intp)
+    for bit, place in enumerate(kept.places):
+        index |= (k >> (wiring.position(place) - 1) & 1) << bit
     return index
 
 
@@ -236,8 +241,13 @@ def _relabel(arrow: KleisliArrow, in_wiring: Wiring, out_wiring: Wiring) -> Klei
     its interfaces: one row and one column gather, no matrix product."""
     if arrow.in_wiring == in_wiring and arrow.out_wiring == out_wiring:
         return arrow
-    rows = _gather_index(arrow.in_wiring, in_wiring)
-    cols = _gather_index(arrow.out_wiring, out_wiring)
+    for source, target in ((arrow.in_wiring, in_wiring), (arrow.out_wiring, out_wiring)):
+        if source.place_set != target.place_set:
+            raise WiringError(
+                f"wirings order different sets: {source.places} vs {target.places}"
+            )
+    rows = subset_index(in_wiring, arrow.in_wiring)
+    cols = subset_index(out_wiring, arrow.out_wiring)
     return KleisliArrow(in_wiring, out_wiring, arrow.matrix[np.ix_(rows, cols)])
 
 
@@ -398,15 +408,25 @@ def load_delta(text: str, *, strict: bool = True) -> DeltaTable:
             raise FileFormatError(f"malformed δ entry for {signature!r}")
         if signature in entries:
             raise FileFormatError(f"duplicate δ entry for {signature!r}")
+        table = {
+            frozenset(label.split(",")) if label else frozenset():
+            json_number(p, f"bad δ entry for {signature!r}: probability of {label!r}")
+            for label, p in probs.items()
+        }
         try:
-            table = {
-                frozenset(label.split(",")) if label else frozenset(): float(p)
-                for label, p in probs.items()
-            }
             entries[signature] = Dist(table)
-        except (DeltaError, ValueError) as exc:
+        except DeltaError as exc:
             raise FileFormatError(f"bad δ entry for {signature!r}: {exc}") from exc
     return DeltaTable(entries, strict=strict)
+
+
+def json_number(value: object, what: str) -> float:
+    """A number read from a JSON file, as a float; a FileFormatError
+    naming ``what`` for anything ``float`` refuses."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise FileFormatError(f"{what} is not a number: {json.dumps(value)}") from None
 
 
 def dump_delta(delta: DeltaTable) -> str:
@@ -483,8 +503,8 @@ def interpret(
             f"output wiring {out_wiring.places} does not wire the term outputs {sorted(ty.outputs)}"
         )
     matrix, places = run(_interpret(term, ty, delta, width_cap, stochastic_tolerance()))
-    rows = _gather_index(lex_wiring(ty.inputs), in_wiring)
-    cols = _gather_index(Wiring(places), out_wiring)
+    rows = subset_index(in_wiring, lex_wiring(ty.inputs))
+    cols = subset_index(out_wiring, Wiring(places))
     return KleisliArrow(in_wiring, out_wiring, matrix[np.ix_(rows, cols)])
 
 
@@ -520,7 +540,7 @@ def _interpret(
             row, places = _own_matrix(branch, typecheck(branch), delta, cap, tol)
         else:  # a branch has no inputs: push the one empty row through it
             row, places = yield _push(np.eye(1), (), (branch,), delta, cap, tol)
-        rows.append(row[:, _gather_index(Wiring(places), Wiring(outs))])
+        rows.append(row[:, subset_index(Wiring(outs), Wiring(places))])
     matrix = np.vstack(rows)
     _check_stochastic(matrix, tol)
     return matrix, outs

@@ -293,3 +293,76 @@ def test_constants_wide_net(tmp_path, capsys):
     )
     assert run(["constants", wide]) == 0
     assert len(capsys.readouterr().out.splitlines()) == n
+
+
+# ------------------------------------------------------------------ #
+# Malformed δ and state values end in one error line, not a traceback
+# ------------------------------------------------------------------ #
+
+def _delta_with_ab(tmp_path, probabilities: str) -> str:
+    """The three-cell δ file with the a|b entry's probabilities replaced
+    by raw JSON text (so NaN can be written as the JSON parser reads it)."""
+    doc = json.loads(open(RUNNING_DELTA).read())
+    for entry in doc:
+        if entry["signature"] == "a|b":
+            entry["probabilities"] = "AB"
+    path = tmp_path / "bad.delta"
+    path.write_text(json.dumps(doc).replace('"AB"', probabilities))
+    return str(path)
+
+
+def _state_file(tmp_path, probabilities: str) -> str:
+    path = tmp_path / "bad.state"
+    path.write_text('{"places": ["1"], "probabilities": ' + probabilities + "}")
+    return str(path)
+
+
+def _assert_one_error_line(capsys, command: str, mentions: str) -> None:
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"cellnet {command}:")
+    assert mentions in err
+
+
+COMMANDS_READING_DELTA = [["matrix"], ["infer", "--marginal", "7"], ["oracle-check"]]
+
+
+@pytest.mark.parametrize("extra", COMMANDS_READING_DELTA, ids=lambda a: a[0])
+def test_delta_probability_given_as_a_list(tmp_path, capsys, extra):
+    delta = _delta_with_ab(tmp_path, '{"a": [0.5], "b": 0.5}')
+    assert run([extra[0], RUNNING, delta, *extra[1:]]) == 1
+    _assert_one_error_line(capsys, extra[0], "'a|b'")
+
+
+@pytest.mark.parametrize("extra", COMMANDS_READING_DELTA, ids=lambda a: a[0])
+def test_delta_probability_given_as_null(tmp_path, capsys, extra):
+    delta = _delta_with_ab(tmp_path, '{"a": null, "b": 0.5}')
+    assert run([extra[0], RUNNING, delta, *extra[1:]]) == 1
+    _assert_one_error_line(capsys, extra[0], "'a|b'")
+
+
+def test_state_probability_given_as_a_list(tmp_path, capsys):
+    state = _state_file(tmp_path, '{"": [0.5], "1": 0.5}')
+    assert run(["infer", RUNNING, RUNNING_DELTA, "--forward", state]) == 1
+    _assert_one_error_line(capsys, "infer", "of {}")
+
+
+def test_state_probability_given_as_a_word(tmp_path, capsys):
+    state = _state_file(tmp_path, '{"": "zz", "1": 0.5}')
+    assert run(["infer", RUNNING, RUNNING_DELTA, "--forward", state]) == 1
+    _assert_one_error_line(capsys, "infer", "of {}")
+
+
+def test_nan_delta_probability_is_refused(tmp_path, capsys):
+    # a NaN weight used to count as 0, so a never fired and this exited 0
+    delta = _delta_with_ab(tmp_path, '{"a": NaN, "b": 1.0}')
+    assert run(["infer", RUNNING, delta, "--marginal", "7"]) == 1
+    _assert_one_error_line(capsys, "infer", "'a|b'")
+
+
+def test_nan_state_probability_is_refused(tmp_path, capsys):
+    # this used to print an empty line and exit 0
+    state = _state_file(tmp_path, '{"": NaN, "1": 0.5}')
+    assert run(["infer", RUNNING, RUNNING_DELTA, "--forward", state]) == 1
+    _assert_one_error_line(capsys, "infer", "of {}")

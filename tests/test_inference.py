@@ -161,3 +161,12 @@ def test_state_file_errors():
                 '{"places": ["1"], "probabilities": {"1": 0.7}}'):
         with pytest.raises(FileFormatError):
             parse_state(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_state_and_predicate_refuse_non_finite_entries(bad):
+    wiring = Wiring(("1",))
+    with pytest.raises(InferenceError, match=r"of \{1\} is .*not finite"):
+        State(wiring, np.array([0.5, bad]))
+    with pytest.raises(InferenceError, match=r"of \{\} is .*not finite"):
+        Predicate(wiring, np.array([bad, 1.0]))

@@ -170,6 +170,14 @@ def test_row_stochastic_enforced():
         KleisliArrow(Wiring(()), Wiring(("p",)), np.array([[0.4, 0.4]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrix_entry_refused(bad):
+    from cellnet import KleisliArrow
+
+    with pytest.raises(WiringError, match=r"entry \(1, 0\)"):
+        KleisliArrow(Wiring(("q",)), Wiring(("p",)), np.array([[0.5, 0.5], [bad, 1.0]]))
+
+
 # ------------------------------------------------------------------ #
 # interpret: the golden matrices
 # ------------------------------------------------------------------ #
@@ -273,6 +281,12 @@ def test_dist_validation():
     with pytest.raises(DeltaError):
         Dist({fs({"a"}): 1.5, fs({"b"}): -0.5})
     assert uniform_dist(["x", "y"]).prob("x") == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_dist_refuses_non_finite_probabilities(bad):
+    with pytest.raises(DeltaError, match="'a'.*not finite"):
+        Dist({"a": bad, "b": 1.0})
 
 
 def test_validate_delta_ok(three_cells, three_cell_table):
