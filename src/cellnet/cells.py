@@ -139,9 +139,9 @@ def cell_classes(net: Net) -> list[frozenset[NodeId]]:
     """The equivalence classes of ⊑ that hold a transition.
 
     :func:`nets.strong_components` (Tarjan's algorithm) over the flow
-    plus the arcs from each transition back to its pre-places.  A transition and its pre-places
-    are always in one component, so a component holds a transition
-    exactly when it has more than one node.
+    plus the arcs from each transition back to its pre-places.  A
+    transition and its pre-places are always in one component, so a
+    component holds a transition exactly when it has more than one node.
 
     A cell's subnet from :func:`scells` keeps its classes: its members
     are one class there, and each other node (a post-place outside the

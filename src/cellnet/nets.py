@@ -1,8 +1,8 @@
 """Finite occurrence Petri nets: structural validation, the flow's
 causal closure, token-game firing, and maximal-process enumeration.
-The graph passes that other modules share live here too: the generator
-driver :func:`run`, :func:`topological_order` and the strongly connected
-components of :func:`strong_components`.
+The graph passes that other modules share live here too: :func:`run`
+for walks written as generators, :func:`topological_order` and the
+strongly connected components of :func:`strong_components`.
 
 Places and transitions are opaque strings living in disjoint namespaces.
 All values are immutable after construction and every operation is a pure
@@ -188,7 +188,8 @@ class Net:
     @cached_property
     def _descendants(self) -> dict[NodeId, frozenset[NodeId]]:
         # Reflexive-transitive closure of F, per node, unioned in reverse
-        # topological order; an acyclic net's nodes all have one.
+        # topological order; so for acyclic nets only, which every caller
+        # has validated (validate_occurrence reads it only without a cycle).
         closure: dict[NodeId, frozenset[NodeId]] = {}
         for x in reversed(self._flow_order):
             closure[x] = frozenset({x}).union(*(closure[y] for y in self._post[x]))
