@@ -118,7 +118,8 @@ def scells(net: Net, marking: frozenset[PlaceId] = frozenset()) -> tuple[SCell, 
     Tarjan's algorithm.  Each cell's subnet is its member transitions
     with their pre- and post-places, and inherits ``marking ∩ minp``.
     The net is checked (once per object); each subnet inherits that
-    check and keeps its one class, so neither is worked out again.
+    check and keeps its one class and its initial and final places, so
+    none of them is worked out again.
     """
     ensure_occurrence(net)
     pre, post = net._pre, net._post
@@ -129,8 +130,12 @@ def scells(net: Net, marking: frozenset[PlaceId] = frozenset()) -> tuple[SCell, 
         flow = [(p, t) for t in transitions for p in pre[t]]
         flow += [(t, q) for t in transitions for q in post[t]]
         subnet = subnet_of(net, places, transitions, flow)
-        object.__setattr__(subnet, "_cell_classes", (members,))
-        inherited = marking & min_places(subnet)
+        # A member place is initial when its producer is not a member,
+        # and the places outside the members are the final ones.
+        initial = frozenset(p for p in members - transitions if not pre[p] & transitions)
+        subnet.__dict__.update(_cell_classes=(members,), _min_places=initial,
+                               _max_places=places - members)
+        inherited = marking & initial
         cells.append(SCell(members, MarkedNet(subnet, inherited)))
     return tuple(sorted(cells, key=SCell.sort_key))
 

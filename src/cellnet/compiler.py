@@ -28,7 +28,7 @@ from .cells import (
 )
 from .errors import CompileError
 from .nets import MarkedNet, Process, Walk, enumerate_transactions, isolated_places, min_places, run
-from .terms import Constant, ConstantKey, Dead, Identity, Par, Seq, Term, make_sum, subsets_lex
+from .terms import Constant, ConstantKey, Dead, Identity, Par, Seq, Term, make_sum, par_all, subsets_lex
 
 DEFAULT_DEPTH_GUARD = 64
 
@@ -66,10 +66,10 @@ def _compile_tree(tree: TreeNode, fuel: int) -> Term:
         if isinstance(node, CellLeaf):
             return compile_cell(node.cell.subnet, depth_guard=fuel)
         if isinstance(node, ParNode):
-            term = yield fold(node.children[0])
-            for child in node.children[1:]:
-                term = Par(term, (yield fold(child)))
-            return term
+            children = []
+            for child in node.children:
+                children.append((yield fold(child)))
+            return par_all(children)
         if isinstance(node, SeqNode):
             return Seq((yield fold(node.first)), (yield fold(node.second)))
         raise CompileError(f"unexpected composition tree node {node!r}")
@@ -105,13 +105,20 @@ def compile_cell(cell: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) -> 
         return Constant(key)
 
     branches: dict[frozenset[str], Term] = {}
-    for arriving in subsets_lex(unmarked):
+    for arriving in subsets_lex(unmarked)[:-1]:  # all but the last, the full set
         view = at_marking(cell, arriving)
         if view.marked.net.places or view.marked.net.transitions:
             inner = _compile_tree(canonical_form(view.marked), depth_guard - 1)
         else:
             inner = Identity(frozenset())
         branches[arriving] = _pad_dead(view.dead_finals, inner)
+    # When every input arrives nothing is removed: the view is the cell
+    # itself with all its initial places marked, which is its own
+    # canonical form, so it is compiled as that one cell.
+    if depth_guard - 1 <= 0:
+        raise CompileError("recursion depth guard exceeded while compiling")
+    full = MarkedNet(cell.net, min_places(cell.net))
+    branches[unmarked] = compile_cell(full, depth_guard=depth_guard - 1)
     return make_sum(unmarked, branches)
 
 

@@ -421,12 +421,15 @@ def load_delta(text: str, *, strict: bool = True) -> DeltaTable:
 
 
 def json_number(value: object, what: str) -> float:
-    """A number read from a JSON file, as a float; a FileFormatError
-    naming ``what`` for anything ``float`` refuses."""
+    """A JSON number read from a file, as a float; a FileFormatError
+    naming ``what`` for anything else (``true`` and ``"0"`` included)
+    and for an integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FileFormatError(f"{what} is not a number: {json.dumps(value)}")
     try:
         return float(value)
-    except (TypeError, ValueError):
-        raise FileFormatError(f"{what} is not a number: {json.dumps(value)}") from None
+    except OverflowError:
+        raise FileFormatError(f"{what} is too large for a float: {value}") from None
 
 
 def dump_delta(delta: DeltaTable) -> str:

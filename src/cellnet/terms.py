@@ -152,8 +152,16 @@ def make_sum(inputs: Iterable[PlaceId], branches: Mapping[frozenset[PlaceId], Te
 
 
 def par_all(terms: list[Term]) -> Term:
-    """Left-associated parallel composition; empty list gives I{}."""
-    return reduce(Par, terms) if terms else Identity(frozenset())
+    """Parallel composition of the terms in order, as a balanced tree:
+    neighbours are paired level by level, so the + nesting is about
+    log2(len(terms)) deep and up to three terms nest to the left.  An
+    empty list gives I{}."""
+    if not terms:
+        return Identity(frozenset())
+    while len(terms) > 1:
+        paired = [Par(a, b) for a, b in zip(terms[::2], terms[1::2])]
+        terms = paired + terms[len(paired) * 2:]
+    return terms[0]
 
 
 @dataclass(frozen=True)

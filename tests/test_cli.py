@@ -366,3 +366,23 @@ def test_nan_state_probability_is_refused(tmp_path, capsys):
     state = _state_file(tmp_path, '{"": NaN, "1": 0.5}')
     assert run(["infer", RUNNING, RUNNING_DELTA, "--forward", state]) == 1
     _assert_one_error_line(capsys, "infer", "of {}")
+
+
+@pytest.mark.parametrize("extra", COMMANDS_READING_DELTA, ids=lambda a: a[0])
+def test_delta_probability_given_as_a_boolean_or_a_string(tmp_path, capsys, extra):
+    # float() read true as 1 and "0" as 0, so this ran with a certain
+    delta = _delta_with_ab(tmp_path, '{"a": true, "b": "0"}')
+    assert run([extra[0], RUNNING, delta, *extra[1:]]) == 1
+    _assert_one_error_line(capsys, extra[0], "'a|b'")
+
+
+def test_state_probability_given_as_a_numeric_string(tmp_path, capsys):
+    state = _state_file(tmp_path, '{"": "0.5", "1": 0.5}')
+    assert run(["infer", RUNNING, RUNNING_DELTA, "--forward", state]) == 1
+    _assert_one_error_line(capsys, "infer", "of {}")
+
+
+def test_delta_probability_too_large_for_a_float(tmp_path, capsys):
+    delta = _delta_with_ab(tmp_path, '{"a": 1' + "0" * 400 + ', "b": 0.5}')
+    assert run(["matrix", RUNNING, delta]) == 1
+    _assert_one_error_line(capsys, "matrix", "'a|b'")

@@ -1,25 +1,30 @@
 """No command or walk is limited by how deeply a net or term nests.
 
 deep(1000) is one chain of 1000 transitions, so its canonical form and
-its term nest 1000 sequential layers; wide(1000) is 1000 independent
-one-transition cells, so its term is a + chain 1000 deep.  Each test
-runs a term or tree walk down one of those nestings, far past Python's
+its term nest 1000 sequential layers.  wide(1000) is 1000 independent
+one-transition cells in one layer, which ``compile`` composes as a
+balanced + tree about log2(1000) deep; a hand-written + chain of 1000
+cells, nested to the left, keeps a deep + under test.  Each test runs a
+term or tree walk down one of those nestings, far past Python's
 recursion limit."""
 
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from cellnet import (
     DeltaTable,
+    Par,
     canonical_form,
     compile_net,
     conf_of_term,
     enumerate_outcome_distribution,
     export_diagram,
     fold_tree,
+    interpret,
     maximal_r_stopped,
     normalize,
     parse_net,
@@ -105,6 +110,52 @@ def test_check_term_reads_what_compile_prints(files, shape, tmp_path, capsys):
 def test_render_term_round_trips_through_parse_term(terms, shape):
     text = render_term(terms[shape])
     assert render_term(parse_term(text)) == text
+
+
+def test_wide_terms_compare_with_eq(nets, terms):
+    # compiled apart under two depth guards: equal, distinct objects
+    first, second = terms["wide"], compile_net(nets["wide"], depth_guard=63)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert parse_term(render_term(first)) == first
+
+
+def _stored_types(term):
+    """The type typecheck stored on each node of the term."""
+    pending, types = [term], []
+    while pending:
+        t = pending.pop()
+        types.append(t.__dict__["_type"])
+        if isinstance(t, Par):
+            pending += (t.left, t.right)
+    return types
+
+
+def test_compile_balances_the_wide_layer(terms):
+    term = terms["wide"]
+    whole = typecheck(term)
+    depth, level = 0, [term]
+    while any(isinstance(t, Par) for t in level):
+        depth += 1
+        level = [c for t in level if isinstance(t, Par) for c in (t.left, t.right)]
+    log_n = math.ceil(math.log2(N))
+    assert depth <= log_n + 2
+    # each level of + stores the wide net's nodes about once
+    assert sum(len(ty.nodes) for ty in _stored_types(term)) <= 3 * len(whole.nodes) * log_n
+
+
+def test_a_left_nested_plus_chain_of_1000_cells():
+    # cell 0 chooses whether q0 gets a token; the others consume their
+    # place and deliver nothing, so the interface stays one place wide
+    cells = ["cell[{p0}>{q0}: {a0}:{p0}>{q0}; {b0}:{p0}>{}]"]
+    cells += [f"cell[{{p{i}}}>{{}}: {{t{i}}}:{{p{i}}}>{{}}]" for i in range(1, N)]
+    text = "(" * (N - 1) + cells[0] + "".join(f" + {c})" for c in cells[1:])
+    term = parse_term(text)
+    assert render_term(term) == text
+    ty = typecheck(term)
+    assert ty.inputs == frozenset() and ty.outputs == {"q0"} and len(ty.nodes) == 2 * N + 2
+    assert typecheck(normalize(term)) == ty
+    assert interpret(term, UNIFORM).matrix.tolist() == [[0.5, 0.5]]
 
 
 def test_normalize_keeps_the_type(terms, shape):

@@ -5,6 +5,7 @@ randomly generated occurrence nets."""
 import json
 import random
 from itertools import islice
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from cellnet import (
     CellLeaf,
+    CompileError,
     Constant,
     Dead,
     DeltaTable,
@@ -27,11 +29,13 @@ from cellnet import (
     Seq,
     SeqNode,
     Sum,
+    Term,
     TermError,
     Wiring,
     at_marking,
     canonical_form,
     cell_order,
+    compile_cell,
     compile_net,
     compose_arrows,
     constant_arrow,
@@ -45,6 +49,7 @@ from cellnet import (
     lex_wiring,
     load_net,
     make_sum,
+    max_places,
     maximal_r_stopped,
     min_places,
     normalize,
@@ -59,6 +64,7 @@ from cellnet import (
     validate_occurrence,
 )
 from cellnet.cells import cell_classes, cell_leaves
+from cellnet.compiler import _compile_tree
 from cellnet.kleisli import _relabel
 from cellnet.nets import subnet_of
 from cellnet.oracle import _live_events, _maximal_r_stopped, _net_pes
@@ -295,6 +301,46 @@ def test_compiled_terms_typecheck_on_random_nets():
         ty = typecheck(term)
         assert ty.inputs == marked.inputs
         assert ty.outputs == marked.outputs
+
+
+def _outcome(compile_: Callable[[], Term]) -> Term | str:
+    """The term compiled, or the message of the CompileError raised."""
+    try:
+        return compile_()
+    except CompileError as exc:
+        return str(exc)
+
+
+def test_full_arrival_branch_is_the_cell_itself_on_random_nets():
+    # compile_cell compiles the branch where every input arrives as the
+    # cell with all its initial places marked; the restriction path it
+    # replaces gives the same branch, and each depth guard refuses a
+    # cell exactly when a branch of that path fails, with its message
+    rng = random.Random(67)
+    pending = [random_occurrence_net(rng, 12, 9) for _ in range(150)]
+    cases = 0
+    while pending:
+        marked = pending.pop()
+        for cell in scells(marked.net, marked.marking):
+            sub = cell.subnet
+            if not sub.inputs:
+                continue
+            views = [at_marking(sub, arriving).marked for arriving in subsets_lex(sub.inputs)]
+            pending += [view for view in views if view.net.transitions]
+            for guard in range(1, 6):
+                old = [
+                    _outcome(lambda: _compile_tree(canonical_form(view), guard - 1))
+                    if view.net.places else Identity(fs())
+                    for view in views
+                ]
+                new = _outcome(lambda: compile_cell(sub, depth_guard=guard))
+                refusal = next((o for o in old if isinstance(o, str)), None)
+                if refusal is None:
+                    assert isinstance(new, Sum) and new.branch(sub.inputs) == old[-1]
+                else:
+                    assert new == refusal
+                cases += 1
+    assert cases > 1000
 
 
 def test_interpretation_stochastic_on_random_nets():
@@ -540,6 +586,11 @@ def test_derived_subnets_are_the_occurrence_nets_they_claim_to_be():
             assert all(parent.pre(t) <= sub.places for t in sub.transitions)
             if classes is not None:
                 assert cell_classes(copy) == list(classes)
+                # a cell's subnet is handed its initial and final places:
+                # no pre-set table was built to find them
+                assert "_pre" not in sub.__dict__
+            assert min_places(sub) == min_places(copy)
+            assert max_places(sub) == max_places(copy)
     assert derived > 2000
 
 

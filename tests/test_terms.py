@@ -239,11 +239,12 @@ def _wide_net(n, prefix="w"):
 
 def test_typecheck_equal_distinct_wide_terms():
     # compiles under two depth guards are remembered apart: equal terms,
-    # distinct objects, whose + chains are 400 deep
+    # distinct objects, of 400 cells in parallel
     marked = _wide_net(400)
     first = compile_net(marked)
     second = compile_net(marked, depth_guard=63)
     assert first is not second
+    assert first == second
     assert render_term(first) == render_term(second)
     assert typecheck(first) == typecheck(second)
     assert typecheck(first).outputs == fs(f"wb{i}" for i in range(400))
