@@ -1,15 +1,18 @@
 """cellnet: compile finite occurrence Petri nets, with probability
 distributions on their structural branching cells, into row-stochastic
 matrix arrows, and reason about markings with forward/backward Bayesian
-inference.  An independent event-structure oracle cross-checks the
-compiled semantics."""
+inference.  An event-structure oracle cross-checks the configurations
+of the compiled terms.  The names imported here are the documented API
+(README, "Python API"), and ``__all__`` lists exactly them.
+"""
+
+from types import ModuleType as _ModuleType
 
 from .cells import (
     CellLeaf,
     IdentityLeaf,
     MarkedView,
     ParNode,
-    PlaceRemoval,
     SCell,
     SeqNode,
     at_marking,
@@ -19,7 +22,6 @@ from .cells import (
     parallel_compose,
     remove_places,
     render_tree,
-    scell_preorder,
     scells,
     sequential_compose,
 )
@@ -45,21 +47,19 @@ from .inference import (
     condition,
     forward,
     marginalize,
+    parse_state,
     pullback,
-    restrict_state,
     validity,
 )
 from .kleisli import (
+    DeltaProblem,
+    DeltaReport,
     DeltaTable,
     Dist,
     KleisliArrow,
     Wiring,
     arrow_to_csv,
     arrow_to_json,
-    compose_arrows,
-    constant_arrow,
-    copair,
-    dead_arrow,
     dump_delta,
     format_arrow,
     identity_arrow,
@@ -67,8 +67,6 @@ from .kleisli import (
     lex_wiring,
     load_delta,
     permutation_arrow,
-    stochastic_tolerance,
-    tensor,
     uniform_dist,
     validate_delta,
 )
@@ -77,8 +75,11 @@ from .nets import (
     MarkedNet,
     Net,
     Process,
+    ValidationReport,
+    Violation,
     enumerate_transactions,
     fire,
+    fire_at,
     identity_net,
     isolated_places,
     max_places,
@@ -87,10 +88,13 @@ from .nets import (
 )
 from .oracle import (
     PES,
-    branching_cells,
+    CorrespondenceCase,
+    CorrespondenceReport,
+    OutcomeDistribution,
+    RStopped,
+    SampleSummary,
     check_correspondence,
     conf_of_term,
-    configurations_within,
     enumerate_outcome_distribution,
     future,
     initial_stopping_prefixes,
@@ -117,4 +121,5 @@ from .terms import (
     typecheck,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names, without the submodules that the imports bind here
+__all__ = sorted(n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType))

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .errors import CompositionError, NetError
 from .nets import (
@@ -42,38 +42,7 @@ from .nets import (
     topological_order,
 )
 
-
-def scell_preorder(net: Net) -> dict[NodeId, frozenset[NodeId]]:
-    """The preorder ⊑ on nodes: reflexive-transitive closure of the flow
-    relation extended with arcs from each transition back to its
-    pre-places.  Returns, per node, the set of nodes it precedes.  This
-    walks every node's reachability set; :func:`scells` finds the
-    classes in linear time instead."""
-    ensure_occurrence(net)
-    succ: dict[NodeId, set[NodeId]] = {x: set() for x in net.nodes}
-    for src, dst in net.flow:
-        succ[src].add(dst)
-    for t in net.transitions:
-        succ[t] |= net.pre(t)
-
-    reach: dict[NodeId, frozenset[NodeId]] = {}
-
-    def walk(x: NodeId) -> frozenset[NodeId]:
-        # The relation may contain cycles (that is what makes cells), so
-        # saturate strongly connected parts iteratively.
-        pending = [x]
-        acc = {x}
-        while pending:
-            y = pending.pop()
-            for z in succ[y]:
-                if z not in acc:
-                    acc.add(z)
-                    pending.append(z)
-        return frozenset(acc)
-
-    for x in net.nodes:
-        reach[x] = walk(x)
-    return reach
+_R = TypeVar("_R")
 
 
 @dataclass(frozen=True)
@@ -113,10 +82,11 @@ class SCell:
 def scells(net: Net, marking: frozenset[PlaceId] = frozenset()) -> tuple[SCell, ...]:
     """All s-cells of the net, sorted by their smallest member place.
 
-    The cells are the strongly connected components of the graph behind
-    :func:`scell_preorder` that hold a transition, found by one pass of
-    Tarjan's algorithm.  Each cell's subnet is its member transitions
-    with their pre- and post-places, and inherits ``marking ∩ minp``.
+    The cells are the strongly connected components that hold a
+    transition of the flow plus the arcs from each transition back to
+    its pre-places, found by one pass of Tarjan's algorithm.  Each
+    cell's subnet is its member transitions with their pre- and
+    post-places, and inherits ``marking ∩ minp``.
     The net is checked (once per object); each subnet inherits that
     check and keeps its one class and its initial and final places, so
     none of them is worked out again.
@@ -401,89 +371,80 @@ def canonical_form(marked: MarkedNet) -> TreeNode:
     return reduce(SeqNode, layers)
 
 
-def fold_tree(tree: TreeNode) -> MarkedNet:
-    """Recompose a composition tree back into a marked net, checked once:
-    each ⊕ and ; step checks only its interfaces, and each intermediate
-    net is a subnet of the whole, so the final check implies theirs."""
+def fold_nodes(
+    tree: TreeNode,
+    cell: Callable[[CellLeaf], _R],
+    identity: Callable[[IdentityLeaf], _R],
+    par: Callable[[list[_R]], _R],
+    seq: Callable[[_R, _R], _R],
+) -> _R:
+    """Fold a composition tree bottom-up, children left to right: each
+    leaf maps through ``cell`` or ``identity``, a parallel node combines
+    its children's results with ``par`` and a sequential node its two
+    parts' with ``seq``.  The walk runs on :func:`nets.run`, so the
+    tree's depth does not reach Python's stack."""
 
-    def fold(node: TreeNode) -> Walk[_Parts]:
+    def fold(node: TreeNode) -> Walk[_R]:
         if isinstance(node, CellLeaf):
-            return _Parts.of(node.cell.subnet)
+            return cell(node)
         if isinstance(node, IdentityLeaf):
-            return _Parts(node.places, frozenset(), frozenset(), frozenset(), node.places, node.places)
+            return identity(node)
         if isinstance(node, ParNode):
             parts = []
             for child in node.children:
                 parts.append((yield fold(child)))
-            return _disjoint_union(tuple(parts))
+            return par(parts)
         if isinstance(node, SeqNode):
-            return _glue((yield fold(node.first)), (yield fold(node.second)))
+            return seq((yield fold(node.first)), (yield fold(node.second)))
         raise TypeError(f"not a composition tree node: {node!r}")
 
-    return run(fold(tree)).build()
+    return run(fold(tree))
+
+
+def fold_tree(tree: TreeNode) -> MarkedNet:
+    """Recompose a composition tree back into a marked net, checked once:
+    each ⊕ and ; step checks only its interfaces, and each intermediate
+    net is a subnet of the whole, so the final check implies theirs."""
+    return fold_nodes(
+        tree,
+        lambda leaf: _Parts.of(leaf.cell.subnet),
+        lambda leaf: _Parts(leaf.places, frozenset(), frozenset(), frozenset(), leaf.places, leaf.places),
+        lambda parts: _disjoint_union(tuple(parts)),
+        _glue,
+    ).build()
 
 
 def cell_leaves(tree: TreeNode) -> tuple[CellLeaf, ...]:
     """The cell leaves of a composition tree, left to right."""
     leaves: list[CellLeaf] = []
-
-    def collect(node: TreeNode) -> Walk[None]:
-        if isinstance(node, CellLeaf):
-            leaves.append(node)
-        elif isinstance(node, ParNode):
-            for child in node.children:
-                yield collect(child)
-        elif isinstance(node, SeqNode):
-            yield collect(node.first)
-            yield collect(node.second)
-        elif not isinstance(node, IdentityLeaf):
-            raise TypeError(f"not a composition tree node: {node!r}")
-
-    run(collect(tree))
+    fold_nodes(tree, leaves.append, lambda leaf: None, lambda parts: None, lambda first, second: None)
     return tuple(leaves)
 
 
 def render_tree(tree: TreeNode) -> str:
     """Bracketed textual form used by the CLI."""
 
-    def render(node: TreeNode) -> Walk[str]:
-        if isinstance(node, CellLeaf):
-            body = ",".join(sorted(node.cell.members))
-            marking = node.cell.subnet.marking
-            if marking:
-                return f"cell{{{body} | m={','.join(sorted(marking))}}}"
-            return f"cell{{{body}}}"
-        if isinstance(node, IdentityLeaf):
-            return f"I{{{','.join(sorted(node.places))}}}"
-        if isinstance(node, ParNode):
-            parts = []
-            for child in node.children:
-                parts.append((yield render(child)))
-            return "(" + " + ".join(parts) + ")"
-        if isinstance(node, SeqNode):
-            return f"({(yield render(node.first))} ; {(yield render(node.second))})"
-        raise TypeError(f"not a composition tree node: {node!r}")
+    def render_cell(leaf: CellLeaf) -> str:
+        body = ",".join(sorted(leaf.cell.members))
+        marking = leaf.cell.subnet.marking
+        if marking:
+            return f"cell{{{body} | m={','.join(sorted(marking))}}}"
+        return f"cell{{{body}}}"
 
-    return run(render(tree))
+    return fold_nodes(
+        tree,
+        render_cell,
+        lambda leaf: f"I{{{','.join(sorted(leaf.places))}}}",
+        lambda parts: "(" + " + ".join(parts) + ")",
+        lambda first, second: f"({first} ; {second})",
+    )
 
 
 # --------------------------------------------------------------------- #
 # Place removal and restriction
 # --------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class PlaceRemoval:
-    """Result of deleting dead input places and everything that can no
-    longer happen.  ``dropped_tokens`` lists marked places that became
-    isolated and were removed together with their token."""
-
-    result: MarkedNet
-    removed_places: frozenset[PlaceId]
-    removed_transitions: frozenset[str]
-    dropped_tokens: frozenset[PlaceId]
-
-
-def remove_places(cell: MarkedNet, dead: frozenset[PlaceId]) -> PlaceRemoval:
+def remove_places(cell: MarkedNet, dead: frozenset[PlaceId]) -> MarkedNet:
     """Delete the (unmarked, initial) places ``dead`` plus every
     transition and place that causally depends on them, then drop the
     junk this leaves behind: places whose consumers all died (a token
@@ -500,7 +461,7 @@ def remove_places(cell: MarkedNet, dead: frozenset[PlaceId]) -> PlaceRemoval:
     # A surviving place goes too when every consumer died, as a token
     # there could never be used again: a produced place is cut away (its
     # producer keeps firing, the token vanishes), and an initial place is
-    # left isolated (a marked one has its dropped token recorded).  A
+    # left isolated (a marked one loses its token).  A
     # produced place with no consumer stays, as an output.
     pre, post = net._pre, net._post
     removed = (doomed - dead_transitions).union(
@@ -513,12 +474,7 @@ def remove_places(cell: MarkedNet, dead: frozenset[PlaceId]) -> PlaceRemoval:
     transitions = net.transitions - dead_transitions
     kept = places | transitions
     flow = frozenset((src, dst) for src, dst in net.flow if src in kept and dst in kept)
-    return PlaceRemoval(
-        result=MarkedNet(subnet_of(net, places, transitions, flow), cell.marking & places),
-        removed_places=removed,
-        removed_transitions=dead_transitions,
-        dropped_tokens=removed & cell.marking,
-    )
+    return MarkedNet(subnet_of(net, places, transitions, flow), cell.marking & places)
 
 
 @dataclass(frozen=True)
@@ -530,7 +486,6 @@ class MarkedView:
 
     marked: MarkedNet
     dead_finals: frozenset[PlaceId]
-    dropped_tokens: frozenset[PlaceId]
 
 
 def at_marking(cell: MarkedNet, arriving: frozenset[PlaceId]) -> MarkedView:
@@ -542,11 +497,6 @@ def at_marking(cell: MarkedNet, arriving: frozenset[PlaceId]) -> MarkedView:
         raise NetError(
             f"places {sorted(stray)} are not unmarked initial places of the cell"
         )
-    removal = remove_places(cell, cell.inputs - arriving)
-    survivor = removal.result.net
+    survivor = remove_places(cell, cell.inputs - arriving).net
     marked = MarkedNet(survivor, min_places(survivor))
-    return MarkedView(
-        marked=marked,
-        dead_finals=cell.outputs - marked.outputs,
-        dropped_tokens=removal.dropped_tokens,
-    )
+    return MarkedView(marked, dead_finals=cell.outputs - marked.outputs)

@@ -51,7 +51,7 @@ def _version() -> str:
         return "0.0.0+unpackaged"
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cellnet",
         description="Compile occurrence Petri nets into stochastic-matrix arrows "
@@ -169,7 +169,7 @@ def _arrow(args):
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
     except CellnetError as exc:

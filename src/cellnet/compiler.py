@@ -16,42 +16,32 @@ from __future__ import annotations
 
 import weakref
 
-from .cells import (
-    CellLeaf,
-    IdentityLeaf,
-    ParNode,
-    SeqNode,
-    TreeNode,
-    at_marking,
-    canonical_form,
-    cell_classes,
-)
+from .cells import TreeNode, at_marking, canonical_form, cell_classes, fold_nodes
 from .errors import CompileError
-from .nets import MarkedNet, Process, Walk, enumerate_transactions, isolated_places, min_places, run
+from .nets import MarkedNet, Process, enumerate_transactions, isolated_places, min_places
 from .terms import Constant, ConstantKey, Dead, Identity, Par, Seq, Term, make_sum, par_all, subsets_lex
 
 DEFAULT_DEPTH_GUARD = 64
 
-# Terms already compiled, per marked net and then per depth guard.  The
-# memo holds its nets weakly, so an entry dies with its net.
-_compiled: weakref.WeakKeyDictionary[MarkedNet, dict[int, Term]] = weakref.WeakKeyDictionary()
+# Terms already compiled, per marked net.  The memo holds its nets
+# weakly, so an entry dies with its net.
+_compiled: weakref.WeakKeyDictionary[MarkedNet, Term] = weakref.WeakKeyDictionary()
 
 
-def compile_net(marked: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) -> Term:
+def compile_net(marked: MarkedNet) -> Term:
     """Compile a validated marked occurrence net into a well-typed term
     whose inputs are the net's unmarked initial places and whose outputs
     are its final places.
 
     A marked net is immutable and the term a pure function of it, so
-    the term is remembered in a weak memo, one per depth guard: calling
-    again with the same (or an equal) live net returns the same term
-    object.  The memo keeps no net alive, and a failed compile is not
-    remembered.
+    the term is remembered in a weak memo: calling again with the same
+    (or an equal) live net returns the same term object.  The memo
+    keeps no net alive, and a failed compile is not remembered.
     """
-    terms = _compiled.setdefault(marked, {})
-    if depth_guard not in terms:
-        terms[depth_guard] = _compile_tree(canonical_form(marked), depth_guard)
-    return terms[depth_guard]
+    term = _compiled.get(marked)
+    if term is None:
+        term = _compiled[marked] = _compile_tree(canonical_form(marked), DEFAULT_DEPTH_GUARD)
+    return term
 
 
 def _compile_tree(tree: TreeNode, fuel: int) -> Term:
@@ -59,22 +49,14 @@ def _compile_tree(tree: TreeNode, fuel: int) -> Term:
     # restricted cell's tree with one less, not along ; or +.
     if fuel <= 0:
         raise CompileError("recursion depth guard exceeded while compiling")
-
-    def fold(node: TreeNode) -> Walk[Term]:
-        if isinstance(node, IdentityLeaf):
-            return Identity(node.places)
-        if isinstance(node, CellLeaf):
-            return compile_cell(node.cell.subnet, depth_guard=fuel)
-        if isinstance(node, ParNode):
-            children = []
-            for child in node.children:
-                children.append((yield fold(child)))
-            return par_all(children)
-        if isinstance(node, SeqNode):
-            return Seq((yield fold(node.first)), (yield fold(node.second)))
-        raise CompileError(f"unexpected composition tree node {node!r}")
-
-    return run(fold(tree))
+    return fold_nodes(
+        tree,
+        # compile_cell is looked up when called, so a wrapper bound in its place sees every call
+        lambda leaf: compile_cell(leaf.cell.subnet, depth_guard=fuel),
+        lambda leaf: Identity(leaf.places),
+        par_all,
+        Seq,
+    )
 
 
 def compile_cell(cell: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) -> Term:

@@ -55,11 +55,3 @@ def _port(ports: dict[str, None], place: str, kind: str) -> str:
 
 def _mangle(place: str) -> str:
     return "".join(c if c.isalnum() else f"_{ord(c):x}" for c in place)
-
-
-def count_boxes(dot: str) -> int:
-    return sum(1 for line in dot.splitlines() if "[label=\"{" in line)
-
-
-def count_wires(dot: str) -> int:
-    return sum(1 for line in dot.splitlines() if "->" in line)

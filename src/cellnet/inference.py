@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import FileFormatError, InferenceError
-from .kleisli import Dist, KleisliArrow, Wiring, json_number, subset_index
+from .kleisli import KleisliArrow, Wiring, json_number, subset_index
 from .nets import PlaceId
 
 
@@ -59,11 +59,6 @@ class State:
 
     def prob(self, subset: Iterable[PlaceId]) -> float:
         return float(self.probs[self.wiring.index(subset)])
-
-    def to_dist(self) -> Dist:
-        return Dist(
-            {self.wiring.subset_at(k): float(v) for k, v in enumerate(self.probs) if v > 0}
-        )
 
     def place_marginal(self, place: PlaceId) -> float:
         """Probability that the given place is marked."""
@@ -145,18 +140,6 @@ def marginalize(arrow: KleisliArrow, keep: Iterable[PlaceId]) -> KleisliArrow:
 def _marked(wiring: Wiring, place: PlaceId) -> np.ndarray:
     """For each subset index of the wiring, whether the place is in it."""
     return np.arange(wiring.size) >> (wiring.position(place) - 1) & 1
-
-
-def restrict_state(state: State, keep: Iterable[PlaceId]) -> State:
-    """Project a state down to the kept places (marginal distribution)."""
-    keep = frozenset(keep)
-    stray = keep - state.wiring.place_set
-    if stray:
-        raise InferenceError(f"cannot keep unknown places {sorted(stray)}")
-    new_wiring = Wiring(tuple(p for p in state.wiring.places if p in keep))
-    probs = np.zeros(new_wiring.size)
-    np.add.at(probs, subset_index(state.wiring, new_wiring), state.probs)
-    return State(new_wiring, probs)
 
 
 def forward(state: State, arrow: KleisliArrow) -> State:

@@ -50,7 +50,7 @@ _TOLERANCE_ENV = "CELLNET_TOLERANCE"
 Places = tuple[PlaceId, ...]  # a wiring's places, without the Wiring checks
 
 
-def stochastic_tolerance() -> float:
+def _stochastic_tolerance() -> float:
     """Row-sum tolerance for stochasticity checks (default 1e-9); can be
     overridden through the CELLNET_TOLERANCE environment variable."""
     raw = os.environ.get(_TOLERANCE_ENV)
@@ -186,17 +186,13 @@ class KleisliArrow:
         expected = (self.in_wiring.size, self.out_wiring.size)
         if matrix.shape != expected:
             raise WiringError(f"matrix shape {matrix.shape} does not match interfaces {expected}")
-        _check_stochastic(matrix, stochastic_tolerance())
+        _check_stochastic(matrix, _stochastic_tolerance())
         matrix = matrix.copy()
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 
     def entry(self, inp: Iterable[PlaceId], out: Iterable[PlaceId]) -> float:
         return float(self.matrix[self.in_wiring.index(inp), self.out_wiring.index(out)])
-
-    def row_dist(self, inp: Iterable[PlaceId]) -> Dist:
-        row = self.matrix[self.in_wiring.index(inp)]
-        return Dist({self.out_wiring.subset_at(k): float(v) for k, v in enumerate(row) if v > 0})
 
 
 def _check_stochastic(matrix: np.ndarray, tol: float) -> None:
@@ -220,8 +216,10 @@ def identity_arrow(wiring: Wiring) -> KleisliArrow:
 
 def permutation_arrow(source: Wiring, target: Wiring) -> KleisliArrow:
     """The 0/1 arrow relabelling subset indices between two wirings of
-    the same place set."""
-    return _relabel(identity_arrow(source), source, target)
+    the same place set: one column gather of the identity."""
+    if source.place_set != target.place_set:
+        raise WiringError(f"wirings order different sets: {source.places} vs {target.places}")
+    return KleisliArrow(source, target, np.eye(source.size)[:, subset_index(target, source)])
 
 
 def subset_index(wiring: Wiring, kept: Wiring) -> np.ndarray:
@@ -234,63 +232,6 @@ def subset_index(wiring: Wiring, kept: Wiring) -> np.ndarray:
     for bit, place in enumerate(kept.places):
         index |= (k >> (wiring.position(place) - 1) & 1) << bit
     return index
-
-
-def _relabel(arrow: KleisliArrow, in_wiring: Wiring, out_wiring: Wiring) -> KleisliArrow:
-    """The same arrow with rows and columns indexed by other wirings of
-    its interfaces: one row and one column gather, no matrix product."""
-    if arrow.in_wiring == in_wiring and arrow.out_wiring == out_wiring:
-        return arrow
-    for source, target in ((arrow.in_wiring, in_wiring), (arrow.out_wiring, out_wiring)):
-        if source.place_set != target.place_set:
-            raise WiringError(
-                f"wirings order different sets: {source.places} vs {target.places}"
-            )
-    rows = subset_index(in_wiring, arrow.in_wiring)
-    cols = subset_index(out_wiring, arrow.out_wiring)
-    return KleisliArrow(in_wiring, out_wiring, arrow.matrix[np.ix_(rows, cols)])
-
-
-def tensor(a1: KleisliArrow, a2: KleisliArrow) -> KleisliArrow:
-    """Kronecker-style product over juxtaposed wirings: the second
-    factor's places occupy the higher bit positions."""
-    shared_in = a1.in_wiring.place_set & a2.in_wiring.place_set
-    shared_out = a1.out_wiring.place_set & a2.out_wiring.place_set
-    if shared_in or shared_out:
-        raise WiringError(f"tensor factors share places: {sorted(shared_in | shared_out)}")
-    in_wiring = Wiring(a1.in_wiring.places + a2.in_wiring.places)
-    out_wiring = Wiring(a1.out_wiring.places + a2.out_wiring.places)
-    return KleisliArrow(in_wiring, out_wiring, np.kron(a2.matrix, a1.matrix))
-
-
-def compose_arrows(a1: KleisliArrow, a2: KleisliArrow) -> KleisliArrow:
-    if a1.out_wiring != a2.in_wiring:
-        raise WiringError(
-            f"cannot compose: output wiring {a1.out_wiring.places} differs from "
-            f"input wiring {a2.in_wiring.places}"
-        )
-    return KleisliArrow(a1.in_wiring, a2.out_wiring, a1.matrix @ a2.matrix)
-
-
-def copair(rows: list[KleisliArrow], in_wiring: Wiring) -> KleisliArrow:
-    """Stack single-row arrows, row k describing input subset number k."""
-    if len(rows) != in_wiring.size:
-        raise WiringError(f"copair needs {in_wiring.size} rows, got {len(rows)}")
-    out_wiring = rows[0].out_wiring
-    for arrow in rows:
-        if arrow.in_wiring.places != ():
-            raise WiringError("copair rows must have the empty input wiring")
-        if arrow.out_wiring != out_wiring:
-            raise WiringError("copair rows must share one output wiring")
-    return KleisliArrow(in_wiring, out_wiring, np.vstack([a.matrix for a in rows]))
-
-
-def dead_arrow(places: Iterable[PlaceId], out_wiring: Wiring) -> KleisliArrow:
-    """The arrow that never marks its outputs: mass 1 on the empty subset."""
-    places = frozenset(places)
-    if out_wiring.place_set != places:
-        raise WiringError(f"wiring {out_wiring.places} does not wire {sorted(places)}")
-    return KleisliArrow(Wiring(()), out_wiring, _dead_row(out_wiring.size))
 
 
 def _dead_row(size: int) -> np.ndarray:
@@ -339,7 +280,7 @@ def _stray_labels(key: ConstantKey, dist: Dist) -> list[str]:
 @dataclass(frozen=True)
 class DeltaProblem:
     signature: str
-    kind: str  # "missing" | "support" | "normalization"
+    kind: str  # "missing" | "support"
     detail: str
 
     def __str__(self) -> str:
@@ -408,11 +349,17 @@ def load_delta(text: str, *, strict: bool = True) -> DeltaTable:
             raise FileFormatError(f"malformed δ entry for {signature!r}")
         if signature in entries:
             raise FileFormatError(f"duplicate δ entry for {signature!r}")
-        table = {
-            frozenset(label.split(",")) if label else frozenset():
-            json_number(p, f"bad δ entry for {signature!r}: probability of {label!r}")
-            for label, p in probs.items()
-        }
+        table: dict[frozenset[str], float] = {}
+        labels: dict[frozenset[str], str] = {}
+        for label, p in probs.items():
+            outcome = frozenset(label.split(",")) if label else frozenset()
+            if outcome in labels:
+                raise FileFormatError(
+                    f"bad δ entry for {signature!r}: labels {labels[outcome]!r} and {label!r} "
+                    "name the same transition set"
+                )
+            labels[outcome] = label
+            table[outcome] = json_number(p, f"bad δ entry for {signature!r}: probability of {label!r}")
         try:
             entries[signature] = Dist(table)
         except DeltaError as exc:
@@ -445,17 +392,6 @@ def dump_delta(delta: DeltaTable) -> str:
         for signature, dist in sorted(delta.entries.items())
     ]
     return json.dumps(doc, indent=2) + "\n"
-
-
-def constant_arrow(key: ConstantKey, delta: DeltaTable, out_wiring: Wiring) -> KleisliArrow:
-    """One row over the constant's outputs: the entry at subset m is the
-    total probability of the transactions whose final places are m."""
-    if out_wiring.place_set != key.outputs:
-        raise WiringError(
-            f"wiring {out_wiring.places} does not wire the constant outputs "
-            f"{sorted(key.outputs)}"
-        )
-    return KleisliArrow(Wiring(()), out_wiring, _constant_row(key, delta, out_wiring))
 
 
 def _constant_row(key: ConstantKey, delta: DeltaTable, out_wiring: Wiring) -> np.ndarray:
@@ -505,7 +441,7 @@ def interpret(
         raise WiringError(
             f"output wiring {out_wiring.places} does not wire the term outputs {sorted(ty.outputs)}"
         )
-    matrix, places = run(_interpret(term, ty, delta, width_cap, stochastic_tolerance()))
+    matrix, places = run(_interpret(term, ty, delta, width_cap, _stochastic_tolerance()))
     rows = subset_index(in_wiring, lex_wiring(ty.inputs))
     cols = subset_index(out_wiring, Wiring(places))
     return KleisliArrow(in_wiring, out_wiring, matrix[np.ix_(rows, cols)])

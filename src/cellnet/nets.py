@@ -112,10 +112,6 @@ def strong_components(roots: Iterable[_K], successors: Callable[[_K], Iterable[_
     return components
 
 
-def _frozen(items: Iterable[str]) -> frozenset[str]:
-    return frozenset(items)
-
-
 @dataclass(frozen=True)
 class Net:
     """A Petri net (P, T, F) with F ⊆ (P×T) ∪ (T×P).
@@ -134,8 +130,8 @@ class Net:
     flow: frozenset[tuple[NodeId, NodeId]]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "places", _frozen(self.places))
-        object.__setattr__(self, "transitions", _frozen(self.transitions))
+        object.__setattr__(self, "places", frozenset(self.places))
+        object.__setattr__(self, "transitions", frozenset(self.transitions))
         object.__setattr__(self, "flow", frozenset(tuple(arc) for arc in self.flow))
         for x in self.places | self.transitions:
             if not isinstance(x, str) or not x:
@@ -356,7 +352,7 @@ class MarkedNet:
     marking: frozenset[PlaceId] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "marking", _frozen(self.marking))
+        object.__setattr__(self, "marking", frozenset(self.marking))
         ensure_occurrence(self.net)
         initial = min_places(self.net)
         isolated = isolated_places(self.net)
@@ -427,7 +423,7 @@ class Process:
         return tuple(sorted(self.transitions))
 
 
-def process_of(net: Net, fired: Iterable[TransitionId]) -> Process:
+def _process_of(net: Net, fired: Iterable[TransitionId]) -> Process:
     """Build the :class:`Process` induced by a set of fired transitions."""
     fired = frozenset(fired)
     consumed: set[PlaceId] = set()
@@ -476,24 +472,4 @@ def enumerate_transactions(marked: MarkedNet) -> frozenset[Process]:
         memo[m] = result
         return result
 
-    return frozenset(process_of(net, fired) for fired in run(completions(marked.marking)))
-
-
-def maximal_firing_outcomes(marked: MarkedNet) -> frozenset[frozenset[PlaceId]]:
-    """Final markings of all maximal firing sequences (marking-level view)."""
-    net = marked.net
-    seen: set[frozenset[PlaceId]] = set()
-    finals: set[frozenset[PlaceId]] = set()
-    stack = [marked.marking]
-    while stack:
-        m = stack.pop()
-        if m in seen:
-            continue
-        seen.add(m)
-        fireable = [t for t in net.transitions if net.pre(t) <= m]
-        if not fireable:
-            finals.add(m)
-        for t in fireable:
-            stack.append((m - net.pre(t)) | net.post(t))
-    return frozenset(finals)
-
+    return frozenset(_process_of(net, fired) for fired in run(completions(marked.marking)))

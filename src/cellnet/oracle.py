@@ -1,12 +1,16 @@
 """Event-structure oracle for the compiled semantics.
 
-This module recomputes, from first principles, what the compiler and
-matrix backend claim: the prime event structure of a marked net, its
-branching cells (initial stopping prefixes of futures), the
-recursively-stopped configurations built by completing branching
-cells, the configurations denoted by a term, and the exact outcome
-distribution obtained by playing the term operationally.  The
-correspondence and equivalence checks diff the two routes.
+What this module checks without the compiler is the configurations: it
+builds the prime event structure of a marked net, its branching cells
+(initial stopping prefixes of futures) and the recursively-stopped
+configurations built by completing branching cells, and
+:func:`check_correspondence` diffs those against the configurations the
+compiled term admits.  The outcome distribution
+(:func:`enumerate_outcome_distribution`, and
+:func:`sample_outcome_distribution` by sampling) is not independent of
+the compiler: it plays the compiled term with δ's weights, so it
+checks the matrix backend's arithmetic but not the term.  A probability
+oracle that never reads the term is open (ROADMAP.md, item 1).
 
 The event structure is stored as two per-event tables, each event's
 causes and its rivals (the events in conflict with it).  It is built
@@ -230,14 +234,8 @@ def initial_stopping_prefixes(pes: PES) -> frozenset[frozenset[TransitionId]]:
     )
 
 
-def branching_cells(pes: PES, v: Iterable[TransitionId]) -> frozenset[frozenset[TransitionId]]:
-    """The branching cells enabled after v: initial stopping prefixes of
-    the future of v."""
-    return initial_stopping_prefixes(future(pes, v))
-
-
-def configurations_within(pes: PES, block: frozenset[TransitionId]) -> frozenset[Configuration]:
-    """All configurations contained in a downward-closed block."""
+def _maximal_configurations_within(pes: PES, block: frozenset[TransitionId]) -> frozenset[Configuration]:
+    """The maximal configurations contained in a downward-closed block."""
     ordered = sorted(block)
     found: set[Configuration] = set()
 
@@ -255,12 +253,7 @@ def configurations_within(pes: PES, block: frozenset[TransitionId]) -> frozenset
                 yield grow(nxt)
 
     run(grow(frozenset()))
-    return frozenset(found)
-
-
-def maximal_configurations_within(pes: PES, block: frozenset[TransitionId]) -> frozenset[Configuration]:
-    configs = configurations_within(pes, block)
-    return frozenset(c for c in configs if not any(c < d for d in configs))
+    return frozenset(c for c in found if not any(c < d for d in found))
 
 
 @dataclass(frozen=True)
@@ -289,7 +282,7 @@ def _cell_table(pes: PES, v: Configuration, tables: CellTables) -> CellTable:
     if table is None:
         fut = pes if keep == pes.events else pes.restrict(keep)
         table = tables[keep] = tuple(
-            tuple(sorted(maximal_configurations_within(fut, cell), key=sorted))
+            tuple(sorted(_maximal_configurations_within(fut, cell), key=sorted))
             for cell in sorted(initial_stopping_prefixes(fut), key=sorted)
         )
     return table
@@ -568,10 +561,6 @@ class SampleSummary:
     def place_marginal(self, place: PlaceId) -> float:
         hits = sum(c for marking, c in self.marking_counts.items() if place in marking)
         return hits / self.samples
-
-    def standard_error(self, place: PlaceId) -> float:
-        p = self.place_marginal(place)
-        return (p * (1.0 - p) / self.samples) ** 0.5
 
 
 def sample_outcome_distribution(

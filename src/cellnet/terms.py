@@ -174,7 +174,7 @@ class TermType:
     outputs: frozenset[str]
 
 
-class TypecheckInfo(NamedTuple):
+class _TypecheckInfo(NamedTuple):
     """What :func:`typecheck` has done in this process: ``misses`` is
     the number of term nodes whose type it computed."""
 
@@ -201,7 +201,7 @@ def typecheck(term: Term) -> TermType:
     return _known_type(term) or run(_typing(term))
 
 
-typecheck.cache_info = lambda: TypecheckInfo(_types_computed)  # type: ignore[attr-defined]
+typecheck.cache_info = lambda: _TypecheckInfo(_types_computed)  # type: ignore[attr-defined]
 
 
 def _known_type(term: Term) -> TermType | None:
@@ -376,7 +376,7 @@ def _normal_form(term: Term) -> Walk[Term]:
 # process  := idset ':' placeset '>' placeset ('|' placeset)?
 # placeset := '{' (id (',' id)*)? '}'
 
-def render_process(proc: Process) -> str:
+def _render_process(proc: Process) -> str:
     body = (
         f"{render_place_set(proc.transitions)}:"
         f"{render_place_set(proc.initial_places)}>"
@@ -406,7 +406,7 @@ def render_term(term: Term) -> str:
         elif isinstance(t, Constant):
             key = t.key
             processes = "; ".join(
-                render_process(p) for p in sorted(key.transactions, key=Process.sort_key)
+                _render_process(p) for p in sorted(key.transactions, key=Process.sort_key)
             )
             pieces.append(
                 f"cell[{render_place_set(key.marked)}>"

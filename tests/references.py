@@ -1,0 +1,166 @@
+"""Reference implementations that the tests compare the library against.
+
+Each one computes something the library computes another way: the
+dense Kronecker algebra that ``interpret`` replaced, the reachability
+preorder whose classes ``scells`` finds by Tarjan's algorithm, a token
+game over markings, a state marginal, and box and wire counts of a DOT
+diagram.  None of them is used by the library.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+import numpy as np
+
+from cellnet import (
+    DeltaTable,
+    InferenceError,
+    KleisliArrow,
+    MarkedNet,
+    Net,
+    State,
+    Wiring,
+    WiringError,
+)
+from cellnet.kleisli import subset_index
+
+# --------------------------------------------------------------------- #
+# Dense Kronecker algebra
+# --------------------------------------------------------------------- #
+
+
+def tensor(a1: KleisliArrow, a2: KleisliArrow) -> KleisliArrow:
+    """Kronecker-style product over juxtaposed wirings: the second
+    factor's places occupy the higher bit positions."""
+    shared_in = a1.in_wiring.place_set & a2.in_wiring.place_set
+    shared_out = a1.out_wiring.place_set & a2.out_wiring.place_set
+    if shared_in or shared_out:
+        raise WiringError(f"tensor factors share places: {sorted(shared_in | shared_out)}")
+    in_wiring = Wiring(a1.in_wiring.places + a2.in_wiring.places)
+    out_wiring = Wiring(a1.out_wiring.places + a2.out_wiring.places)
+    return KleisliArrow(in_wiring, out_wiring, np.kron(a2.matrix, a1.matrix))
+
+
+def compose_arrows(a1: KleisliArrow, a2: KleisliArrow) -> KleisliArrow:
+    if a1.out_wiring != a2.in_wiring:
+        raise WiringError(
+            f"cannot compose: output wiring {a1.out_wiring.places} differs from "
+            f"input wiring {a2.in_wiring.places}"
+        )
+    return KleisliArrow(a1.in_wiring, a2.out_wiring, a1.matrix @ a2.matrix)
+
+
+def copair(rows: list[KleisliArrow], in_wiring: Wiring) -> KleisliArrow:
+    """Stack single-row arrows, row k describing input subset number k."""
+    if len(rows) != in_wiring.size:
+        raise WiringError(f"copair needs {in_wiring.size} rows, got {len(rows)}")
+    out_wiring = rows[0].out_wiring
+    for arrow in rows:
+        if arrow.in_wiring.places != ():
+            raise WiringError("copair rows must have the empty input wiring")
+        if arrow.out_wiring != out_wiring:
+            raise WiringError("copair rows must share one output wiring")
+    return KleisliArrow(in_wiring, out_wiring, np.vstack([a.matrix for a in rows]))
+
+
+def dead_arrow(places: Iterable[str], out_wiring: Wiring) -> KleisliArrow:
+    """The arrow that never marks its outputs: mass 1 on the empty subset."""
+    places = frozenset(places)
+    if out_wiring.place_set != places:
+        raise WiringError(f"wiring {out_wiring.places} does not wire {sorted(places)}")
+    row = np.zeros((1, out_wiring.size))
+    row[0, 0] = 1.0
+    return KleisliArrow(Wiring(()), out_wiring, row)
+
+
+def constant_arrow(key, delta: DeltaTable, out_wiring: Wiring) -> KleisliArrow:
+    """One row over the constant's outputs: the entry at subset m is the
+    total probability of the transactions whose final places are m."""
+    if out_wiring.place_set != key.outputs:
+        raise WiringError(
+            f"wiring {out_wiring.places} does not wire the constant outputs "
+            f"{sorted(key.outputs)}"
+        )
+    dist = delta.distribution_for(key)
+    row = np.zeros((1, out_wiring.size))
+    for proc in sorted(key.transactions, key=lambda p: p.sort_key()):
+        row[0, out_wiring.index(proc.final_places)] += dist.prob(proc.transitions)
+    return KleisliArrow(Wiring(()), out_wiring, row)
+
+
+def relabel(arrow: KleisliArrow, in_wiring: Wiring, out_wiring: Wiring) -> KleisliArrow:
+    """The same arrow with rows and columns indexed by other wirings of
+    its interfaces."""
+    for source, target in ((arrow.in_wiring, in_wiring), (arrow.out_wiring, out_wiring)):
+        if source.place_set != target.place_set:
+            raise WiringError(f"wirings order different sets: {source.places} vs {target.places}")
+    rows = subset_index(in_wiring, arrow.in_wiring)
+    cols = subset_index(out_wiring, arrow.out_wiring)
+    return KleisliArrow(in_wiring, out_wiring, arrow.matrix[np.ix_(rows, cols)])
+
+
+# --------------------------------------------------------------------- #
+# Nets, states and diagrams
+# --------------------------------------------------------------------- #
+
+
+def scell_preorder(net: Net) -> dict[str, frozenset[str]]:
+    """The preorder ⊑ on nodes: reflexive-transitive closure of the flow
+    relation extended with arcs from each transition back to its
+    pre-places.  Returns, per node, the set of nodes it precedes, by a
+    walk over every node's reachability set."""
+    succ: dict[str, set[str]] = {x: set() for x in net.nodes}
+    for src, dst in net.flow:
+        succ[src].add(dst)
+    for t in net.transitions:
+        succ[t] |= net.pre(t)
+    reach: dict[str, frozenset[str]] = {}
+    for x in net.nodes:
+        pending, seen = [x], {x}
+        while pending:
+            for z in succ[pending.pop()] - seen:
+                seen.add(z)
+                pending.append(z)
+        reach[x] = frozenset(seen)
+    return reach
+
+
+def maximal_firing_outcomes(marked: MarkedNet) -> frozenset[frozenset[str]]:
+    """Final markings of all maximal firing sequences, by a token game
+    over markings."""
+    net = marked.net
+    seen: set[frozenset[str]] = set()
+    finals: set[frozenset[str]] = set()
+    stack = [marked.marking]
+    while stack:
+        m = stack.pop()
+        if m in seen:
+            continue
+        seen.add(m)
+        fireable = [t for t in net.transitions if net.pre(t) <= m]
+        if not fireable:
+            finals.add(m)
+        for t in fireable:
+            stack.append((m - net.pre(t)) | net.post(t))
+    return frozenset(finals)
+
+
+def restrict_state(state: State, keep: Iterable[str]) -> State:
+    """Project a state down to the kept places (marginal distribution)."""
+    keep = frozenset(keep)
+    stray = keep - state.wiring.place_set
+    if stray:
+        raise InferenceError(f"cannot keep unknown places {sorted(stray)}")
+    new_wiring = Wiring(tuple(p for p in state.wiring.places if p in keep))
+    probs = np.zeros(new_wiring.size)
+    np.add.at(probs, subset_index(state.wiring, new_wiring), state.probs)
+    return State(new_wiring, probs)
+
+
+def count_boxes(dot: str) -> int:
+    return sum(1 for line in dot.splitlines() if "[label=\"{" in line)
+
+
+def count_wires(dot: str) -> int:
+    return sum(1 for line in dot.splitlines() if "->" in line)

@@ -16,7 +16,6 @@ from cellnet import (
     canonical_form,
     compile_cell,
     compile_net,
-    compose_arrows,
     condition,
     conf_of_term,
     enumerate_outcome_distribution,
@@ -34,7 +33,6 @@ from cellnet import (
     scells,
     typecheck,
 )
-from cellnet.diagram import count_boxes
 from cellnet import export_diagram
 from conftest import (
     confusion_delta,
@@ -42,6 +40,7 @@ from conftest import (
     random_occurrence_net,
     three_cell_delta,
 )
+from references import compose_arrows, count_boxes
 
 fs = frozenset
 

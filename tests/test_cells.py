@@ -17,11 +17,11 @@ from cellnet import (
     parallel_compose,
     remove_places,
     render_tree,
-    scell_preorder,
     scells,
     sequential_compose,
 )
 from cellnet.cells import stratify
+from references import scell_preorder
 
 fs = frozenset
 
@@ -164,19 +164,15 @@ def test_canonical_form_confusion(confusion):
 def test_remove_places_kills_dependents(three_cells):
     cells = scells(three_cells.net, fs())
     nc3 = cell_by_place(cells, "3").subnet
-    removal = remove_places(nc3, fs({"6"}))
-    survivor = removal.result
+    survivor = remove_places(nc3, fs({"6"}))
     assert survivor.net.transitions == fs({"e"})
-    assert survivor.net.places == fs({"3", "7"})
-    assert "4" in removal.removed_places          # isolated once f is gone
-    assert removal.dropped_tokens == fs()
+    assert survivor.net.places == fs({"3", "7"})  # 4 goes: isolated once f is gone
 
 
 def test_remove_places_other_input(three_cells):
     cells = scells(three_cells.net, fs())
     nc3 = cell_by_place(cells, "3").subnet
-    removal = remove_places(nc3, fs({"4"}))
-    survivor = removal.result
+    survivor = remove_places(nc3, fs({"4"}))
     assert survivor.net.transitions == fs({"e", "g", "h"})
     assert "8" not in survivor.net.places
     assert survivor.net.places == fs({"3", "6", "7", "9", "10"})
@@ -185,8 +181,7 @@ def test_remove_places_other_input(three_cells):
 def test_remove_places_empty_set_is_identity(three_cells):
     cells = scells(three_cells.net, fs())
     nc3 = cell_by_place(cells, "3").subnet
-    removal = remove_places(nc3, fs())
-    assert removal.result == nc3
+    assert remove_places(nc3, fs()) == nc3
 
 
 def test_remove_places_requires_unmarked_inputs(three_cells):
@@ -202,10 +197,10 @@ def test_remove_places_monotone(three_cells):
     cells = scells(three_cells.net, fs())
     nc3 = cell_by_place(cells, "3").subnet
     for first, second in [(fs({"4"}), fs({"6"})), (fs({"6"}), fs({"4"})), (fs({"3"}), fs({"4", "6"}))]:
-        once = remove_places(nc3, first).result
+        once = remove_places(nc3, first)
         rest = second & once.inputs
-        stepwise = remove_places(once, rest).result
-        direct = remove_places(nc3, first | second).result
+        stepwise = remove_places(once, rest)
+        direct = remove_places(nc3, first | second)
         assert stepwise == direct
 
 
@@ -224,7 +219,7 @@ def test_at_marking_views(three_cells):
 
     just4 = at_marking(nc3, fs({"4"}))           # 4 ends up isolated: dropped
     assert just4.marked.net.places == fs({"3", "7"})
-    assert just4.dropped_tokens == fs()          # 4 was not marked here
+    assert nc3.marking - just4.marked.net.places == fs()   # no token lost: 4 was not marked here
 
     just6 = at_marking(nc3, fs({"6"}))
     assert just6.marked.net.transitions == fs({"e", "g", "h"})
@@ -247,13 +242,13 @@ def test_at_marking_empty_cell(three_cells):
 
 
 def test_at_marking_drops_marked_isolated_token():
-    # t needs {m, u}; u stays empty, so m's token is silently dropped (and logged)
+    # t needs {m, u}; u stays empty, so m's token is silently dropped
     net = Net(fs({"m", "u", "r"}), fs({"t"}),
               fs([("m", "t"), ("u", "t"), ("t", "r")]))
     cell = MarkedNet(net, fs({"m"}))
     view = at_marking(cell, fs())
     assert view.marked.net.places == fs()
-    assert view.dropped_tokens == fs({"m"})
+    assert cell.marking - view.marked.net.places == fs({"m"})
     assert view.dead_finals == fs({"r"})
 
 

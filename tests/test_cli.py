@@ -386,3 +386,17 @@ def test_delta_probability_too_large_for_a_float(tmp_path, capsys):
     delta = _delta_with_ab(tmp_path, '{"a": 1' + "0" * 400 + ', "b": 0.5}')
     assert run(["matrix", RUNNING, delta]) == 1
     _assert_one_error_line(capsys, "matrix", "'a|b'")
+
+
+@pytest.mark.parametrize("extra", COMMANDS_READING_DELTA, ids=lambda a: a[0])
+@pytest.mark.parametrize("probabilities, first, second", [
+    ('{"a": 0.3, "b": 0.5, "a,a": 0.5}', "a", "a,a"),
+    ('{"a": 0.3, "b": 0.7, "a,b": 0.2, "b,a": 0.0}', "a,b", "b,a"),
+], ids=["repeated", "reordered"])
+def test_delta_labels_naming_one_transition_set_twice(tmp_path, capsys, extra, probabilities, first, second):
+    # both labels used to read as one outcome, the later value silently winning
+    delta = _delta_with_ab(tmp_path, probabilities)
+    assert run([extra[0], RUNNING, delta, *extra[1:]]) == 1
+    _assert_one_error_line(
+        capsys, extra[0], f"'a|b': labels {first!r} and {second!r} name the same transition set"
+    )

@@ -203,23 +203,15 @@ def test_compile_long_chain():
 
 
 def test_depth_guard():
-    with pytest.raises(CompileError):
-        compile_net(MarkedNet(Net(fs({"p", "q"}), fs({"t"}), fs([("p", "t"), ("t", "q")])), fs()),
-                    depth_guard=0)
+    with pytest.raises(CompileError, match="depth guard exceeded while compiling a cell"):
+        compile_cell(MarkedNet(Net(fs({"p", "q"}), fs({"t"}), fs([("p", "t"), ("t", "q")])), fs()),
+                     depth_guard=0)
 
 
 def test_compile_net_is_remembered_per_net(three_cells):
     assert compile_net(three_cells) is compile_net(three_cells)
     rebuilt = MarkedNet(three_cells.net, three_cells.marking)
     assert compile_net(rebuilt) is compile_net(three_cells)   # equal nets share it
-
-
-def test_remembered_compile_keeps_depth_guard():
-    marked = MarkedNet(Net(fs({"p", "q"}), fs({"t"}), fs([("p", "t"), ("t", "q")])), fs())
-    compile_net(marked)
-    with pytest.raises(CompileError):
-        compile_net(marked, depth_guard=0)
-    assert compile_net(marked, depth_guard=5) == compile_net(marked)
 
 
 def test_compile_memo_keeps_no_net_alive():

@@ -1,5 +1,5 @@
 from cellnet import canonical_form, export_diagram, identity_net
-from cellnet.diagram import count_boxes, count_wires
+from references import count_boxes, count_wires
 
 
 def test_running_example_diagram(three_cells):

@@ -13,11 +13,11 @@ from cellnet import (
     interpret,
     marginalize,
     pullback,
-    restrict_state,
     validity,
 )
 from cellnet.inference import format_state, parse_state
 from conftest import three_cell_delta
+from references import restrict_state
 
 fs = frozenset
 

@@ -16,22 +16,18 @@ from cellnet import (
     arrow_to_json,
     compile_cell,
     compile_net,
-    compose_arrows,
-    constant_arrow,
     constants_of,
-    copair,
-    dead_arrow,
     dump_delta,
     identity_arrow,
     interpret,
     load_delta,
     permutation_arrow,
     scells,
-    tensor,
     uniform_dist,
     validate_delta,
 )
 from conftest import disjoint_copies, three_cell_delta
+from references import compose_arrows, constant_arrow, copair, dead_arrow, tensor
 
 fs = frozenset
 

@@ -37,10 +37,6 @@ from cellnet import (
     cell_order,
     compile_cell,
     compile_net,
-    compose_arrows,
-    constant_arrow,
-    copair,
-    dead_arrow,
     enumerate_transactions,
     fold_tree,
     identity_arrow,
@@ -57,18 +53,25 @@ from cellnet import (
     permutation_arrow,
     r_stopped_configs,
     remove_places,
-    scell_preorder,
     scells,
-    tensor,
     typecheck,
     validate_occurrence,
 )
 from cellnet.cells import cell_classes, cell_leaves
 from cellnet.compiler import _compile_tree
-from cellnet.kleisli import _relabel
 from cellnet.nets import subnet_of
 from cellnet.oracle import _live_events, _maximal_r_stopped, _net_pes
 from cellnet.terms import subsets_lex
+from references import (
+    compose_arrows,
+    constant_arrow,
+    copair,
+    dead_arrow,
+    maximal_firing_outcomes,
+    relabel,
+    scell_preorder,
+    tensor,
+)
 from conftest import (
     build_three_cell_net,
     confusion_chain,
@@ -206,8 +209,6 @@ def test_transaction_replay_reaches_final_places():
 
 
 def test_maximal_firing_outcomes_match_transactions():
-    from cellnet.nets import maximal_firing_outcomes
-
     for marked in _random_nets(14, 15):
         net = marked.net
         fully = MarkedNet(net, min_places(net) - _isolated(net))
@@ -384,9 +385,10 @@ def test_oracle_matches_matrix_on_every_input_row():
         for k in range(arrow.in_wiring.size):
             arriving = arrow.in_wiring.subset_at(k)
             outcome = enumerate_outcome_distribution(marked, delta, arriving)
-            row = arrow.row_dist(arriving)
-            for key in set(outcome.markings.support) | set(row.support):
-                assert abs(outcome.markings.prob(key) - row.prob(key)) < 1e-9
+            matrix_row = arrow.matrix[arrow.in_wiring.index(arriving)]
+            row = {arrow.out_wiring.subset_at(k): float(v) for k, v in enumerate(matrix_row) if v > 0}
+            for key in set(outcome.markings.support) | set(row):
+                assert abs(outcome.markings.prob(key) - row.get(key, 0.0)) < 1e-9
 
 
 def _any_net(rng):
@@ -555,7 +557,7 @@ def _derived_nets(marked):
             sub = cell.subnet
             yield marked.net, sub.net, (cell.members,)
             for arriving in subsets_lex(sub.inputs):
-                yield sub.net, remove_places(sub, sub.inputs - arriving).result.net, None
+                yield sub.net, remove_places(sub, sub.inputs - arriving).net, None
                 view = at_marking(sub, arriving).marked
                 yield sub.net, view.net, None
                 if sub.inputs:
@@ -623,12 +625,13 @@ def test_remove_places_and_live_events_kill_what_saturation_kills():
             for arriving in subsets_lex(sub.inputs):
                 dead = sub.inputs - arriving
                 places, transitions = _reference_dead(sub.net, dead)
-                removal = remove_places(sub, dead)
-                assert removal.removed_transitions == transitions
+                survivor = remove_places(sub, dead).net
+                assert sub.net.transitions - survivor.transitions == transitions
                 assert sub.net.transitions - _live_events(sub.net, dead) == transitions
                 # the rest of what goes is junk: places no survivor consumes
-                assert places <= removal.removed_places
-                for p in removal.removed_places - places:
+                removed_places = sub.net.places - survivor.places
+                assert places <= removed_places
+                for p in removed_places - places:
                     assert sub.net.post(p) <= transitions
                 cases += 1
     assert cases > 1000
@@ -665,7 +668,7 @@ def _kronecker_interpret(term, delta):
     if isinstance(term, Par):
         left = _kronecker_interpret(term.left, delta)
         right = _kronecker_interpret(term.right, delta)
-        return _relabel(tensor(left, right), pi, rho)
+        return relabel(tensor(left, right), pi, rho)
     if isinstance(term, Seq):
         first = _kronecker_interpret(term.first, delta)
         second = _kronecker_interpret(term.second, delta)
@@ -704,7 +707,7 @@ def test_interpret_matches_kronecker_reference():
             rng.shuffle(outs)
             for w_in, w_out in ((None, None), (Wiring(tuple(ins)), Wiring(tuple(outs)))):
                 arrow = interpret(t, delta, w_in, w_out)
-                want = _relabel(expected, arrow.in_wiring, arrow.out_wiring)
+                want = relabel(expected, arrow.in_wiring, arrow.out_wiring)
                 np.testing.assert_allclose(arrow.matrix, want.matrix, rtol=0, atol=1e-12)
                 compared += 1
     assert compared > 250

@@ -14,6 +14,7 @@ from cellnet import (
     TermError,
     TermSyntaxError,
     TermType,
+    canonical_form,
     compile_net,
     constants_of,
     make_sum,
@@ -22,6 +23,7 @@ from cellnet import (
     render_term,
     typecheck,
 )
+from cellnet.compiler import DEFAULT_DEPTH_GUARD, _compile_tree
 from cellnet.terms import render_place_set, subsets_lex
 
 fs = frozenset
@@ -238,11 +240,11 @@ def _wide_net(n, prefix="w"):
 
 
 def test_typecheck_equal_distinct_wide_terms():
-    # compiles under two depth guards are remembered apart: equal terms,
-    # distinct objects, of 400 cells in parallel
+    # a remembered compile and one past the memo: equal terms, distinct
+    # objects, of 400 cells in parallel
     marked = _wide_net(400)
     first = compile_net(marked)
-    second = compile_net(marked, depth_guard=63)
+    second = _compile_tree(canonical_form(marked), DEFAULT_DEPTH_GUARD)
     assert first is not second
     assert first == second
     assert render_term(first) == render_term(second)
