@@ -88,25 +88,18 @@ def scells(net: Net, marking: frozenset[PlaceId] = frozenset()) -> tuple[SCell, 
     cell's subnet is its member transitions with their pre- and
     post-places, and inherits ``marking ∩ minp``.
     The net is checked (once per object); each subnet inherits that
-    check and keeps its one class and its initial and final places, so
-    none of them is worked out again.
+    check and the net's tables (see :func:`nets.subnet_of`), and keeps
+    its one class, so none of them is worked out again.
     """
     ensure_occurrence(net)
-    pre, post = net._pre, net._post
+    post = net._post
     cells = []
     for members in cell_classes(net):
         transitions = members & net.transitions
         places = (members - transitions).union(*(post[t] for t in transitions))
-        flow = [(p, t) for t in transitions for p in pre[t]]
-        flow += [(t, q) for t in transitions for q in post[t]]
-        subnet = subnet_of(net, places, transitions, flow)
-        # A member place is initial when its producer is not a member,
-        # and the places outside the members are the final ones.
-        initial = frozenset(p for p in members - transitions if not pre[p] & transitions)
-        subnet.__dict__.update(_cell_classes=(members,), _min_places=initial,
-                               _max_places=places - members)
-        inherited = marking & initial
-        cells.append(SCell(members, MarkedNet(subnet, inherited)))
+        subnet = subnet_of(net, places, transitions)
+        subnet.__dict__["_cell_classes"] = (members,)
+        cells.append(SCell(members, MarkedNet(subnet, marking & min_places(subnet))))
     return tuple(sorted(cells, key=SCell.sort_key))
 
 
@@ -383,22 +376,23 @@ def fold_nodes(
     its children's results with ``par`` and a sequential node its two
     parts' with ``seq``.  The walk runs on :func:`nets.run`, so the
     tree's depth does not reach Python's stack."""
+    return run(_fold(tree, (cell, identity, par, seq)))
 
-    def fold(node: TreeNode) -> Walk[_R]:
-        if isinstance(node, CellLeaf):
-            return cell(node)
-        if isinstance(node, IdentityLeaf):
-            return identity(node)
-        if isinstance(node, ParNode):
-            parts = []
-            for child in node.children:
-                parts.append((yield fold(child)))
-            return par(parts)
-        if isinstance(node, SeqNode):
-            return seq((yield fold(node.first)), (yield fold(node.second)))
-        raise TypeError(f"not a composition tree node: {node!r}")
 
-    return run(fold(tree))
+def _fold(node: TreeNode, maps: tuple[Callable, Callable, Callable, Callable]) -> Walk[_R]:
+    cell, identity, par, seq = maps
+    if isinstance(node, CellLeaf):
+        return cell(node)
+    if isinstance(node, IdentityLeaf):
+        return identity(node)
+    if isinstance(node, ParNode):
+        parts = []
+        for child in node.children:
+            parts.append((yield _fold(child, maps)))
+        return par(parts)
+    if isinstance(node, SeqNode):
+        return seq((yield _fold(node.first, maps)), (yield _fold(node.second, maps)))
+    raise TypeError(f"not a composition tree node: {node!r}")
 
 
 def fold_tree(tree: TreeNode) -> MarkedNet:
@@ -471,10 +465,8 @@ def remove_places(cell: MarkedNet, dead: frozenset[PlaceId]) -> MarkedNet:
     # A surviving transition keeps its whole pre-set (a dead pre-place kills
     # it; the removed places feed none), as subnet_of requires.
     places = net.places - removed
-    transitions = net.transitions - dead_transitions
-    kept = places | transitions
-    flow = frozenset((src, dst) for src, dst in net.flow if src in kept and dst in kept)
-    return MarkedNet(subnet_of(net, places, transitions, flow), cell.marking & places)
+    subnet = subnet_of(net, places, net.transitions - dead_transitions)
+    return MarkedNet(subnet, cell.marking & places)
 
 
 @dataclass(frozen=True)

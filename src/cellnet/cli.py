@@ -4,6 +4,7 @@ library.  Exit codes: 0 success, 1 domain error, 2 usage error."""
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from importlib import metadata
 
@@ -51,7 +52,11 @@ def _version() -> str:
         return "0.0.0+unpackaged"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: argparse leaves reference cycles behind
+    # each parser it builds (its help formatters), which only the cyclic
+    # garbage collector frees; parsing with a built parser leaves none.
     parser = argparse.ArgumentParser(
         prog="cellnet",
         description="Compile occurrence Petri nets into stochastic-matrix arrows "

@@ -111,10 +111,11 @@ def _clip_to_boundary(transactions, boundary: frozenset[str]):
     cell (produced there, but every consumer conflicts with the chosen
     run).  Nothing outside the cell can ever consume it, so the matrix
     semantics drops it; the stranded places stay accounted among the
-    transaction's nodes.
+    transaction's nodes.  A transaction that strands nothing is kept as
+    it is.
     """
     return frozenset(
-        Process(
+        proc if proc.final_places <= boundary else Process(
             proc.transitions,
             proc.initial_places,
             proc.final_places & boundary,

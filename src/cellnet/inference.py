@@ -62,10 +62,9 @@ class State:
 
     def place_marginal(self, place: PlaceId) -> float:
         """Probability that the given place is marked."""
-        self.wiring.position(place)
-        return float(
-            sum(v for k, v in enumerate(self.probs) if place in self.wiring.subset_at(k))
-        )
+        # Python's sum, not numpy's pairwise one: the marked entries are
+        # added one at a time, in index order
+        return float(sum(self.probs[_marked(self.wiring, place) == 1].tolist()))
 
 
 @dataclass(frozen=True, eq=False)

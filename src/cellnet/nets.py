@@ -8,7 +8,9 @@ Places and transitions are opaque strings living in disjoint namespaces.
 All values are immutable after construction and every operation is a pure
 function of its inputs, so nets can be shared freely across threads.
 Each :class:`Net` is checked once; a subnet derived from a checked net
-(:func:`subnet_of`: s-cells and their restrictions) inherits that check.
+(:func:`subnet_of`: s-cells and their restrictions) inherits that check
+and its parent's pre- and post-set tables, cut down to the subnet's
+nodes, sharing every set the cut leaves whole.
 Set-valued results are deterministic: whenever an order is needed it is
 the lexicographic order on identifiers.
 """
@@ -33,7 +35,15 @@ Walk = Generator[Any, Any, _R]  # a generator for run(), with result type _R
 def run(walk: Walk[_R]) -> _R:
     """Run a walk: a generator that yields each sub-walk whose result it
     needs, receives that result, and returns its own.  Walks in progress
-    wait on this function's list, not on Python's stack."""
+    wait on this function's list, not on Python's stack.
+
+    A walk must not reach itself through a closure: a generator function
+    nested in its caller that yields calls of itself refers to itself
+    through its own closure cell, a reference cycle that keeps every
+    table and memo it closes over alive until the cyclic garbage
+    collector runs.  Write such a walk at module level, taking what it
+    needs as arguments, so that reference counting frees it when
+    :func:`run` returns."""
     path, result = [walk], None
     while path:
         try:
@@ -245,8 +255,17 @@ class ValidationReport:
 def dependents(net: Net, places: Iterable[PlaceId]) -> frozenset[NodeId]:
     """The nodes with one of ``places`` below them, those places
     included: on an occurrence net, everything that can no longer happen
-    when they never receive a token."""
-    return frozenset().union(*(net._descendants[p] for p in places))
+    when they never receive a token.  A search forward along the flow
+    from the places, which builds no closure of the whole net."""
+    post = net._post
+    reached = set(places)
+    pending = [post[p] for p in reached]
+    while pending:
+        for y in pending.pop():
+            if y not in reached:
+                reached.add(y)
+                pending.append(post[y])
+    return frozenset(reached)
 
 
 def validate_occurrence(net: Net) -> ValidationReport:
@@ -304,17 +323,37 @@ def ensure_occurrence(net: Net) -> None:
         raise OccurrenceError(f"not an occurrence net:\n{report}")
 
 
-def subnet_of(parent: Net, places: Iterable[PlaceId], transitions: Iterable[TransitionId],
-              flow: Iterable[tuple[NodeId, NodeId]]) -> Net:
-    """A subnet of a checked occurrence net: some of its nodes, the flow
-    between them and the whole pre-set of each transition kept.  It is
-    acyclic, has a subset of each place's producers, and its conflicting
-    causes conflict in the parent: an occurrence net, so not rechecked."""
+def subnet_of(parent: Net, places: Iterable[PlaceId], transitions: Iterable[TransitionId]) -> Net:
+    """A subnet of a checked occurrence net: some of its nodes, the whole
+    pre-set of each transition among them, and the flow between them.
+    It is acyclic, has a subset of each place's producers, and its
+    conflicting causes conflict in the parent: an occurrence net, so not
+    rechecked.  Its pre- and post-set tables are the parent's cut down
+    to the kept nodes, and keep the parent's set object wherever the cut
+    leaves it whole (a kept transition's pre-set, a place whose
+    consumers all stay); its flow and its initial and final places are
+    read off those tables."""
     ensure_occurrence(parent)
+    places, transitions = frozenset(places), frozenset(transitions)
+    kept = places | transitions
+    pre, post = _cut(parent._pre, kept), _cut(parent._post, kept)
+    flow = frozenset([(p, t) for t in transitions for p in pre[t]]
+                     + [(t, q) for t in transitions for q in post[t]])
     sub = object.__new__(Net)  # skips Net's well-formedness checks, implied by the parent's
-    sub.__dict__.update(places=frozenset(places), transitions=frozenset(transitions),
-                        flow=frozenset(flow), _occurrence_report=parent._occurrence_report)
+    sub.__dict__.update(places=places, transitions=transitions, flow=flow, _pre=pre, _post=post,
+                        _min_places=frozenset([p for p in places if not pre[p]]),
+                        _max_places=frozenset([p for p in places if not post[p]]),
+                        _occurrence_report=parent._occurrence_report)
     return sub
+
+
+_Table = dict[NodeId, frozenset[NodeId]]  # a pre- or post-set per node
+
+
+def _cut(table: _Table, kept: frozenset[NodeId]) -> _Table:
+    """A pre- or post-set table restricted to the ``kept`` nodes, sharing
+    each set that lies within them."""
+    return {x: ys if (ys := table[x]) <= kept else ys & kept for x in kept}
 
 
 def min_places(net: Net) -> frozenset[PlaceId]:
@@ -454,22 +493,28 @@ def enumerate_transactions(marked: MarkedNet) -> frozenset[Process]:
         raise OccurrenceError(f"unmarked initial place present: {sorted(unmarked)}")
 
     net = marked.net
-    memo: dict[frozenset[PlaceId], frozenset[frozenset[TransitionId]]] = {}
+    return frozenset(_process_of(net, fired) for fired in run(_completions(net, marked.marking, {})))
 
-    def completions(m: frozenset[PlaceId]) -> Walk[frozenset[frozenset[TransitionId]]]:
-        if m in memo:
-            return memo[m]
-        fireable = sorted(t for t in net.transitions if net.pre(t) <= m)
-        if not fireable:
-            result = frozenset({frozenset()})
-        else:
-            acc: set[frozenset[TransitionId]] = set()
-            for t in fireable:
-                after = (m - net.pre(t)) | net.post(t)
-                for rest in (yield completions(after)):
-                    acc.add(rest | {t})
-            result = frozenset(acc)
-        memo[m] = result
-        return result
 
-    return frozenset(_process_of(net, fired) for fired in run(completions(marked.marking)))
+_Firings = frozenset[frozenset[TransitionId]]  # the transition sets of some runs
+
+
+def _completions(net: Net, m: frozenset[PlaceId],
+                 memo: dict[frozenset[PlaceId], _Firings]) -> Walk[_Firings]:
+    """The transition sets of the maximal runs from marking m; the result
+    for each marking reached is kept in ``memo``."""
+    if m in memo:
+        return memo[m]
+    pre, post = net._pre, net._post
+    fireable = sorted(t for t in net.transitions if pre[t] <= m)
+    if not fireable:
+        result = frozenset({frozenset()})
+    else:
+        acc: set[frozenset[TransitionId]] = set()
+        for t in fireable:
+            after = (m - pre[t]) | post[t]
+            for rest in (yield _completions(net, after, memo)):
+                acc.add(rest | {t})
+        result = frozenset(acc)
+    memo[m] = result
+    return result

@@ -236,24 +236,26 @@ def initial_stopping_prefixes(pes: PES) -> frozenset[frozenset[TransitionId]]:
 
 def _maximal_configurations_within(pes: PES, block: frozenset[TransitionId]) -> frozenset[Configuration]:
     """The maximal configurations contained in a downward-closed block."""
-    ordered = sorted(block)
     found: set[Configuration] = set()
-
-    def grow(current: frozenset[TransitionId]) -> Walk[None]:
-        found.add(current)
-        for e in ordered:
-            if e in current:
-                continue
-            if not pes.down(e) - {e} <= current:
-                continue
-            if pes.rivals[e] & current:
-                continue
-            nxt = current | {e}
-            if nxt not in found:
-                yield grow(nxt)
-
-    run(grow(frozenset()))
+    run(_grow(pes, sorted(block), found, frozenset()))
     return frozenset(c for c in found if not any(c < d for d in found))
+
+
+def _grow(pes: PES, ordered: list[TransitionId], found: set[Configuration],
+          current: Configuration) -> Walk[None]:
+    """Add to ``found`` every configuration that extends ``current`` by
+    events of ``ordered``."""
+    found.add(current)
+    for e in ordered:
+        if e in current:
+            continue
+        if not pes.down(e) - {e} <= current:
+            continue
+        if pes.rivals[e] & current:
+            continue
+        nxt = current | {e}
+        if nxt not in found:
+            yield _grow(pes, ordered, found, nxt)
 
 
 @dataclass(frozen=True)

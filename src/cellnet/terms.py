@@ -82,44 +82,108 @@ class ConstantKey:
         return acc
 
 
+_HASH = "_hash"  # the instance attribute that holds a node's hash
+
+
 class Term:
-    """Base class of the term AST (all nodes are frozen dataclasses)."""
+    """Base class of the term AST.  The nodes are frozen dataclasses that
+    leave equality and hashing to this class.
+
+    Equality and hashing are structural: two terms are equal when they
+    are nodes of one kind with equal fields.  Both walk the term with a
+    list instead of recursing, so a term nested past Python's recursion
+    limit compares and hashes.  A node's hash is computed once and kept
+    on the node, outside its fields, as :func:`typecheck` keeps its
+    type."""
+
+    def _parts(self) -> tuple[tuple, tuple[Term, ...]]:
+        """The node's fields that are not terms, and its subterms."""
+        raise NotImplementedError
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Term):
+            return NotImplemented
+        pending = [(self, other)]
+        while pending:
+            a, b = pending.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            own_a, subs_a = a._parts()
+            own_b, subs_b = b._parts()
+            if own_a != own_b or len(subs_a) != len(subs_b):
+                return False
+            pending.extend(zip(subs_a, subs_b))
+        return True
+
+    def __hash__(self) -> int:
+        pending = [self]  # each node is hashed after its subterms
+        while pending:
+            t = pending[-1]
+            if _HASH in t.__dict__:
+                pending.pop()
+                continue
+            own, subs = t._parts()
+            unhashed = [sub for sub in subs if _HASH not in sub.__dict__]
+            if unhashed:
+                pending += unhashed
+                continue
+            pending.pop()
+            below = tuple(sub.__dict__[_HASH] for sub in subs)
+            t.__dict__[_HASH] = hash((type(t).__name__, own, below))
+        return self.__dict__[_HASH]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Identity(Term):
     places: frozenset[PlaceId]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "places", frozenset(self.places))
 
+    def _parts(self) -> tuple[tuple, tuple[Term, ...]]:
+        return (self.places,), ()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Dead(Term):
     places: frozenset[PlaceId]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "places", frozenset(self.places))
 
+    def _parts(self) -> tuple[tuple, tuple[Term, ...]]:
+        return (self.places,), ()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Par(Term):
     left: Term
     right: Term
 
+    def _parts(self) -> tuple[tuple, tuple[Term, ...]]:
+        return (), (self.left, self.right)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Seq(Term):
     first: Term
     second: Term
 
+    def _parts(self) -> tuple[tuple, tuple[Term, ...]]:
+        return (), (self.first, self.second)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Constant(Term):
     key: ConstantKey
 
+    def _parts(self) -> tuple[tuple, tuple[Term, ...]]:
+        return (self.key,), ()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Sum(Term):
     """Case split over the subsets of ``inputs``; branches are stored
     sorted by subset so structurally equal sums compare equal."""
@@ -145,6 +209,9 @@ class Sum(Term):
             return self._by_subset[frozenset(m)]
         except KeyError:
             raise TermError(f"sum has no branch for {render_place_set(m)}") from None
+
+    def _parts(self) -> tuple[tuple, tuple[Term, ...]]:
+        return (self.inputs, tuple(m for m, _ in self.branches)), tuple(t for _, t in self.branches)
 
 
 def make_sum(inputs: Iterable[PlaceId], branches: Mapping[frozenset[PlaceId], Term]) -> Sum:
@@ -390,39 +457,39 @@ def _render_process(proc: Process) -> str:
 def render_term(term: Term) -> str:
     """The term's text in the grammar above."""
     pieces: list[str] = []
-
-    def emit(t: Term) -> Walk[None]:
-        if isinstance(t, Identity):
-            pieces.append(f"I{render_place_set(t.places)}")
-        elif isinstance(t, Dead):
-            pieces.append(f"Bot{render_place_set(t.places)}")
-        elif isinstance(t, (Par, Seq)):
-            first, op, second = (t.left, " + ", t.right) if isinstance(t, Par) else (t.first, " ; ", t.second)
-            pieces.append("(")
-            yield emit(first)
-            pieces.append(op)
-            yield emit(second)
-            pieces.append(")")
-        elif isinstance(t, Constant):
-            key = t.key
-            processes = "; ".join(
-                _render_process(p) for p in sorted(key.transactions, key=Process.sort_key)
-            )
-            pieces.append(
-                f"cell[{render_place_set(key.marked)}>"
-                f"{render_place_set(key.outputs)}: {processes}]"
-            )
-        elif isinstance(t, Sum):
-            pieces.append(f"sum{render_place_set(t.inputs)}[")
-            for i, m in enumerate(subsets_lex(t.inputs)):
-                pieces.append(f"{', ' if i else ''}{render_place_set(m)}: ")
-                yield emit(t.branch(m))
-            pieces.append("]")
-        else:
-            raise TermError(f"not a term: {t!r}")
-
-    run(emit(term))
+    run(_emit(term, pieces))
     return "".join(pieces)
+
+
+def _emit(t: Term, pieces: list[str]) -> Walk[None]:
+    if isinstance(t, Identity):
+        pieces.append(f"I{render_place_set(t.places)}")
+    elif isinstance(t, Dead):
+        pieces.append(f"Bot{render_place_set(t.places)}")
+    elif isinstance(t, (Par, Seq)):
+        first, op, second = (t.left, " + ", t.right) if isinstance(t, Par) else (t.first, " ; ", t.second)
+        pieces.append("(")
+        yield _emit(first, pieces)
+        pieces.append(op)
+        yield _emit(second, pieces)
+        pieces.append(")")
+    elif isinstance(t, Constant):
+        key = t.key
+        processes = "; ".join(
+            _render_process(p) for p in sorted(key.transactions, key=Process.sort_key)
+        )
+        pieces.append(
+            f"cell[{render_place_set(key.marked)}>"
+            f"{render_place_set(key.outputs)}: {processes}]"
+        )
+    elif isinstance(t, Sum):
+        pieces.append(f"sum{render_place_set(t.inputs)}[")
+        for i, m in enumerate(subsets_lex(t.inputs)):
+            pieces.append(f"{', ' if i else ''}{render_place_set(m)}: ")
+            yield _emit(t.branch(m), pieces)
+        pieces.append("]")
+    else:
+        raise TermError(f"not a term: {t!r}")
 
 
 _TOKEN = re.compile(r"\s*([{}()\[\]+;:>,|]|[A-Za-z0-9_.\-]+)")

@@ -5,8 +5,8 @@ its term nest 1000 sequential layers.  wide(1000) is 1000 independent
 one-transition cells in one layer, which ``compile`` composes as a
 balanced + tree about log2(1000) deep; a hand-written + chain of 1000
 cells, nested to the left, keeps a deep + under test.  Each test runs a
-term or tree walk down one of those nestings, far past Python's
-recursion limit."""
+term or tree walk, comparison or hash down one of those nestings, far
+past Python's recursion limit."""
 
 from __future__ import annotations
 
@@ -122,6 +122,16 @@ def test_wide_terms_compare_with_eq(nets, terms):
     assert parse_term(render_term(first)) == first
 
 
+def test_deep_terms_compare_and_hash(terms):
+    # Seq nests 1000 deep, and the first cell is the innermost node
+    term = terms["deep"]
+    text = render_term(term)
+    again = parse_term(text)
+    assert again is not term
+    assert again == term and hash(again) == hash(term)
+    assert parse_term(text.replace("t0000", "u0000")) != term
+
+
 def _stored_types(term):
     """The type typecheck stored on each node of the term."""
     pending, types = [term], []
@@ -154,6 +164,9 @@ def test_a_left_nested_plus_chain_of_1000_cells():
     text = "(" * (N - 1) + cells[0] + "".join(f" + {c})" for c in cells[1:])
     term = parse_term(text)
     assert render_term(term) == text
+    again = parse_term(text)
+    assert again == term and hash(again) == hash(term)
+    assert parse_term(text.replace("a0", "z0")) != term
     ty = typecheck(term)
     assert ty.inputs == frozenset() and ty.outputs == {"q0"} and len(ty.nodes) == 2 * N + 2
     assert typecheck(normalize(term)) == ty

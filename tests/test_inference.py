@@ -6,6 +6,7 @@ from cellnet import (
     Predicate,
     State,
     Wiring,
+    WiringError,
     compile_net,
     condition,
     forward,
@@ -170,3 +171,21 @@ def test_state_and_predicate_refuse_non_finite_entries(bad):
         State(wiring, np.array([0.5, bad]))
     with pytest.raises(InferenceError, match=r"of \{\} is .*not finite"):
         Predicate(wiring, np.array([bad, 1.0]))
+
+
+def test_place_marginal_adds_in_index_order():
+    # the marked entries, summed one at a time in index order: bitwise
+    # what a loop over the subsets gives
+    rng = np.random.default_rng(5)
+    for i in range(200):
+        wiring = Wiring(tuple(f"p{k}" for k in range(1 + i % 10)))
+        weights = rng.random(wiring.size) ** 3
+        state = State(wiring, weights / weights.sum())
+        for place in wiring.places:
+            expected = 0.0
+            for k, p in enumerate(state.probs.tolist()):
+                if place in wiring.subset_at(k):
+                    expected += p
+            assert state.place_marginal(place).hex() == expected.hex()
+    with pytest.raises(WiringError, match="'q' is not wired"):
+        state.place_marginal("q")

@@ -59,7 +59,7 @@ from cellnet import (
 )
 from cellnet.cells import cell_classes, cell_leaves
 from cellnet.compiler import _compile_tree
-from cellnet.nets import subnet_of
+from cellnet.nets import dependents, subnet_of
 from cellnet.oracle import _live_events, _maximal_r_stopped, _net_pes
 from cellnet.terms import subsets_lex
 from references import (
@@ -588,11 +588,18 @@ def test_derived_subnets_are_the_occurrence_nets_they_claim_to_be():
             assert all(parent.pre(t) <= sub.places for t in sub.transitions)
             if classes is not None:
                 assert cell_classes(copy) == list(classes)
-                # a cell's subnet is handed its initial and final places:
-                # no pre-set table was built to find them
-                assert "_pre" not in sub.__dict__
+            # the subnet holds the parent's tables cut down to its nodes
+            # (read from its __dict__, so none is built from its flow),
+            # equal to the ones the copy builds, and shares each
+            # transition's whole pre-set with the parent
+            assert sub.__dict__["_pre"] == copy._pre and sub.__dict__["_post"] == copy._post
+            assert all(sub._pre[t] is parent._pre[t] for t in sub.transitions)
             assert min_places(sub) == min_places(copy)
             assert max_places(sub) == max_places(copy)
+            for p in sub.places:
+                assert dependents(sub, {p}) == copy._descendants[p]
+            dead = min_places(sub)
+            assert dependents(sub, dead) == fs().union(*(copy._descendants[p] for p in dead))
     assert derived > 2000
 
 
@@ -644,7 +651,7 @@ def test_a_subnet_of_a_non_occurrence_net_is_refused():
     )
     for net in (cyclic, two_producers):
         with pytest.raises(OccurrenceError):
-            subnet_of(net, fs({"p"}), fs(), fs())
+            subnet_of(net, fs({"p"}), fs())
         with pytest.raises(OccurrenceError):
             scells(net)
 
