@@ -25,13 +25,13 @@ from .inference import (
 )
 from .kleisli import (
     DEFAULT_WIDTH_CAP,
+    TOLERANCE,
     DeltaTable,
     Wiring,
     arrow_to_csv,
     arrow_to_json,
     format_arrow,
     interpret,
-    lex_wiring,
     load_delta,
     validate_delta,
 )
@@ -146,11 +146,10 @@ def _split_ids(raw: str | None) -> tuple[str, ...]:
     return tuple(x for x in raw.split(",") if x)
 
 
-def _wirings(args, term) -> tuple[Wiring, Wiring]:
-    ty = typecheck(term)
-    in_wiring = Wiring(_split_ids(args.in_order)) if args.in_order else lex_wiring(ty.inputs)
-    out_wiring = Wiring(_split_ids(args.out_order)) if args.out_order else lex_wiring(ty.outputs)
-    return in_wiring, out_wiring
+def _wiring(raw: str | None) -> Wiring | None:
+    """An ``--in-order``/``--out-order`` wiring; None, for ``interpret``'s
+    lexicographic default, when the option is not given."""
+    return Wiring(_split_ids(raw)) if raw else None
 
 
 def _load_delta(path: str, strict: bool) -> DeltaTable:
@@ -167,9 +166,8 @@ def _arrow(args):
         raise CellnetError(f"δ table rejected:\n{report}")
     for signature in report.filled_uniform:
         print(f"note: δ missing for {signature}; using uniform", file=sys.stderr)
-    in_wiring, out_wiring = _wirings(args, term)
     return marked, term, delta, interpret(
-        term, delta, in_wiring, out_wiring, width_cap=args.width_cap
+        term, delta, _wiring(args.in_order), _wiring(args.out_order), width_cap=args.width_cap
     )
 
 
@@ -308,7 +306,7 @@ def _dispatch(args) -> int:
             lhs = outcome.place_marginal(place)
             rhs = state.place_marginal(place)
             worst = max(worst, abs(lhs - rhs))
-        agreement = worst <= 1e-9
+        agreement = worst <= TOLERANCE
         print(
             f"marking marginals (enumeration vs matrix, fully marked inputs): "
             f"worst |Δ| = {worst:.3e} -> {'OK' if agreement else 'MISMATCH'}"

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import FileFormatError, InferenceError
-from .kleisli import KleisliArrow, Wiring, json_number, subset_index
+from .kleisli import TOLERANCE, KleisliArrow, Wiring, json_number, subset_index
 from .nets import PlaceId
 
 
@@ -38,7 +38,7 @@ class State:
         _check_finite(self.wiring, probs, "state probability")
         if probs.min(initial=0.0) < -1e-12:
             raise InferenceError(f"state has a negative probability: {probs.min()}")
-        if abs(float(probs.sum()) - 1.0) > 1e-9:
+        if abs(float(probs.sum()) - 1.0) > TOLERANCE:
             raise InferenceError(f"state probabilities sum to {probs.sum()}, expected 1")
         probs = probs.copy()
         probs.flags.writeable = False
@@ -64,7 +64,8 @@ class State:
         """Probability that the given place is marked."""
         # Python's sum, not numpy's pairwise one: the marked entries are
         # added one at a time, in index order
-        return float(sum(self.probs[_marked(self.wiring, place) == 1].tolist()))
+        marked = subset_index(self.wiring, Wiring((place,))) == 1
+        return float(sum(self.probs[marked].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +107,7 @@ class Predicate:
         with the observed presence/absence of tokens."""
         agree = np.ones(wiring.size, dtype=bool)
         for place, present in evidence.items():
-            agree &= _marked(wiring, place) == bool(present)
+            agree &= subset_index(wiring, Wiring((place,))) == bool(present)
         return cls(wiring, agree.astype(float))
 
     def value(self, subset: Iterable[PlaceId]) -> float:
@@ -134,11 +135,6 @@ def marginalize(arrow: KleisliArrow, keep: Iterable[PlaceId]) -> KleisliArrow:
     # unbuffered, in column order: each sum is accumulated left to right
     np.add.at(matrix, (slice(None), subset_index(arrow.out_wiring, new_out)), arrow.matrix)
     return KleisliArrow(arrow.in_wiring, new_out, matrix)
-
-
-def _marked(wiring: Wiring, place: PlaceId) -> np.ndarray:
-    """For each subset index of the wiring, whether the place is in it."""
-    return np.arange(wiring.size) >> (wiring.position(place) - 1) & 1
 
 
 def forward(state: State, arrow: KleisliArrow) -> State:

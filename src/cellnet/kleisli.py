@@ -6,31 +6,31 @@ is the least-significant bit, so for places p < q the induced order is
 {}, {p}, {q}, {p,q}.  A Kleisli arrow is then a row-stochastic matrix
 from input subsets to output subsets.
 
-Interpreting a term pushes rows through it instead of building its
-layers: the identity on the term's inputs is carried through each ``;``
-in turn, and through each ``+`` one factor at a time, contracting the
-factor's matrix into the bit axes of the places it consumes.  Only cell
-constants (one row driven by the δ table's distribution over their
-transactions), dead wires and sums (one stacked row per input subset)
-build matrices of their own, so no Kronecker product or whole layer is
-ever formed.  One column gather relabels the result to the requested
-wiring.
+Interpreting a term is one walk that pushes rows through it instead of
+building its layers: the identity on the term's inputs is carried
+through each ``;`` in turn, and through each ``+`` one factor at a time,
+contracting the factor's matrix into the bit axes of the places it
+consumes.  Only cell constants (one row driven by the δ table's
+distribution over their transactions), dead wires and sums (one row per
+input subset, each the branch pushed from the empty cut by the same
+walk) build matrices of their own, so no Kronecker product or whole
+layer is ever formed.  Each cut is checked against the width cap before
+anything is allocated for it.  One column gather relabels the result to
+the requested wiring.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import DeltaError, FileFormatError, InterfaceWidthError, WiringError
-from .nets import PlaceId, Walk, run
+from .nets import PlaceId, Process, Walk, run
 from .terms import (
-    Constant,
     ConstantKey,
     Dead,
     Identity,
@@ -38,31 +38,15 @@ from .terms import (
     Seq,
     Sum,
     Term,
-    TermType,
     render_place_set,
     subsets_lex,
     typecheck,
 )
 
 DEFAULT_WIDTH_CAP = 20
-_TOLERANCE_ENV = "CELLNET_TOLERANCE"
+TOLERANCE = 1e-9  # how far a row, state or distribution may sum from 1
 
 Places = tuple[PlaceId, ...]  # a wiring's places, without the Wiring checks
-
-
-def _stochastic_tolerance() -> float:
-    """Row-sum tolerance for stochasticity checks (default 1e-9); can be
-    overridden through the CELLNET_TOLERANCE environment variable."""
-    raw = os.environ.get(_TOLERANCE_ENV)
-    if raw is None:
-        return 1e-9
-    try:
-        value = float(raw)
-    except ValueError:
-        raise WiringError(f"{_TOLERANCE_ENV} must be a float, got {raw!r}") from None
-    if value <= 0:
-        raise WiringError(f"{_TOLERANCE_ENV} must be positive, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -140,7 +124,7 @@ class Dist(Mapping):
             if prob > 0:
                 cleaned[outcome] = prob
         total = sum(cleaned.values())
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > TOLERANCE:
             raise DeltaError(f"probabilities sum to {total}, expected 1")
         self._table = cleaned
 
@@ -186,7 +170,7 @@ class KleisliArrow:
         expected = (self.in_wiring.size, self.out_wiring.size)
         if matrix.shape != expected:
             raise WiringError(f"matrix shape {matrix.shape} does not match interfaces {expected}")
-        _check_stochastic(matrix, _stochastic_tolerance())
+        _check_stochastic(matrix)
         matrix = matrix.copy()
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
@@ -195,18 +179,18 @@ class KleisliArrow:
         return float(self.matrix[self.in_wiring.index(inp), self.out_wiring.index(out)])
 
 
-def _check_stochastic(matrix: np.ndarray, tol: float) -> None:
+def _check_stochastic(matrix: np.ndarray) -> None:
     """Refuse a matrix with a non-finite entry, or with a negative entry
-    or a row that does not sum to one, both within ``tol``."""
+    or a row that does not sum to one, both within ``TOLERANCE``."""
     sums = matrix.sum(axis=1)
     if not np.isfinite(sums).all():  # a NaN or infinite entry spoils its row's sum
         row = int(np.flatnonzero(~np.isfinite(sums))[0])
         col = int(np.argmax(~np.isfinite(matrix[row])))
         raise WiringError(f"matrix entry ({row}, {col}) is {matrix[row, col]}, not finite")
-    if matrix.min(initial=0.0) < -tol:
+    if matrix.min(initial=0.0) < -TOLERANCE:
         raise WiringError(f"matrix has a negative entry: {matrix.min()}")
     worst = float(np.abs(sums - 1.0).max(initial=0.0))
-    if worst > tol:
+    if worst > TOLERANCE:
         raise WiringError(f"matrix is not row-stochastic (worst row error {worst:.3e})")
 
 
@@ -232,12 +216,6 @@ def subset_index(wiring: Wiring, kept: Wiring) -> np.ndarray:
     for bit, place in enumerate(kept.places):
         index |= (k >> (wiring.position(place) - 1) & 1) << bit
     return index
-
-
-def _dead_row(size: int) -> np.ndarray:
-    row = np.zeros((1, size))
-    row[0, 0] = 1.0
-    return row
 
 
 @dataclass(frozen=True)
@@ -394,15 +372,6 @@ def dump_delta(delta: DeltaTable) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _constant_row(key: ConstantKey, delta: DeltaTable, out_wiring: Wiring) -> np.ndarray:
-    dist = delta.distribution_for(key)
-    row = np.zeros((1, out_wiring.size))
-    # sorted so that float accumulation is reproducible across runs
-    for proc in sorted(key.transactions, key=lambda p: p.sort_key()):
-        row[0, out_wiring.index(proc.final_places)] += dist.prob(proc.transitions)
-    return row
-
-
 def interpret(
     term: Term,
     delta: DeltaTable,
@@ -415,18 +384,19 @@ def interpret(
 
     ``in_wiring``/``out_wiring`` must wire the term's input/output
     interfaces (default: lexicographic).  The identity on the inputs, in
-    their lexicographic wiring, is pushed through the term (see
-    :func:`_push`); no Kronecker product, layer matrix or permutation
-    matrix is built.  The result is relabelled to the requested wirings
-    once, by one row and one column gather.  By the
+    their lexicographic wiring, is pushed through the term by one walk
+    (see :func:`_push`); no Kronecker product, layer matrix or
+    permutation matrix is built.  The result is relabelled to the
+    requested wirings once, by one row and one column gather.  By the
     permutation-conjugation property, interpreting under other wirings
     gives the same arrow up to that relabelling.
 
-    ``width_cap`` bounds every subterm's interface and every cut the
-    pushed rows range over.  Every intermediate matrix must be
-    non-negative and row-stochastic within the tolerance, read from
-    ``CELLNET_TOLERANCE`` once per call; the returned arrow checks
-    itself, as every arrow does.
+    ``width_cap`` bounds the term's interface and every cut the pushed
+    rows range over, each checked before anything is allocated for it;
+    since a subterm's inputs lie in the cut before it and its outputs in
+    the cut after it, that bounds every subterm's interface too.  Every
+    intermediate matrix must be non-negative and row-stochastic within
+    ``TOLERANCE``; the returned arrow checks itself, as every arrow does.
     """
     ty = typecheck(term)
     if in_wiring is None:
@@ -441,8 +411,10 @@ def interpret(
         raise WiringError(
             f"output wiring {out_wiring.places} does not wire the term outputs {sorted(ty.outputs)}"
         )
-    matrix, places = run(_interpret(term, ty, delta, width_cap, _stochastic_tolerance()))
-    rows = subset_index(in_wiring, lex_wiring(ty.inputs))
+    _check_width(max(len(ty.inputs), len(ty.outputs)), width_cap)
+    ins = tuple(sorted(ty.inputs))
+    matrix, places = run(_push(np.eye(1 << len(ins)), ins, term, delta, width_cap))
+    rows = subset_index(in_wiring, Wiring(ins))
     cols = subset_index(out_wiring, Wiring(places))
     return KleisliArrow(in_wiring, out_wiring, matrix[np.ix_(rows, cols)])
 
@@ -456,92 +428,65 @@ def _check_width(width: int, cap: int) -> None:
         )
 
 
-def _type_width(ty: TermType) -> int:
-    return max(len(ty.inputs), len(ty.outputs))
-
-
-def _interpret(
-    term: Term, ty: TermType, delta: DeltaTable, cap: int, tol: float
-) -> Walk[tuple[np.ndarray, Places]]:
-    """The term's matrix, its rows indexed by the lexicographic wiring of
-    its inputs, and the places that wire its columns, first place lowest."""
-    if isinstance(term, (Dead, Constant)):
-        return _own_matrix(term, ty, delta, cap, tol)
-    _check_width(_type_width(ty), cap)
-    if not isinstance(term, Sum):
-        ins = tuple(sorted(ty.inputs))
-        return (yield _push(np.eye(1 << len(ins)), ins, (term,), delta, cap, tol))
-    outs = tuple(sorted(ty.outputs))
-    rows = []
-    for m in subsets_lex(ty.inputs):
-        branch = term.branch(m)
-        if isinstance(branch, (Dead, Constant)):
-            row, places = _own_matrix(branch, typecheck(branch), delta, cap, tol)
-        else:  # a branch has no inputs: push the one empty row through it
-            row, places = yield _push(np.eye(1), (), (branch,), delta, cap, tol)
-        rows.append(row[:, subset_index(Wiring(outs), Wiring(places))])
-    matrix = np.vstack(rows)
-    _check_stochastic(matrix, tol)
-    return matrix, outs
-
-
-def _own_matrix(
-    term: Dead | Constant, ty: TermType, delta: DeltaTable, cap: int, tol: float
-) -> tuple[np.ndarray, Places]:
-    """The one-row matrix of a dead wire or a constant, and its outputs."""
-    _check_width(_type_width(ty), cap)
-    outs = tuple(sorted(ty.outputs))
-    if isinstance(term, Dead):
-        matrix = _dead_row(1 << len(outs))
-    else:
-        matrix = _constant_row(term.key, delta, Wiring(outs))
-    _check_stochastic(matrix, tol)
-    return matrix, outs
-
-
 def _push(
-    matrix: np.ndarray, places: Places, terms: Iterable[Term], delta: DeltaTable, cap: int, tol: float
+    matrix: np.ndarray, places: Places, term: Term, delta: DeltaTable, cap: int
 ) -> Walk[tuple[np.ndarray, Places]]:
-    """Push rows through terms, one after another: ``matrix``'s columns
-    range over the subsets of a cut of places, wired by ``places``, that
-    includes a term's inputs; after the term they range over the cut
-    with those inputs replaced by the term's outputs.
+    """Push rows through a term: ``matrix``'s columns range over the
+    subsets of a cut of places, wired by ``places`` (first place
+    lowest), that includes the term's inputs; after the term they range
+    over the cut with those inputs replaced by the term's outputs.
 
     ``;`` pushes its first part, then its second, and ``+`` its factors
     one after another, narrowing ones first, so that the cut through one
-    layer never grows beyond the wider end of that layer.  Constants,
-    dead wires and sums are the only factors with a matrix of their own,
-    contracted into the cut by :func:`_contract`; identity wires stay
-    where they are.
+    layer never grows beyond the wider end of that layer; identity wires
+    stay where they are.  A dead wire, a constant (one row driven by the
+    δ table's distribution over its transactions) and a sum (one row per
+    input subset, in ``subsets_lex`` order, each its branch pushed from
+    the empty cut) build a matrix of their own, once the cut they leave
+    is checked against the cap, and it is contracted into the cut by
+    :func:`_contract`.
     """
-    for term in terms:
-        for t in _narrowing_first(term, cap) if isinstance(term, Par) else (term,):
-            ty = typecheck(t)
-            _check_width(_type_width(ty), cap)
-            if isinstance(t, Seq):
-                matrix, places = yield _push(matrix, places, (t.first, t.second), delta, cap, tol)
-            elif not isinstance(t, Identity):
-                # the cut this factor leaves, checked before anything is allocated
-                _check_width(len(places) - len(ty.inputs) + len(ty.outputs), cap)
-                if isinstance(t, Sum):
-                    factor, outs = yield _interpret(t, ty, delta, cap, tol)
-                else:
-                    factor, outs = _own_matrix(t, ty, delta, cap, tol)
-                matrix, places = _contract(matrix, places, factor, tuple(sorted(ty.inputs)), outs)
-                _check_stochastic(matrix, tol)
+    if isinstance(term, Seq):
+        matrix, places = yield _push(matrix, places, term.first, delta, cap)
+        return (yield _push(matrix, places, term.second, delta, cap))
+    if isinstance(term, Par):
+        for factor in _narrowing_first(term):
+            matrix, places = yield _push(matrix, places, factor, delta, cap)
+        return matrix, places
+    if isinstance(term, Identity):
+        return matrix, places
+    ty = typecheck(term)
+    ins, outs = tuple(sorted(ty.inputs)), tuple(sorted(ty.outputs))
+    _check_width(len(places) - len(ins) + len(outs), cap)
+    if isinstance(term, Sum):
+        rows = []
+        for m in subsets_lex(ty.inputs):
+            row, got = yield _push(np.eye(1), (), term.branch(m), delta, cap)
+            rows.append(row[:, subset_index(Wiring(outs), Wiring(got))])
+        factor = np.vstack(rows)
+    else:
+        factor = np.zeros((1, 1 << len(outs)))
+        if isinstance(term, Dead):
+            factor[0, 0] = 1.0
+        else:  # a constant
+            dist, wiring = delta.distribution_for(term.key), Wiring(outs)
+            # sorted so that float accumulation is reproducible across runs
+            for proc in sorted(term.key.transactions, key=Process.sort_key):
+                factor[0, wiring.index(proc.final_places)] += dist.prob(proc.transitions)
+    _check_stochastic(factor)
+    matrix, places = _contract(matrix, places, factor, ins, outs)
+    _check_stochastic(matrix)
     return matrix, places
 
 
-def _narrowing_first(term: Par, cap: int) -> list[Term]:
+def _narrowing_first(term: Par) -> list[Term]:
     """The factors of a ``+`` tree, stably sorted by how many places each
-    adds to the cut (outputs minus inputs), after checking the width of
-    every ``+`` node in it."""
+    adds to the cut (outputs minus inputs)."""
     factors: list[Term] = []
     pending: list[Term] = [term]
     while pending:
         t = pending.pop()
         if isinstance(t, Par):
-            _check_width(_type_width(typecheck(t)), cap)
             pending += (t.right, t.left)
         else:
             factors.append(t)

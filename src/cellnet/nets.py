@@ -225,6 +225,10 @@ class Net:
     def _max_places(self) -> frozenset[PlaceId]:
         return frozenset(p for p in self.places if not self._post[p])
 
+    @cached_property
+    def _isolated_places(self) -> frozenset[PlaceId]:
+        return self._min_places & self._max_places
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -331,18 +335,19 @@ def subnet_of(parent: Net, places: Iterable[PlaceId], transitions: Iterable[Tran
     rechecked.  Its pre- and post-set tables are the parent's cut down
     to the kept nodes, and keep the parent's set object wherever the cut
     leaves it whole (a kept transition's pre-set, a place whose
-    consumers all stay); its flow and its initial and final places are
-    read off those tables."""
+    consumers all stay); its flow and its initial, final and isolated
+    places are read off those tables."""
     ensure_occurrence(parent)
     places, transitions = frozenset(places), frozenset(transitions)
     kept = places | transitions
     pre, post = _cut(parent._pre, kept), _cut(parent._post, kept)
     flow = frozenset([(p, t) for t in transitions for p in pre[t]]
                      + [(t, q) for t in transitions for q in post[t]])
+    mins = frozenset([p for p in places if not pre[p]])
+    maxs = frozenset([p for p in places if not post[p]])
     sub = object.__new__(Net)  # skips Net's well-formedness checks, implied by the parent's
     sub.__dict__.update(places=places, transitions=transitions, flow=flow, _pre=pre, _post=post,
-                        _min_places=frozenset([p for p in places if not pre[p]]),
-                        _max_places=frozenset([p for p in places if not post[p]]),
+                        _min_places=mins, _max_places=maxs, _isolated_places=mins & maxs,
                         _occurrence_report=parent._occurrence_report)
     return sub
 
@@ -368,7 +373,7 @@ def max_places(net: Net) -> frozenset[PlaceId]:
 
 def isolated_places(net: Net) -> frozenset[PlaceId]:
     """Places that are both initial and final."""
-    return min_places(net) & max_places(net)
+    return net._isolated_places
 
 
 def identity_net(places: Iterable[PlaceId]) -> "MarkedNet":
@@ -405,7 +410,7 @@ class MarkedNet:
         if lonely:
             raise OccurrenceError(f"marking mentions isolated places {sorted(lonely)}")
 
-    @property
+    @cached_property  # kept in the instance __dict__, which frozen leaves writable
     def inputs(self) -> frozenset[PlaceId]:
         """Unmarked initial places (the input interface)."""
         return min_places(self.net) - self.marking

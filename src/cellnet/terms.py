@@ -56,6 +56,10 @@ class ConstantKey:
         object.__setattr__(self, "transactions", frozenset(self.transactions))
         if not self.transactions:
             raise TermError("a cell constant needs at least one transaction")
+        if len({p.transitions for p in self.transactions}) < len(self.transactions):
+            labels = sorted(p.label for p in self.transactions)
+            twice = next(a for a, b in zip(labels, labels[1:]) if a == b)
+            raise TermError(f"constant has two transactions on the transition set {{{twice}}}")
         finals = frozenset().union(*(p.final_places for p in self.transactions))
         if finals != self.outputs:
             raise TermError(
@@ -200,9 +204,7 @@ class Sum(Term):
             )
         )
         object.__setattr__(self, "branches", normalized)
-        # Outside the fields, like the stored type; reversed, so that a
-        # subset listed twice names its first branch.
-        self.__dict__["_by_subset"] = dict(reversed(normalized))
+        self.__dict__["_by_subset"] = dict(normalized)  # outside the fields, like the stored type
 
     def branch(self, m: frozenset[PlaceId]) -> Term:
         try:
@@ -309,6 +311,9 @@ def _typing(term: Term) -> Walk[TermType]:
         key = term.key
         ty = TermType(frozenset(), key.marked | key.nodes, key.outputs)
     elif isinstance(term, Sum):
+        for (m, _), (n, _) in zip(term.branches, term.branches[1:]):
+            if m == n:  # branches are sorted by subset, so a repeat is adjacent
+                raise TermError(f"sum has two branches for {render_place_set(m)}")
         expected = set(subsets_lex(term.inputs))
         present = {m for m, _ in term.branches}
         missing = expected - present
@@ -360,12 +365,7 @@ def constants_of(term: Term) -> frozenset[ConstantKey]:
                     f"two distinct constants share the signature {t.key.signature!r}"
                 )
             found[t.key.signature] = t.key
-        elif isinstance(t, Par):
-            pending += (t.right, t.left)
-        elif isinstance(t, Seq):
-            pending += (t.second, t.first)
-        elif isinstance(t, Sum):
-            pending.extend(sub for _, sub in reversed(t.branches))
+        pending += reversed(t._parts()[1])
     return frozenset(found.values())
 
 
@@ -386,7 +386,7 @@ def _atoms(term: Term) -> Walk[list[_Atom]]:
     if isinstance(term, Dead):
         return [_Atom(Dead(frozenset({p})), frozenset(), frozenset({p})) for p in sorted(term.places)]
     if isinstance(term, (Par, Seq)):
-        first, second = (term.left, term.right) if isinstance(term, Par) else (term.first, term.second)
+        first, second = term._parts()[1]
         return (yield _atoms(first)) + (yield _atoms(second))
     if isinstance(term, Constant):
         return [_Atom(term, frozenset(), term.key.outputs)]
@@ -467,10 +467,10 @@ def _emit(t: Term, pieces: list[str]) -> Walk[None]:
     elif isinstance(t, Dead):
         pieces.append(f"Bot{render_place_set(t.places)}")
     elif isinstance(t, (Par, Seq)):
-        first, op, second = (t.left, " + ", t.right) if isinstance(t, Par) else (t.first, " ; ", t.second)
+        first, second = t._parts()[1]
         pieces.append("(")
         yield _emit(first, pieces)
-        pieces.append(op)
+        pieces.append(" + " if isinstance(t, Par) else " ; ")
         yield _emit(second, pieces)
         pieces.append(")")
     elif isinstance(t, Constant):
@@ -595,6 +595,8 @@ class _Parser:
             branches: dict[frozenset[str], Term] = {}
             while True:
                 m = self.place_set()
+                if m in branches:
+                    raise TermSyntaxError(f"sum has two branches for {render_place_set(m)}")
                 self.take(":")
                 branches[m] = yield self.term()
                 if self.peek() == ",":

@@ -1,7 +1,8 @@
 """Reference implementations that the tests compare the library against.
 
 Each one computes something the library computes another way: the
-dense Kronecker algebra that ``interpret`` replaced, the reachability
+dense Kronecker algebra that ``interpret`` replaced, the widest cut
+that ``interpret`` checks against its width cap, the reachability
 preorder whose classes ``scells`` finds by Tarjan's algorithm, a token
 game over markings, a state marginal, and box and wire counts of a DOT
 diagram.  None of them is used by the library.
@@ -19,9 +20,14 @@ from cellnet import (
     KleisliArrow,
     MarkedNet,
     Net,
+    Par,
+    Seq,
     State,
+    Sum,
+    Term,
     Wiring,
     WiringError,
+    typecheck,
 )
 from cellnet.kleisli import subset_index
 
@@ -98,6 +104,39 @@ def relabel(arrow: KleisliArrow, in_wiring: Wiring, out_wiring: Wiring) -> Kleis
     rows = subset_index(in_wiring, arrow.in_wiring)
     cols = subset_index(out_wiring, arrow.out_wiring)
     return KleisliArrow(in_wiring, out_wiring, arrow.matrix[np.ix_(rows, cols)])
+
+
+def widest_cut(term: Term) -> int:
+    """The widest subterm interface or cut met when rows are pushed
+    through the term from its inputs: the parts of each ``;`` in order,
+    the factors of each ``+`` tree stably sorted by outputs minus inputs,
+    and each sum branch from the empty cut."""
+    return _push_widths(term, len(typecheck(term).inputs))[1]
+
+
+def _push_widths(term: Term, cut: int) -> tuple[int, int]:
+    """The width of the cut after pushing the term through a cut of
+    ``cut`` places, and the widest interface or cut met on the way."""
+    ty = typecheck(term)
+    widest = max(cut, len(ty.inputs), len(ty.outputs))
+    if isinstance(term, Seq):
+        parts = [term.first, term.second]
+    elif isinstance(term, Par):
+        parts = sorted(_factors(term), key=lambda f: len(typecheck(f).outputs) - len(typecheck(f).inputs))
+    else:
+        parts = []
+        cut += len(ty.outputs) - len(ty.inputs)
+    for part in parts:
+        cut, part_widest = _push_widths(part, cut)
+        widest = max(widest, part_widest)
+    if isinstance(term, Sum):
+        widest = max([widest] + [_push_widths(branch, 0)[1] for _, branch in term.branches])
+    return cut, max(widest, cut)
+
+
+def _factors(term: Par) -> list[Term]:
+    """The maximal non-``+`` subterms of a ``+`` tree, left to right."""
+    return [f for t in (term.left, term.right) for f in (_factors(t) if isinstance(t, Par) else [t])]
 
 
 # --------------------------------------------------------------------- #

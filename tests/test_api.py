@@ -2,10 +2,10 @@
 
 ``cellnet.__all__`` is exactly the names README's "Python API" section
 lists; every public top-level function and class under ``src/cellnet/``
-is used by another module there or is one of those names; and every
-name the benchmark in ``perfbench/`` reaches still resolves, so trimming
-the API fails here before it can break the benchmark.  ``perfbench/`` is
-only read.
+is used by another module there or is one of those names; no module there
+reads the environment; and every name the benchmark in ``perfbench/``
+reaches still resolves, so trimming the API fails here before it can
+break the benchmark.  ``perfbench/`` is only read.
 """
 
 from __future__ import annotations
@@ -74,6 +74,13 @@ def test_every_public_definition_is_used_or_documented():
             if not elsewhere and node.name not in cellnet.__all__:
                 unused.append(f"{module}.{node.name}")
     assert not unused, f"public but used nowhere else in src/ and not in the API: {unused}"
+
+
+def test_no_module_reads_the_environment():
+    # the library's behaviour is fixed by its arguments and input files
+    for path in SRC.glob("*.py"):
+        used = _names_used(ast.parse(path.read_text(encoding="utf-8")))
+        assert not used & {"environ", "getenv"}, f"{path.name} reads the environment"
 
 
 def _resolve(dotted: str, root=cellnet):

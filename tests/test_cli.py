@@ -94,6 +94,22 @@ def test_check_term_rejects_ill_typed(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "sum{a}[{}: Bot{x}, {a}: Bot{x}, {}: Bot{x}]",  # a branch subset twice
+        "cell[{a}>{b,c}: {t}:{a}>{b}; {t}:{a}>{c}]",  # a transition set twice
+    ],
+)
+def test_check_term_refuses_repeats(tmp_path, capsys, text):
+    bad = tmp_path / "bad.term"
+    bad.write_text(text)
+    assert run(["check-term", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert len(err.splitlines()) == 1 and err.startswith("cellnet check-term: ")
+
+
 def test_constants_listing(capsys):
     assert run(["constants", RUNNING]) == 0
     lines = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
@@ -215,14 +231,6 @@ def test_diagram(capsys):
 def test_matrix_rejects_bad_wiring_override(capsys):
     assert run(["matrix", RUNNING, RUNNING_DELTA, "--in-order", "7"]) == 1
     assert "wire" in capsys.readouterr().err
-
-
-def test_tolerance_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("CELLNET_TOLERANCE", "not-a-float")
-    assert run(["matrix", RUNNING, RUNNING_DELTA]) == 1
-    assert "CELLNET_TOLERANCE" in capsys.readouterr().err
-    monkeypatch.setenv("CELLNET_TOLERANCE", "1e-6")
-    assert run(["matrix", RUNNING, RUNNING_DELTA, "--keep", "7"]) == 0
 
 
 def test_usage_error_exit_code():

@@ -71,6 +71,15 @@ def test_identity_net_interfaces():
     assert isolated_places(ident.net) == fs({"s1", "s2"})
 
 
+def test_interface_sets_are_kept(three_cells):
+    # the interface sets are computed once per net, not on every read
+    ident = identity_net({"s1", "s2"})
+    assert isolated_places(ident.net) is isolated_places(ident.net)
+    partly = MarkedNet(three_cells.net, fs({"2"}))
+    assert partly.inputs == fs({"1", "3"})
+    assert partly.inputs is partly.inputs
+
+
 def test_fire(three_cells):
     fully = MarkedNet(three_cells.net, fs({"1", "2", "3"}))
     assert fire(fully, "a") == fs({"2", "3", "4"})

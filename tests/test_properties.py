@@ -5,6 +5,7 @@ randomly generated occurrence nets."""
 import json
 import random
 from itertools import islice
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -16,16 +17,20 @@ from cellnet import (
     CellLeaf,
     CompileError,
     Constant,
+    ConstantKey,
     Dead,
     DeltaTable,
+    Dist,
     Identity,
     IdentityLeaf,
+    InterfaceWidthError,
     MarkedNet,
     Net,
     OccurrenceError,
     PES,
     Par,
     ParNode,
+    Process,
     Seq,
     SeqNode,
     Sum,
@@ -43,6 +48,7 @@ from cellnet import (
     interpret,
     isolated_places,
     lex_wiring,
+    load_delta,
     load_net,
     make_sum,
     max_places,
@@ -71,6 +77,7 @@ from references import (
     relabel,
     scell_preorder,
     tensor,
+    widest_cut,
 )
 from conftest import (
     build_three_cell_net,
@@ -85,6 +92,7 @@ from conftest import (
 )
 
 fs = frozenset
+NETS = Path(__file__).resolve().parent.parent / "nets"
 
 places_strategy = st.lists(
     st.text(alphabet="abcdefgh123", min_size=1, max_size=3), min_size=0, max_size=5, unique=True
@@ -685,28 +693,43 @@ def _kronecker_interpret(term, delta):
     return copair(rows, pi)
 
 
+def _lone_leaves():
+    """A term that is one dead wire, one constant or one sum, with a δ
+    table: the leaves that interpret builds a matrix for."""
+    key = ConstantKey(
+        fs({"p"}), fs({"x", "y"}), fs({Process(fs({"t"}), fs({"p"}), fs({"x"})),
+                                      Process(fs({"u"}), fs({"p"}), fs({"y"}))})
+    )
+    delta = DeltaTable({key.signature: Dist({fs({"t"}): 0.3, fs({"u"}): 0.7})})
+    dead = Dead(fs({"x", "y"}))
+    branches = {fs(): dead, fs({"i"}): Constant(key), fs({"j"}): Par(Dead(fs({"x"})), Dead(fs({"y"}))),
+                fs({"i", "j"}): Seq(Constant(key), Identity(fs({"x", "y"})))}
+    for term in (dead, Constant(key), make_sum({"i", "j"}, branches)):
+        yield term, delta
+
+
 def _interpreter_cases():
     from conftest import build_confusion_net, build_three_cell_net
 
     rng = random.Random(21)
-    yield build_three_cell_net(), three_cell_delta()
-    yield build_confusion_net(), confusion_delta()
+    yield from _lone_leaves()
+    yield compile_net(build_three_cell_net()), three_cell_delta()
+    yield compile_net(build_confusion_net()), confusion_delta()
     for marked in (disjoint_copies(build_three_cell_net(), 2), confusion_chain(9)):
-        yield marked, random_delta(marked, rng)
+        yield compile_net(marked), random_delta(marked, rng)
     for _ in range(80):
         marked = random_occurrence_net(rng, 10, 8)
         try:
             delta = random_delta(marked, rng)
         except TermError:  # two constants share a signature
             continue
-        yield marked, delta
+        yield compile_net(marked), delta
 
 
 def test_interpret_matches_kronecker_reference():
     rng = random.Random(22)
     compared = 0
-    for marked, delta in _interpreter_cases():
-        term = compile_net(marked)
+    for term, delta in _interpreter_cases():
         for t in (term, normalize(term)):
             expected = _kronecker_interpret(t, delta)
             ins, outs = list(expected.in_wiring.places), list(expected.out_wiring.places)
@@ -736,8 +759,6 @@ def test_interpret_pushes_narrowing_factors_first():
 
 
 def test_interpret_refuses_a_cut_wider_than_the_cap():
-    from cellnet import InterfaceWidthError
-
     # each factor opens three places and closes them into two, so pushing
     # the second one holds 2 + 3 places although no type is wider than 4
     first = Seq(Dead(fs({"m1", "m2", "m3"})), _drain({"m1", "m2", "m3"}, ("a1", "a2")))
@@ -746,3 +767,39 @@ def test_interpret_refuses_a_cut_wider_than_the_cap():
     assert interpret(term, DeltaTable({}), width_cap=5).matrix.shape == (1, 16)
     with pytest.raises(InterfaceWidthError, match="width 5 exceeds the cap 4"):
         interpret(term, DeltaTable({}), width_cap=4)
+
+
+def _width_cases():
+    rng = random.Random(23)
+    for path in sorted(NETS.glob("*.net")):
+        delta = load_delta(path.with_suffix(".delta").read_text(encoding="utf-8"))
+        yield compile_net(load_net(str(path))), delta
+    for marked in (disjoint_copies(build_three_cell_net(), 2), confusion_chain(9)):
+        yield compile_net(marked), random_delta(marked, rng)
+    drawn = 0
+    while drawn < 200:
+        marked = random_occurrence_net(rng, 12, 9)
+        try:
+            delta = random_delta(marked, rng)
+        except TermError:  # two constants share a signature
+            continue
+        drawn += 1
+        yield compile_net(marked), delta
+
+
+def test_interpret_refuses_exactly_the_pushes_wider_than_the_cap():
+    # interpret checks only the term's interface and each cut it pushes
+    # through; the reference also bounds every subterm's interface
+    verdicts = {"refused": 0, "accepted": 0}
+    for term, delta in _width_cases():
+        full = interpret(term, delta).matrix
+        widest = widest_cut(term)
+        for cap in range(2, 9):
+            if widest > cap:
+                with pytest.raises(InterfaceWidthError):
+                    interpret(term, delta, width_cap=cap)
+                verdicts["refused"] += 1
+            else:
+                assert interpret(term, delta, width_cap=cap).matrix.tobytes() == full.tobytes()
+                verdicts["accepted"] += 1
+    assert sum(verdicts.values()) == 7 * 204 and min(verdicts.values()) > 100

@@ -96,6 +96,13 @@ def test_sum_branch_output_disagreement():
         )
 
 
+def test_sum_repeated_branch_rejected():
+    # a sum built directly may list a subset twice; neither branch wins
+    term = Sum(fs({"1"}), ((fs(), Dead(fs({"4"}))), (fs({"1"}), Dead(fs({"4"}))), (fs(), Dead(fs({"4"})))))
+    with pytest.raises(TermError, match=r"two branches for \{\}"):
+        typecheck(term)
+
+
 def test_compiled_term_type(three_cells):
     ty = typecheck(compile_net(three_cells))
     assert ty.inputs == fs({"1"})
@@ -108,6 +115,10 @@ def test_constant_key_invariants():
         ConstantKey(fs({"1"}), fs({"9"}), fs({Process(fs({"a"}), fs({"1"}), fs({"4"}))}))
     with pytest.raises(TermError):
         ConstantKey(fs(), fs({"4"}), fs({Process(fs({"a"}), fs({"1"}), fs({"4"}))}))
+    # δ is indexed by transition set, so two transactions may not share one
+    twice = fs({Process(fs({"t"}), fs({"1"}), fs({"4"})), Process(fs({"t"}), fs({"1"}), fs({"5"}))})
+    with pytest.raises(TermError, match=r"transition set \{t\}"):
+        ConstantKey(fs({"1"}), fs({"4", "5"}), twice)
 
 
 def test_signature_rendering():
