@@ -354,10 +354,13 @@ def canonical_form(marked: MarkedNet) -> TreeNode:
     layer, pads = stratify(
         [(leaf.inputs, leaf.outputs) for leaf in leaves], marked.inputs, marked.outputs
     )
+    # scells returns the cells sorted by smallest member place, and each
+    # layer keeps that order
+    cells_of: list[list[TreeNode]] = [[] for _ in pads]
+    for leaf, k in zip(leaves, layer):
+        cells_of[k - 1].append(leaf)
     layers: list[TreeNode] = []
-    for j, pad in enumerate(pads, start=1):
-        # scells returns the cells sorted by smallest member place
-        children: list[TreeNode] = [leaf for leaf, k in zip(leaves, layer) if k == j]
+    for children, pad in zip(cells_of, pads):
         if pad:
             children.append(IdentityLeaf(pad))
         layers.append(children[0] if len(children) == 1 else ParNode(tuple(children)))

@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from importlib import metadata
 
 from . import netfile
 from .cells import canonical_form, cell_order, render_tree, scells
@@ -46,10 +45,26 @@ from .terms import constants_of, parse_term, render_place_set, render_term, type
 
 
 def _version() -> str:
+    from importlib import metadata  # only ``--version`` needs it
+
     try:
         return metadata.version("cellnet")
     except metadata.PackageNotFoundError:
         return "0.0.0+unpackaged"
+
+
+class _VersionAction(argparse.Action):
+    """``--version``, which looks the version up only when it is given."""
+
+    def __init__(self, option_strings, dest):
+        super().__init__(
+            option_strings, argparse.SUPPRESS, nargs=0, default=argparse.SUPPRESS,
+            help="show program's version number and exit",
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"{parser.prog} {_version()}")
+        parser.exit()
 
 
 @functools.cache
@@ -62,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Compile occurrence Petri nets into stochastic-matrix arrows "
         "and reason about their markings.",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {_version()}")
+    parser.add_argument("--version", action=_VersionAction)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check the occurrence-net conditions")

@@ -6,19 +6,24 @@ predicates assign each subset a value in [0,1] (sharp events are the 0/1
 special case).  Forward inference pushes a state through an arrow,
 backward inference pulls a predicate back, and conditioning reweighs a
 state by a predicate, normalising by the validity.
+
+numpy is imported inside the functions that build or read an array, as
+in ``kleisli``: ``cellnet`` imports this module for every command, and
+the commands that never build a matrix should not pay numpy's import.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import FileFormatError, InferenceError
 from .kleisli import TOLERANCE, KleisliArrow, Wiring, json_number, subset_index
 from .nets import PlaceId
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,6 +34,8 @@ class State:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         probs = np.asarray(self.probs, dtype=float)
         if probs.shape != (self.wiring.size,):
             raise InferenceError(
@@ -46,6 +53,8 @@ class State:
 
     @classmethod
     def from_mapping(cls, wiring: Wiring, table: Mapping[frozenset[PlaceId], float]) -> "State":
+        import numpy as np
+
         probs = np.zeros(wiring.size)
         for subset, p in table.items():
             probs[wiring.index(subset)] += p
@@ -53,6 +62,8 @@ class State:
 
     @classmethod
     def point(cls, wiring: Wiring, subset: Iterable[PlaceId]) -> "State":
+        import numpy as np
+
         probs = np.zeros(wiring.size)
         probs[wiring.index(subset)] = 1.0
         return cls(wiring, probs)
@@ -77,6 +88,8 @@ class Predicate:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         values = np.asarray(self.values, dtype=float)
         if values.shape != (self.wiring.size,):
             raise InferenceError(
@@ -92,6 +105,8 @@ class Predicate:
 
     @classmethod
     def from_mapping(cls, wiring: Wiring, table: Mapping[frozenset[PlaceId], float]) -> "Predicate":
+        import numpy as np
+
         values = np.zeros(wiring.size)
         for subset, v in table.items():
             values[wiring.index(subset)] = v
@@ -99,12 +114,16 @@ class Predicate:
 
     @classmethod
     def always(cls, wiring: Wiring) -> "Predicate":
+        import numpy as np
+
         return cls(wiring, np.ones(wiring.size))
 
     @classmethod
     def from_evidence(cls, wiring: Wiring, evidence: Mapping[PlaceId, bool]) -> "Predicate":
         """The sharp predicate holding exactly on subsets that agree
         with the observed presence/absence of tokens."""
+        import numpy as np
+
         agree = np.ones(wiring.size, dtype=bool)
         for place, present in evidence.items():
             agree &= subset_index(wiring, Wiring((place,))) == bool(present)
@@ -116,6 +135,8 @@ class Predicate:
 
 def _check_finite(wiring: Wiring, vector: np.ndarray, what: str) -> None:
     """Refuse a NaN or infinite entry, naming the subset it belongs to."""
+    import numpy as np
+
     bad = np.flatnonzero(~np.isfinite(vector))
     if bad.size:
         k = int(bad[0])
@@ -126,6 +147,8 @@ def _check_finite(wiring: Wiring, vector: np.ndarray, what: str) -> None:
 def marginalize(arrow: KleisliArrow, keep: Iterable[PlaceId]) -> KleisliArrow:
     """Discard the output wires outside ``keep``, summing the columns
     that agree on the kept places."""
+    import numpy as np
+
     keep = frozenset(keep)
     stray = keep - arrow.out_wiring.place_set
     if stray:

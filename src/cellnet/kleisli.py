@@ -17,6 +17,12 @@ walk) build matrices of their own, so no Kronecker product or whole
 layer is ever formed.  Each cut is checked against the width cap before
 anything is allocated for it.  One column gather relabels the result to
 the requested wiring.
+
+numpy is imported inside the functions that build or read an array,
+not at the top of the module: the structural commands (``compile``,
+``canon``, ``cells`` and the others that never build a matrix) import
+this module through ``cellnet`` and should not pay numpy's import.
+Once numpy is loaded, each such import is a lookup in ``sys.modules``.
 """
 
 from __future__ import annotations
@@ -24,9 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
 
 from .errors import DeltaError, FileFormatError, InterfaceWidthError, WiringError
 from .nets import PlaceId, Process, Walk, run
@@ -42,6 +46,9 @@ from .terms import (
     subsets_lex,
     typecheck,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_WIDTH_CAP = 20
 TOLERANCE = 1e-9  # how far a row, state or distribution may sum from 1
@@ -166,6 +173,8 @@ class KleisliArrow:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         matrix = np.asarray(self.matrix, dtype=float)
         expected = (self.in_wiring.size, self.out_wiring.size)
         if matrix.shape != expected:
@@ -182,6 +191,8 @@ class KleisliArrow:
 def _check_stochastic(matrix: np.ndarray) -> None:
     """Refuse a matrix with a non-finite entry, or with a negative entry
     or a row that does not sum to one, both within ``TOLERANCE``."""
+    import numpy as np
+
     sums = matrix.sum(axis=1)
     if not np.isfinite(sums).all():  # a NaN or infinite entry spoils its row's sum
         row = int(np.flatnonzero(~np.isfinite(sums))[0])
@@ -195,12 +206,16 @@ def _check_stochastic(matrix: np.ndarray) -> None:
 
 
 def identity_arrow(wiring: Wiring) -> KleisliArrow:
+    import numpy as np
+
     return KleisliArrow(wiring, wiring, np.eye(wiring.size))
 
 
 def permutation_arrow(source: Wiring, target: Wiring) -> KleisliArrow:
     """The 0/1 arrow relabelling subset indices between two wirings of
     the same place set: one column gather of the identity."""
+    import numpy as np
+
     if source.place_set != target.place_set:
         raise WiringError(f"wirings order different sets: {source.places} vs {target.places}")
     return KleisliArrow(source, target, np.eye(source.size)[:, subset_index(target, source)])
@@ -211,6 +226,8 @@ def subset_index(wiring: Wiring, kept: Wiring) -> np.ndarray:
     places), for a wiring ``kept`` of some of the wiring's places: bit b
     of r[k] is the bit of k at the wiring's position of kept's b-th
     place.  When both wire one set, r relabels subset indices."""
+    import numpy as np
+
     k = np.arange(wiring.size)
     index = np.zeros(wiring.size, dtype=np.intp)
     for bit, place in enumerate(kept.places):
@@ -398,6 +415,8 @@ def interpret(
     intermediate matrix must be non-negative and row-stochastic within
     ``TOLERANCE``; the returned arrow checks itself, as every arrow does.
     """
+    import numpy as np
+
     ty = typecheck(term)
     if in_wiring is None:
         in_wiring = lex_wiring(ty.inputs)
@@ -455,6 +474,8 @@ def _push(
         return matrix, places
     if isinstance(term, Identity):
         return matrix, places
+    import numpy as np
+
     ty = typecheck(term)
     ins, outs = tuple(sorted(ty.inputs)), tuple(sorted(ty.outputs))
     _check_width(len(places) - len(ins) + len(outs), cap)

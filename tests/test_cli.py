@@ -1,4 +1,5 @@
 import json
+from importlib import metadata
 
 import pytest
 
@@ -248,9 +249,14 @@ def test_outputs_are_byte_stable(capsys):
 
 
 def test_version(capsys):
+    try:
+        version = metadata.version("cellnet")
+    except metadata.PackageNotFoundError:
+        version = "0.0.0+unpackaged"
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+    assert capsys.readouterr() == (f"cellnet {version}\n", "")
 
 
 def _write_net(path, places, transitions, marking):
