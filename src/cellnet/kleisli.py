@@ -14,9 +14,12 @@ consumes.  Only cell constants (one row driven by the δ table's
 distribution over their transactions), dead wires and sums (one row per
 input subset, each the branch pushed from the empty cut by the same
 walk) build matrices of their own, so no Kronecker product or whole
-layer is ever formed.  Each cut is checked against the width cap before
-anything is allocated for it.  One column gather relabels the result to
-the requested wiring.
+layer is ever formed.  The empty cut, the monoidal unit ``I{}``, holds
+no matrix until its first factor, which by the unit law becomes the cut
+as it is: a term with no inputs and every sum branch start from their
+first factor, and nothing is contracted into the identity on no places.
+Each cut is checked against the width cap before anything is allocated
+for it.  One column gather relabels the result to the requested wiring.
 
 numpy is imported inside the functions that build or read an array,
 not at the top of the module: the structural commands (``compile``,
@@ -190,19 +193,25 @@ class KleisliArrow:
 
 def _check_stochastic(matrix: np.ndarray) -> None:
     """Refuse a matrix with a non-finite entry, or with a negative entry
-    or a row that does not sum to one, both within ``TOLERANCE``."""
+    or a row that does not sum to one, both within ``TOLERANCE``.
+
+    A valid matrix costs one pass: its row sums, their worst error (NaN
+    or infinite when an entry is not finite, so it fails the test) and
+    its least entry.  Only a refused matrix is looked at again, to name
+    the first fault in that order."""
     import numpy as np
 
     sums = matrix.sum(axis=1)
+    worst = float(np.abs(sums - 1.0).max(initial=0.0))
+    if worst <= TOLERANCE and matrix.min(initial=0.0) >= -TOLERANCE:
+        return
     if not np.isfinite(sums).all():  # a NaN or infinite entry spoils its row's sum
         row = int(np.flatnonzero(~np.isfinite(sums))[0])
         col = int(np.argmax(~np.isfinite(matrix[row])))
         raise WiringError(f"matrix entry ({row}, {col}) is {matrix[row, col]}, not finite")
     if matrix.min(initial=0.0) < -TOLERANCE:
         raise WiringError(f"matrix has a negative entry: {matrix.min()}")
-    worst = float(np.abs(sums - 1.0).max(initial=0.0))
-    if worst > TOLERANCE:
-        raise WiringError(f"matrix is not row-stochastic (worst row error {worst:.3e})")
+    raise WiringError(f"matrix is not row-stochastic (worst row error {worst:.3e})")
 
 
 def identity_arrow(wiring: Wiring) -> KleisliArrow:
@@ -403,8 +412,11 @@ def interpret(
     interfaces (default: lexicographic).  The identity on the inputs, in
     their lexicographic wiring, is pushed through the term by one walk
     (see :func:`_push`); no Kronecker product, layer matrix or
-    permutation matrix is built.  The result is relabelled to the
-    requested wirings once, by one row and one column gather.  By the
+    permutation matrix is built.  A term with no inputs starts from the
+    empty cut, which holds no matrix: its first factor becomes the cut,
+    and a term that builds none (an identity on no places) is the 1×1
+    matrix [[1]].  The result is relabelled to the requested wirings
+    once, by one row and one column gather.  By the
     permutation-conjugation property, interpreting under other wirings
     gives the same arrow up to that relabelling.
 
@@ -432,7 +444,10 @@ def interpret(
         )
     _check_width(max(len(ty.inputs), len(ty.outputs)), width_cap)
     ins = tuple(sorted(ty.inputs))
-    matrix, places = run(_push(np.eye(1 << len(ins)), ins, term, delta, width_cap))
+    start = np.eye(1 << len(ins)) if ins else None  # None: the empty cut
+    matrix, places = run(_push(start, ins, term, delta, width_cap))
+    if matrix is None:  # the term is an identity on no places
+        matrix = np.ones((1, 1))
     rows = subset_index(in_wiring, Wiring(ins))
     cols = subset_index(out_wiring, Wiring(places))
     return KleisliArrow(in_wiring, out_wiring, matrix[np.ix_(rows, cols)])
@@ -448,8 +463,8 @@ def _check_width(width: int, cap: int) -> None:
 
 
 def _push(
-    matrix: np.ndarray, places: Places, term: Term, delta: DeltaTable, cap: int
-) -> Walk[tuple[np.ndarray, Places]]:
+    matrix: np.ndarray | None, places: Places, term: Term, delta: DeltaTable, cap: int
+) -> Walk[tuple[np.ndarray | None, Places]]:
     """Push rows through a term: ``matrix``'s columns range over the
     subsets of a cut of places, wired by ``places`` (first place
     lowest), that includes the term's inputs; after the term they range
@@ -461,9 +476,16 @@ def _push(
     stay where they are.  A dead wire, a constant (one row driven by the
     δ table's distribution over its transactions) and a sum (one row per
     input subset, in ``subsets_lex`` order, each its branch pushed from
-    the empty cut) build a matrix of their own, once the cut they leave
-    is checked against the cap, and it is contracted into the cut by
-    :func:`_contract`.
+    the empty cut and gathered to the sum's output wiring where the
+    branch wires them otherwise) build a matrix of their own, once the
+    cut they leave is checked against the cap, and it is contracted into
+    the cut by :func:`_contract`.
+
+    The empty cut before its first factor is ``matrix=None`` with no
+    places: the first factor pushed into it is the cut as it is, with no
+    contraction and no second check, and a walk that builds no factor
+    returns ``None``.  Every factor and every contraction's result is
+    checked by :func:`_check_stochastic`.
     """
     if isinstance(term, Seq):
         matrix, places = yield _push(matrix, places, term.first, delta, cap)
@@ -482,8 +504,10 @@ def _push(
     if isinstance(term, Sum):
         rows = []
         for m in subsets_lex(ty.inputs):
-            row, got = yield _push(np.eye(1), (), term.branch(m), delta, cap)
-            rows.append(row[:, subset_index(Wiring(outs), Wiring(got))])
+            row, got = yield _push(None, (), term.branch(m), delta, cap)
+            if row is None:  # the branch is an identity on no places
+                row = np.ones((1, 1))
+            rows.append(row if got == outs else row[:, subset_index(Wiring(outs), Wiring(got))])
         factor = np.vstack(rows)
     else:
         factor = np.zeros((1, 1 << len(outs)))
@@ -495,6 +519,8 @@ def _push(
             for proc in sorted(term.key.transactions, key=Process.sort_key):
                 factor[0, wiring.index(proc.final_places)] += dist.prob(proc.transitions)
     _check_stochastic(factor)
+    if matrix is None:  # the empty cut: by the unit law, the factor is the cut
+        return factor, outs
     matrix, places = _contract(matrix, places, factor, ins, outs)
     _check_stochastic(matrix)
     return matrix, places

@@ -72,11 +72,16 @@ class ConstantKey:
                     f"transaction {proc.label} consumes unmarked places "
                     f"{sorted(proc.initial_places - self.marked)}"
                 )
+        # kept on the instance, outside the fields, so that equality,
+        # hashing and repr are those of the three fields
+        object.__setattr__(
+            self, "_signature", "|".join(sorted(p.label for p in self.transactions))
+        )
 
     @property
     def signature(self) -> str:
         """Canonical rendering of the transaction sets, e.g. ``e,g|e,h|f``."""
-        return "|".join(sorted(p.label for p in self.transactions))
+        return self._signature
 
     @property
     def nodes(self) -> frozenset[str]:

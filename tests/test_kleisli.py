@@ -174,6 +174,54 @@ def test_non_finite_matrix_entry_refused(bad):
         KleisliArrow(Wiring(("q",)), Wiring(("p",)), np.array([[0.5, 0.5], [bad, 1.0]]))
 
 
+# Each case holds one fault of the three a matrix is refused for, or
+# two: a non-finite entry is named before a negative one, and a negative
+# one before a row sum.
+_BAD_ROWS = [
+    ([1.2, -0.2], r"negative entry: -0\.2"),
+    ([0.5, 0.5 + 1e-6], r"not row-stochastic \(worst row error 1\.000e-06\)"),
+    ([-0.5, np.nan], r"entry \(0, \d\) is nan, not finite"),
+]
+
+
+@pytest.mark.parametrize("row, message", _BAD_ROWS)
+def test_arrow_names_the_first_fault(row, message):
+    from cellnet import KleisliArrow
+
+    with pytest.raises(WiringError, match=message):
+        KleisliArrow(Wiring(()), Wiring(("p",)), np.array([row]))
+
+
+class _Unchecked:
+    """A δ distribution that skips ``Dist``'s checks: what a faulty
+    producer of δ tables could hand to ``interpret``."""
+
+    def __init__(self, table):
+        self.table = table
+        self.support = frozenset(table)
+
+    def prob(self, outcome):
+        return self.table.get(outcome, 0.0)
+
+
+@pytest.mark.parametrize("row, message", _BAD_ROWS)
+@pytest.mark.parametrize("fed", [False, True], ids=["first-factor", "contracted"])
+def test_interpret_names_the_first_fault_of_a_constant(row, message, fed):
+    # the constant's row is [0, p(t), p(u), 0] over {}, {x}, {y}, {x, y};
+    # alone it is the first factor of its empty cut, beside a wire it is
+    # contracted into the identity on that wire
+    from cellnet import Constant, ConstantKey, Par, Process
+
+    key = ConstantKey(
+        fs({"p"}), fs({"x", "y"}), fs({Process(fs({"t"}), fs({"p"}), fs({"x"})),
+                                      Process(fs({"u"}), fs({"p"}), fs({"y"}))})
+    )
+    delta = DeltaTable({key.signature: _Unchecked({fs({"t"}): row[0], fs({"u"}): row[1]})})
+    term = Par(Identity(fs({"i"})), Constant(key)) if fed else Constant(key)
+    with pytest.raises(WiringError, match=message):
+        interpret(term, delta)
+
+
 # ------------------------------------------------------------------ #
 # interpret: the golden matrices
 # ------------------------------------------------------------------ #

@@ -743,6 +743,53 @@ def test_interpret_matches_kronecker_reference():
     assert compared > 250
 
 
+def _empty_cut_cases():
+    """Compiled nets and hand-built terms whose walks start from the
+    empty cut: the whole term where it has no inputs, and every sum
+    branch.  No factor in them consumes a whole cut and leaves it empty,
+    so an empty cut can only be one no factor has been pushed into."""
+    rng = random.Random(24)
+    for path in sorted(NETS.glob("*.net")):
+        delta = load_delta(path.with_suffix(".delta").read_text(encoding="utf-8"))
+        yield compile_net(load_net(str(path))), delta
+    for marked in (disjoint_copies(build_three_cell_net(), 2), confusion_chain(9)):
+        yield compile_net(marked), random_delta(marked, rng)
+    both = ConstantKey(
+        fs({"p"}), fs({"x", "y"}), fs({Process(fs({"t"}), fs({"p"}), fs({"x"})),
+                                      Process(fs({"u"}), fs({"p"}), fs({"y"}))})
+    )
+    only_y = ConstantKey(fs({"q"}), fs({"y"}), fs({Process(fs({"v"}), fs({"q"}), fs({"y"}))}))
+    delta = DeltaTable({both.signature: Dist({fs({"t"}): 0.3, fs({"u"}): 0.7}),
+                        only_y.signature: Dist({fs({"v"}): 1.0})})
+    branches = {fs(): Dead(fs({"x", "y"})), fs({"i"}): Constant(both),
+                fs({"j"}): Par(Dead(fs({"x"})), Constant(only_y)),
+                fs({"i", "j"}): Par(Constant(only_y), Dead(fs({"x"})))}
+    yield make_sum({"i", "j"}, branches), delta
+    yield Par(Constant(both), Dead(fs({"z"}))), delta
+    # branches that are identities on no places: I{} and + of two of them
+    nothing = Identity(fs())
+    yield make_sum({"i"}, {fs(): nothing, fs({"i"}): Par(nothing, nothing)}), delta
+
+
+def test_interpret_contracts_nothing_into_the_empty_cut(monkeypatch):
+    import cellnet.kleisli as kleisli
+
+    cuts = []
+    contract = kleisli._contract
+
+    def recording(matrix, places, factor, ins, outs):
+        cuts.append(places)
+        return contract(matrix, places, factor, ins, outs)
+
+    monkeypatch.setattr(kleisli, "_contract", recording)
+    for term, delta in _empty_cut_cases():
+        arrow = interpret(term, delta)
+        np.testing.assert_allclose(
+            arrow.matrix, _kronecker_interpret(term, delta).matrix, rtol=0, atol=1e-12
+        )
+    assert cuts and () not in cuts
+
+
 def _drain(inputs, outputs):
     """A sum over ``inputs`` whose every branch is the dead term on
     ``outputs``: it consumes more places than it produces."""
