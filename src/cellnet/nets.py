@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from typing import Any, Callable, Generator, Hashable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import NetError, OccurrenceError
@@ -277,7 +278,11 @@ def validate_occurrence(net: Net) -> ValidationReport:
 
     Reports one violation per offending node: nodes lying on a flow
     cycle, places with more than one producer (backward conflict), and
-    self-conflicting transitions.
+    self-conflicting transitions.  A transition is self-conflicting when
+    two consumers of one place lie below it; one pass over the pairs of
+    consumers of each place with several consumers finds them all, and
+    keeps for each the least such pair as its witness.  The flow's
+    closure is built only for a net that has such a place.
     """
     violations: list[Violation] = []
     if net._has_flow_cycle:
@@ -294,29 +299,16 @@ def validate_occurrence(net: Net) -> ValidationReport:
             )
     if not net._has_flow_cycle:
         # Conflict is only meaningful on acyclic nets.
-        shared = [p for p in net.places if len(net.post(p)) > 1]
-        for t in sorted(net.transitions):
-            witness = _self_conflict_witness(net, t, shared)
-            if witness:
-                violations.append(
-                    Violation("self-conflict", t, f"conflicting causes {witness[0]} #0 {witness[1]}")
-                )
+        witness: dict[TransitionId, tuple[TransitionId, TransitionId]] = {}
+        for p in net.places:
+            for u, v in combinations(sorted(net._post[p]), 2):
+                for t in net._descendants[u] & net._descendants[v] & net.transitions:
+                    if t not in witness or (u, v) < witness[t]:
+                        witness[t] = (u, v)
+        for t in sorted(witness):
+            u, v = witness[t]
+            violations.append(Violation("self-conflict", t, f"conflicting causes {u} #0 {v}"))
     return ValidationReport(tuple(violations))
-
-
-def _self_conflict_witness(
-    net: Net, t: TransitionId, shared: list[PlaceId]
-) -> tuple[str, str] | None:
-    """The lexicographically least pair of distinct causes of t with a
-    common pre-place.  Such a place is one of the ``shared`` places
-    (those with several consumers), and the least pair at one place is
-    its two smallest consumers among the causes of t."""
-    pairs = []
-    for p in shared:
-        rivals = sorted(u for u in net.post(p) if t in net._descendants[u])
-        if len(rivals) > 1:
-            pairs.append((rivals[0], rivals[1]))
-    return min(pairs, default=None)
 
 
 def ensure_occurrence(net: Net) -> None:
@@ -511,7 +503,7 @@ def _completions(net: Net, m: frozenset[PlaceId],
     if m in memo:
         return memo[m]
     pre, post = net._pre, net._post
-    fireable = sorted(t for t in net.transitions if pre[t] <= m)
+    fireable = [t for t in net.transitions if pre[t] <= m]
     if not fireable:
         result = frozenset({frozenset()})
     else:

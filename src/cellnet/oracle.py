@@ -10,7 +10,7 @@ compiled term admits.  The outcome distribution
 :func:`sample_outcome_distribution` by sampling) is not independent of
 the compiler: it plays the compiled term with δ's weights, so it
 checks the matrix backend's arithmetic but not the term.  A probability
-oracle that never reads the term is open (ROADMAP.md, item 1).
+oracle that never reads the term is open (ROADMAP.md, item 3).
 
 The event structure is stored as two per-event tables, each event's
 causes and its rivals (the events in conflict with it).  It is built

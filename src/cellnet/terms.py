@@ -378,30 +378,21 @@ def constants_of(term: Term) -> frozenset[ConstantKey]:
 # Normalization
 # --------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class _Atom:
-    term: Term
-    inputs: frozenset[str]
-    outputs: frozenset[str]
-
-
-def _atoms(term: Term) -> Walk[list[_Atom]]:
+def _atoms(term: Term) -> Walk[list[Term]]:
     if isinstance(term, Identity):
         return []
     if isinstance(term, Dead):
-        return [_Atom(Dead(frozenset({p})), frozenset(), frozenset({p})) for p in sorted(term.places)]
+        return [Dead(frozenset({p})) for p in sorted(term.places)]
     if isinstance(term, (Par, Seq)):
         first, second = term._parts()[1]
         return (yield _atoms(first)) + (yield _atoms(second))
     if isinstance(term, Constant):
-        return [_Atom(term, frozenset(), term.key.outputs)]
+        return [term]
     if isinstance(term, Sum):
         branches = {}
         for m, sub in term.branches:
             branches[m] = yield _normal_form(sub)
-        new_sum = make_sum(term.inputs, branches)
-        ty = typecheck(new_sum)
-        return [_Atom(new_sum, ty.inputs, ty.outputs)]
+        return [make_sum(term.inputs, branches)]
     raise TermError(f"not a term: {term!r}")
 
 
@@ -424,12 +415,13 @@ def _normal_form(term: Term) -> Walk[Term]:
         return Identity(ty.inputs)
 
     try:
-        layer, pads = stratify([(a.inputs, a.outputs) for a in atoms], ty.inputs, ty.outputs)
+        layer, pads = stratify([(a.inputs, a.outputs) for a in map(typecheck, atoms)],
+                               ty.inputs, ty.outputs)
     except CompositionError as exc:
         raise TermError(f"{exc}; cannot normalize") from exc
     layers: list[Term] = []
     for j, pad in enumerate(pads, start=1):
-        blocks = sorted((a.term for a, k in zip(atoms, layer) if k == j), key=render_term)
+        blocks = sorted((a for a, k in zip(atoms, layer) if k == j), key=render_term)
         if pad:
             blocks.append(Identity(pad))
         layers.append(par_all(blocks))

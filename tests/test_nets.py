@@ -47,6 +47,56 @@ def test_self_conflict_reported():
     assert any(v.kind == "self-conflict" and v.node == "t" for v in report.violations)
 
 
+def _net_of(arcs):
+    """The net with these arcs: nodes whose names start with 'p' are
+    places, the others transitions."""
+    nodes = {x for arc in arcs for x in arc}
+    places = {x for x in nodes if x.startswith("p")}
+    return Net(fs(places), fs(nodes - places), fs(arcs))
+
+
+def test_self_conflict_witness_is_the_least_pair_over_all_places():
+    # pa feeds u1, u3, u4 and pb feeds u2, u5.  Below t, pa's least pair
+    # is (u3, u4) and pb's is (u2, u5): the least comes from pb, the place
+    # that sorts second.  Below s, pa's (u1, u3) beats pb's (u2, u5), so
+    # whichever place is met first, keeping its pair loses one witness.
+    arcs = [("pa", u) for u in ("u1", "u3", "u4")] + [("pb", u) for u in ("u2", "u5")]
+    arcs += [(u, "p" + u) for u in ("u1", "u2", "u3", "u4", "u5")]
+    arcs += [("p" + u, "t") for u in ("u2", "u3", "u4", "u5")]
+    arcs += [("p" + u, "s") for u in ("u1", "u2", "u3", "u5")]
+    assert str(validate_occurrence(_net_of(arcs))) == (
+        "self-conflict at s: conflicting causes u1 #0 u3\n"
+        "self-conflict at t: conflicting causes u2 #0 u5"
+    )
+
+
+def test_a_consumer_below_a_rival_of_its_own_place_is_its_own_witness():
+    # u and v both consume p, and v also consumes what u produces.
+    net = _net_of([("p", "u"), ("p", "v"), ("u", "pu"), ("pu", "v"), ("v", "pv")])
+    assert str(validate_occurrence(net)) == "self-conflict at v: conflicting causes u #0 v"
+
+
+def test_self_conflicts_are_reported_in_sorted_order():
+    # z joins the conflicting a and b, and y follows z.
+    net = _net_of([("p", "a"), ("p", "b"), ("a", "pa"), ("b", "pb"),
+                   ("pa", "z"), ("pb", "z"), ("z", "pz"), ("pz", "y")])
+    assert str(validate_occurrence(net)) == (
+        "self-conflict at y: conflicting causes a #0 b\n"
+        "self-conflict at z: conflicting causes a #0 b"
+    )
+
+
+def test_the_flow_closure_is_built_only_for_a_place_with_two_consumers():
+    chain = _net_of([("p0", "t0"), ("t0", "p1"), ("p1", "t1"), ("t1", "p2")])
+    wide = _net_of([(f"p{i}", f"t{i}") for i in range(5)] + [(f"t{i}", f"pq{i}") for i in range(5)])
+    for net in (chain, wide):
+        assert validate_occurrence(net).ok
+        assert "_descendants" not in net.__dict__
+    shared = _net_of([("p", "a"), ("p", "b"), ("a", "pa")])
+    assert validate_occurrence(shared).ok
+    assert "_descendants" in shared.__dict__
+
+
 def test_empty_preset_rejected():
     with pytest.raises(NetError):
         Net(fs({"p"}), fs({"t"}), fs([("t", "p")]))
