@@ -20,7 +20,6 @@ restriction view derived from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
 from typing import Callable, Iterable, NamedTuple, TypeVar
@@ -40,13 +39,13 @@ from .nets import (
     strong_components,
     subnet_of,
     topological_order,
+    _Value,
 )
 
 _R = TypeVar("_R")
 
 
-@dataclass(frozen=True)
-class SCell:
+class SCell(_Value):
     """One structural branching cell.
 
     ``members`` is the equivalence class itself (transitions plus their
@@ -55,8 +54,11 @@ class SCell:
     net restricted to the subnet's initial places.
     """
 
-    members: frozenset[NodeId]
-    subnet: MarkedNet
+    __slots__ = _fields = ("members", "subnet")
+
+    def __init__(self, members: frozenset[NodeId], subnet: MarkedNet) -> None:
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "subnet", subnet)
 
     @property
     def nodes(self) -> frozenset[NodeId]:
@@ -226,54 +228,54 @@ def _glue(m1: _Parts, m2: _Parts) -> _Parts:
 # Canonical form
 # --------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(_Value):
     """Node of a composition tree; leaves are cell subnets and identity
     nets, internal nodes are parallel (n-ary) or sequential (binary).
-    Each node works out its interface once, when it is built."""
+    Each node works out its interface, ``inputs`` and ``outputs``, once,
+    when it is built; they stay out of its fields, so out of equality,
+    hashing and repr."""
 
-    inputs: frozenset[PlaceId] = field(init=False, compare=False, repr=False)
-    outputs: frozenset[PlaceId] = field(init=False, compare=False, repr=False)
+    __slots__ = ("inputs", "outputs")
 
     def _interface(self, inputs: frozenset[PlaceId], outputs: frozenset[PlaceId]) -> None:
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
 
 
-@dataclass(frozen=True)
 class CellLeaf(TreeNode):
-    cell: SCell
+    __slots__ = _fields = ("cell",)
 
-    def __post_init__(self) -> None:
-        self._interface(self.cell.subnet.inputs, self.cell.subnet.outputs)
+    def __init__(self, cell: SCell) -> None:
+        object.__setattr__(self, "cell", cell)
+        self._interface(cell.subnet.inputs, cell.subnet.outputs)
 
 
-@dataclass(frozen=True)
 class IdentityLeaf(TreeNode):
-    places: frozenset[PlaceId]
+    __slots__ = _fields = ("places",)
 
-    def __post_init__(self) -> None:
-        self._interface(self.places, self.places)
+    def __init__(self, places: frozenset[PlaceId]) -> None:
+        object.__setattr__(self, "places", places)
+        self._interface(places, places)
 
 
-@dataclass(frozen=True)
 class ParNode(TreeNode):
-    children: tuple[TreeNode, ...]
+    __slots__ = _fields = ("children",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, children: tuple[TreeNode, ...]) -> None:
+        object.__setattr__(self, "children", children)
         self._interface(
-            frozenset().union(*(c.inputs for c in self.children)),
-            frozenset().union(*(c.outputs for c in self.children)),
+            frozenset().union(*(c.inputs for c in children)),
+            frozenset().union(*(c.outputs for c in children)),
         )
 
 
-@dataclass(frozen=True)
 class SeqNode(TreeNode):
-    first: TreeNode
-    second: TreeNode
+    __slots__ = _fields = ("first", "second")
 
-    def __post_init__(self) -> None:
-        self._interface(self.first.inputs, self.second.outputs)
+    def __init__(self, first: TreeNode, second: TreeNode) -> None:
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+        self._interface(first.inputs, second.outputs)
 
 
 def stratify(
@@ -472,15 +474,17 @@ def remove_places(cell: MarkedNet, dead: frozenset[PlaceId]) -> MarkedNet:
     return MarkedNet(subnet, cell.marking & places)
 
 
-@dataclass(frozen=True)
-class MarkedView:
+class MarkedView(_Value):
     """A cell specialised to the inputs that actually receive tokens:
     everything else is removed and all surviving initial places are
     marked.  ``dead_finals`` are the original final places that can no
     longer be reached."""
 
-    marked: MarkedNet
-    dead_finals: frozenset[PlaceId]
+    __slots__ = _fields = ("marked", "dead_finals")
+
+    def __init__(self, marked: MarkedNet, dead_finals: frozenset[PlaceId]) -> None:
+        object.__setattr__(self, "marked", marked)
+        object.__setattr__(self, "dead_finals", dead_finals)
 
 
 def at_marking(cell: MarkedNet, arriving: frozenset[PlaceId]) -> MarkedView:

@@ -15,40 +15,40 @@ the commands that never build a matrix should not pay numpy's import.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import FileFormatError, InferenceError
 from .kleisli import TOLERANCE, KleisliArrow, Wiring, json_number, subset_index
-from .nets import PlaceId
+from .nets import PlaceId, _Value
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True, eq=False)
-class State:
-    """A distribution over the subsets of a wired place set."""
+class State(_Value):
+    """A distribution over the subsets of a wired place set.  States
+    compare and hash by identity."""
 
-    wiring: Wiring
-    probs: np.ndarray
+    __slots__ = _fields = ("wiring", "probs")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
+    def __init__(self, wiring: Wiring, probs: np.ndarray) -> None:
         import numpy as np
 
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.shape != (self.wiring.size,):
+        probs = np.asarray(probs, dtype=float)
+        if probs.shape != (wiring.size,):
             raise InferenceError(
                 f"state vector of length {probs.shape} does not match wiring "
-                f"{self.wiring.places}"
+                f"{wiring.places}"
             )
-        _check_finite(self.wiring, probs, "state probability")
+        _check_finite(wiring, probs, "state probability")
         if probs.min(initial=0.0) < -1e-12:
             raise InferenceError(f"state has a negative probability: {probs.min()}")
         if abs(float(probs.sum()) - 1.0) > TOLERANCE:
             raise InferenceError(f"state probabilities sum to {probs.sum()}, expected 1")
         probs = probs.copy()
         probs.flags.writeable = False
+        object.__setattr__(self, "wiring", wiring)
         object.__setattr__(self, "probs", probs)
 
     @classmethod
@@ -79,28 +79,29 @@ class State:
         return float(sum(self.probs[marked].tolist()))
 
 
-@dataclass(frozen=True, eq=False)
-class Predicate:
+class Predicate(_Value):
     """A [0,1]-valued function on the subsets of a wired place set;
-    subsets not mentioned at construction default to 0."""
+    subsets not mentioned at construction default to 0.  Predicates
+    compare and hash by identity."""
 
-    wiring: Wiring
-    values: np.ndarray
+    __slots__ = _fields = ("wiring", "values")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
+    def __init__(self, wiring: Wiring, values: np.ndarray) -> None:
         import numpy as np
 
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.wiring.size,):
+        values = np.asarray(values, dtype=float)
+        if values.shape != (wiring.size,):
             raise InferenceError(
                 f"predicate vector of length {values.shape} does not match wiring "
-                f"{self.wiring.places}"
+                f"{wiring.places}"
             )
-        _check_finite(self.wiring, values, "predicate value")
+        _check_finite(wiring, values, "predicate value")
         if values.min(initial=0.0) < -1e-12 or values.max(initial=0.0) > 1.0 + 1e-12:
             raise InferenceError("predicate values must lie in [0,1]")
         values = values.copy()
         values.flags.writeable = False
+        object.__setattr__(self, "wiring", wiring)
         object.__setattr__(self, "values", values)
 
     @classmethod

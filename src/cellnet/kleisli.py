@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
 
 from .errors import DeltaError, FileFormatError, InterfaceWidthError, WiringError
-from .nets import PlaceId, Process, Walk, run
+from .nets import PlaceId, Process, Walk, _Value, run
 from .terms import (
     ConstantKey,
     Dead,
@@ -59,16 +58,16 @@ TOLERANCE = 1e-9  # how far a row, state or distribution may sum from 1
 Places = tuple[PlaceId, ...]  # a wiring's places, without the Wiring checks
 
 
-@dataclass(frozen=True)
-class Wiring:
+class Wiring(_Value):
     """A repetition-free total order on a set of places."""
 
-    places: tuple[PlaceId, ...]
+    __slots__ = _fields = ("places",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "places", tuple(self.places))
-        if len(set(self.places)) != len(self.places):
-            raise WiringError(f"wiring repeats places: {self.places}")
+    def __init__(self, places: tuple[PlaceId, ...]) -> None:
+        places = tuple(places)
+        if len(set(places)) != len(places):
+            raise WiringError(f"wiring repeats places: {places}")
+        object.__setattr__(self, "places", places)
 
     @property
     def place_set(self) -> frozenset[PlaceId]:
@@ -166,25 +165,26 @@ def uniform_dist(outcomes: Iterable[Hashable]) -> Dist:
     return Dist({o: 1.0 / len(outcomes) for o in outcomes})
 
 
-@dataclass(frozen=True, eq=False)
-class KleisliArrow:
+class KleisliArrow(_Value):
     """A row-stochastic matrix from input subsets to output subsets,
-    together with the wirings that fix the subset indexing."""
+    together with the wirings that fix the subset indexing.  Arrows
+    compare and hash by identity."""
 
-    in_wiring: Wiring
-    out_wiring: Wiring
-    matrix: np.ndarray
+    __slots__ = _fields = ("in_wiring", "out_wiring", "matrix")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
+    def __init__(self, in_wiring: Wiring, out_wiring: Wiring, matrix: np.ndarray) -> None:
         import numpy as np
 
-        matrix = np.asarray(self.matrix, dtype=float)
-        expected = (self.in_wiring.size, self.out_wiring.size)
+        matrix = np.asarray(matrix, dtype=float)
+        expected = (in_wiring.size, out_wiring.size)
         if matrix.shape != expected:
             raise WiringError(f"matrix shape {matrix.shape} does not match interfaces {expected}")
         _check_stochastic(matrix)
         matrix = matrix.copy()
         matrix.flags.writeable = False
+        object.__setattr__(self, "in_wiring", in_wiring)
+        object.__setattr__(self, "out_wiring", out_wiring)
         object.__setattr__(self, "matrix", matrix)
 
     def entry(self, inp: Iterable[PlaceId], out: Iterable[PlaceId]) -> float:
@@ -244,20 +244,19 @@ def subset_index(wiring: Wiring, kept: Wiring) -> np.ndarray:
     return index
 
 
-@dataclass(frozen=True)
-class DeltaTable:
+class DeltaTable(_Value):
     """Distributions over transactions, keyed by constant signature.
 
     Strict tables refuse to interpret a constant they do not cover;
     non-strict tables fall back to the uniform distribution over the
-    constant's transactions.
+    constant's transactions.  The table keeps a copy of ``entries``.
     """
 
-    entries: Mapping[str, Dist] = field(default_factory=dict)
-    strict: bool = True
+    __slots__ = _fields = ("entries", "strict")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", dict(self.entries))
+    def __init__(self, entries: Mapping[str, Dist] = {}, strict: bool = True) -> None:
+        object.__setattr__(self, "entries", dict(entries))
+        object.__setattr__(self, "strict", strict)
 
     def distribution_for(self, key: ConstantKey) -> Dist:
         dist = self.entries.get(key.signature)
@@ -281,20 +280,24 @@ def _stray_labels(key: ConstantKey, dist: Dist) -> list[str]:
     return sorted(",".join(sorted(s)) for s in dist.support - allowed)
 
 
-@dataclass(frozen=True)
-class DeltaProblem:
-    signature: str
-    kind: str  # "missing" | "support"
-    detail: str
+class DeltaProblem(_Value):
+    __slots__ = _fields = ("signature", "kind", "detail")
+
+    def __init__(self, signature: str, kind: str, detail: str) -> None:
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "kind", kind)  # "missing" | "support"
+        object.__setattr__(self, "detail", detail)
 
     def __str__(self) -> str:
         return f"{self.kind} [{self.signature}]: {self.detail}"
 
 
-@dataclass(frozen=True)
-class DeltaReport:
-    problems: tuple[DeltaProblem, ...]
-    filled_uniform: tuple[str, ...]
+class DeltaReport(_Value):
+    __slots__ = _fields = ("problems", "filled_uniform")
+
+    def __init__(self, problems: tuple[DeltaProblem, ...], filled_uniform: tuple[str, ...]) -> None:
+        object.__setattr__(self, "problems", problems)
+        object.__setattr__(self, "filled_uniform", filled_uniform)
 
     @property
     def ok(self) -> bool:
@@ -473,13 +476,14 @@ def _push(
     ``;`` pushes its first part, then its second, and ``+`` its factors
     one after another, narrowing ones first, so that the cut through one
     layer never grows beyond the wider end of that layer; identity wires
-    stay where they are.  A dead wire, a constant (one row driven by the
-    δ table's distribution over its transactions) and a sum (one row per
-    input subset, in ``subsets_lex`` order, each its branch pushed from
-    the empty cut and gathered to the sum's output wiring where the
-    branch wires them otherwise) build a matrix of their own, once the
-    cut they leave is checked against the cap, and it is contracted into
-    the cut by :func:`_contract`.
+    stay where they are, with no walk of their own.  A dead wire, a
+    constant (one row driven by the δ table's distribution over its
+    transactions) and a sum (one row per input subset, in
+    ``subsets_lex`` order, each its branch pushed from the empty cut and
+    gathered to the sum's output wiring where the branch wires them
+    otherwise) build a matrix of their own, once the cut they leave is
+    checked against the cap, and it is contracted into the cut by
+    :func:`_contract`.
 
     The empty cut before its first factor is ``matrix=None`` with no
     places: the first factor pushed into it is the cut as it is, with no
@@ -488,8 +492,10 @@ def _push(
     checked by :func:`_check_stochastic`.
     """
     if isinstance(term, Seq):
-        matrix, places = yield _push(matrix, places, term.first, delta, cap)
-        return (yield _push(matrix, places, term.second, delta, cap))
+        for part in (term.first, term.second):
+            if not isinstance(part, Identity):  # an identity leaves the cut as it is
+                matrix, places = yield _push(matrix, places, part, delta, cap)
+        return matrix, places
     if isinstance(term, Par):
         for factor in _narrowing_first(term):
             matrix, places = yield _push(matrix, places, factor, delta, cap)
@@ -528,14 +534,15 @@ def _push(
 
 def _narrowing_first(term: Par) -> list[Term]:
     """The factors of a ``+`` tree, stably sorted by how many places each
-    adds to the cut (outputs minus inputs)."""
+    adds to the cut (outputs minus inputs).  Identities, which leave the
+    cut as it is, are left out."""
     factors: list[Term] = []
     pending: list[Term] = [term]
     while pending:
         t = pending.pop()
         if isinstance(t, Par):
             pending += (t.right, t.left)
-        else:
+        elif not isinstance(t, Identity):
             factors.append(t)
 
     def growth(factor: Term) -> int:

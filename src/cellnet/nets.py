@@ -17,9 +17,9 @@ the lexicographic order on identifiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from operator import attrgetter
 from typing import Any, Callable, Generator, Hashable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import NetError, OccurrenceError
@@ -123,8 +123,49 @@ def strong_components(roots: Iterable[_K], successors: Callable[[_K], Iterable[_
     return components
 
 
-@dataclass(frozen=True)
-class Net:
+class _Value:
+    """Base of the immutable value classes.  A subclass lists its fields
+    in ``_fields``, in constructor order, and its constructor sets each
+    once, past the frozen ``__setattr__``: with ``object.__setattr__``
+    in a class with ``__slots__``, in the instance ``__dict__`` in one
+    without, where cached tables and stored types are kept too.  Two
+    values are equal, and hash alike, when they are of one class with
+    equal fields; the repr is ``Name(field=value, ...)``; assigning or
+    deleting an attribute raises AttributeError; a copy or a pickle is
+    rebuilt through the constructor.  Nothing here generates code, so
+    defining a class costs no more than its body."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if cls._fields:  # the tuple of the fields, even for one field
+            get = attrgetter(*cls._fields)
+            cls._astuple = staticmethod(get if len(cls._fields) > 1 else lambda value: (get(value),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple(self) == other._astuple(other)
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), self._astuple(self)
+
+
+class Net(_Value):
     """A Petri net (P, T, F) with F ⊆ (P×T) ∪ (T×P).
 
     Construction enforces basic well-formedness: non-empty identifiers,
@@ -133,30 +174,30 @@ class Net:
     transition.  The occurrence-net conditions (acyclicity, no backward
     conflicts, no self-conflicts) are checked separately by
     :func:`validate_occurrence` so that violations can be reported all
-    at once.
+    at once.  The tables worked out from the net are kept in its
+    ``__dict__``.
     """
 
-    places: frozenset[PlaceId]
-    transitions: frozenset[TransitionId]
-    flow: frozenset[tuple[NodeId, NodeId]]
+    _fields = ("places", "transitions", "flow")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "places", frozenset(self.places))
-        object.__setattr__(self, "transitions", frozenset(self.transitions))
-        object.__setattr__(self, "flow", frozenset(tuple(arc) for arc in self.flow))
-        for x in self.places | self.transitions:
+    def __init__(self, places: frozenset[PlaceId], transitions: frozenset[TransitionId],
+                 flow: frozenset[tuple[NodeId, NodeId]]) -> None:
+        places, transitions = frozenset(places), frozenset(transitions)
+        flow = frozenset(tuple(arc) for arc in flow)
+        self.__dict__.update(places=places, transitions=transitions, flow=flow)
+        for x in places | transitions:
             if not isinstance(x, str) or not x:
                 raise NetError(f"identifiers must be non-empty strings, got {x!r}")
-        shared = self.places & self.transitions
+        shared = places & transitions
         if shared:
             raise NetError(f"identifiers used both as place and transition: {sorted(shared)}")
-        for src, dst in self.flow:
-            if src in self.places and dst in self.transitions:
+        for src, dst in flow:
+            if src in places and dst in transitions:
                 continue
-            if src in self.transitions and dst in self.places:
+            if src in transitions and dst in places:
                 continue
             raise NetError(f"flow arc ({src!r}, {dst!r}) does not connect a known place and transition")
-        for t in self.transitions:
+        for t in transitions:
             if not self.pre(t):
                 raise NetError(f"transition {t!r} has an empty pre-set")
 
@@ -231,21 +272,25 @@ class Net:
         return self._min_places & self._max_places
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Value):
     """One occurrence-condition violation, anchored at a node."""
 
-    kind: str  # "cycle" | "backward-conflict" | "self-conflict"
-    node: NodeId
-    detail: str
+    __slots__ = _fields = ("kind", "node", "detail")
+
+    def __init__(self, kind: str, node: NodeId, detail: str) -> None:
+        object.__setattr__(self, "kind", kind)  # "cycle" | "backward-conflict" | "self-conflict"
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "detail", detail)
 
     def __str__(self) -> str:
         return f"{self.kind} at {self.node}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
+class ValidationReport(_Value):
+    __slots__ = _fields = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...]) -> None:
+        object.__setattr__(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
@@ -373,39 +418,35 @@ def identity_net(places: Iterable[PlaceId]) -> "MarkedNet":
     return MarkedNet(Net(frozenset(places), frozenset(), frozenset()), frozenset())
 
 
-@dataclass(frozen=True)
-class MarkedNet:
+class MarkedNet(_Value):
     """An occurrence net together with a subset of its initial,
     non-isolated places that already hold a token.
 
-    The unmarked initial places form the input interface (tokens may
-    arrive there from the context); the final places form the output
-    interface.  Construction checks the marking, and the net unless that
-    net was checked already or inherits its parent's check.
+    The unmarked initial places form the input interface ``inputs``
+    (tokens may arrive there from the context); the final places form
+    the output interface.  Construction checks the marking, and the net
+    unless that net was checked already or inherits its parent's check.
     """
 
-    net: Net
-    marking: frozenset[PlaceId] = frozenset()
+    __slots__ = ("net", "marking", "inputs", "__weakref__")  # compile_net's memo holds nets weakly
+    _fields = ("net", "marking")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "marking", frozenset(self.marking))
-        ensure_occurrence(self.net)
-        initial = min_places(self.net)
-        isolated = isolated_places(self.net)
-        foreign = self.marking - self.net.places
+    def __init__(self, net: Net, marking: frozenset[PlaceId] = frozenset()) -> None:
+        marking = frozenset(marking)
+        ensure_occurrence(net)
+        initial = min_places(net)
+        foreign = marking - net.places
         if foreign:
             raise OccurrenceError(f"marking mentions unknown places {sorted(foreign)}")
-        not_initial = self.marking - initial
+        not_initial = marking - initial
         if not_initial:
             raise OccurrenceError(f"marking mentions non-initial places {sorted(not_initial)}")
-        lonely = self.marking & isolated
+        lonely = marking & isolated_places(net)
         if lonely:
             raise OccurrenceError(f"marking mentions isolated places {sorted(lonely)}")
-
-    @cached_property  # kept in the instance __dict__, which frozen leaves writable
-    def inputs(self) -> frozenset[PlaceId]:
-        """Unmarked initial places (the input interface)."""
-        return min_places(self.net) - self.marking
+        object.__setattr__(self, "net", net)
+        object.__setattr__(self, "marking", marking)
+        object.__setattr__(self, "inputs", initial - marking)
 
     @property
     def outputs(self) -> frozenset[PlaceId]:
@@ -430,8 +471,7 @@ def fire(marked: MarkedNet, t: TransitionId, marking: frozenset[PlaceId] | None 
     return fire_at(marked.net, marked.marking if marking is None else marking, t)
 
 
-@dataclass(frozen=True)
-class Process:
+class Process(_Value):
     """A deterministic process (transaction) written as its set of
     transitions, together with the interface places of the induced
     subnet.
@@ -441,10 +481,15 @@ class Process:
     and consumed within the process.
     """
 
-    transitions: frozenset[TransitionId]
-    initial_places: frozenset[PlaceId]
-    final_places: frozenset[PlaceId]
-    internal_places: frozenset[PlaceId] = field(default=frozenset())
+    __slots__ = _fields = ("transitions", "initial_places", "final_places", "internal_places")
+
+    def __init__(self, transitions: frozenset[TransitionId], initial_places: frozenset[PlaceId],
+                 final_places: frozenset[PlaceId],
+                 internal_places: frozenset[PlaceId] = frozenset()) -> None:
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "initial_places", initial_places)
+        object.__setattr__(self, "final_places", final_places)
+        object.__setattr__(self, "internal_places", internal_places)
 
     @property
     def nodes(self) -> frozenset[NodeId]:

@@ -43,7 +43,6 @@ facts:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping
@@ -51,7 +50,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .compiler import compile_net
 from .errors import CellnetError, DeltaError, NetError
 from .kleisli import DeltaTable, Dist
-from .nets import MarkedNet, Net, PlaceId, Process, TransitionId, Walk, dependents, run
+from .nets import MarkedNet, Net, PlaceId, Process, TransitionId, Walk, _Value, dependents, run
 from .terms import (
     Constant,
     ConstantKey,
@@ -69,20 +68,21 @@ from .terms import (
 Configuration = frozenset[TransitionId]
 
 
-@dataclass(frozen=True)
-class PES:
+class PES(_Value):
     """A prime event structure, stored as two tables over its events:
     ``causes`` maps each event to its causes, itself included (the
     causality partial order), and ``rivals`` maps each event to the
     events in conflict with it.  Construction checks that conflict is
     irreflexive, symmetric and inherited along causality.  Immediate
-    conflicts are indexed once per structure, on first use."""
+    conflicts are indexed once per structure, on first use, and kept in
+    its ``__dict__``."""
 
-    events: frozenset[TransitionId]
-    causes: Mapping[TransitionId, frozenset[TransitionId]]
-    rivals: Mapping[TransitionId, frozenset[TransitionId]]
+    _fields = ("events", "causes", "rivals")
 
-    def __post_init__(self) -> None:
+    def __init__(self, events: frozenset[TransitionId],
+                 causes: Mapping[TransitionId, frozenset[TransitionId]],
+                 rivals: Mapping[TransitionId, frozenset[TransitionId]]) -> None:
+        self.__dict__.update(events=events, causes=causes, rivals=rivals)
         if self.causes.keys() != self.events or self.rivals.keys() != self.events:
             raise NetError("causes and rivals must map exactly the events")
         conflicted = frozenset(e for e, rivals in self.rivals.items() if rivals)
@@ -258,14 +258,17 @@ def _grow(pes: PES, ordered: list[TransitionId], found: set[Configuration],
             yield _grow(pes, ordered, found, nxt)
 
 
-@dataclass(frozen=True)
-class RStopped:
+class RStopped(_Value):
     """One recursively-stopped configuration with a witnessing chain of
     branching-cell completions; ``maximal`` marks an empty future."""
 
-    configuration: Configuration
-    chain: tuple[Configuration, ...]
-    maximal: bool
+    __slots__ = _fields = ("configuration", "chain", "maximal")
+
+    def __init__(self, configuration: Configuration, chain: tuple[Configuration, ...],
+                 maximal: bool) -> None:
+        object.__setattr__(self, "configuration", configuration)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "maximal", maximal)
 
 
 # Per enabled branching cell of a future, in sorted order, the cell's
@@ -440,11 +443,14 @@ def _leaf_runs(
 # Correspondence check
 # --------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class CorrespondenceCase:
-    arriving: frozenset[PlaceId]
-    from_event_structure: frozenset[Configuration]
-    from_term: frozenset[Configuration]
+class CorrespondenceCase(_Value):
+    __slots__ = _fields = ("arriving", "from_event_structure", "from_term")
+
+    def __init__(self, arriving: frozenset[PlaceId], from_event_structure: frozenset[Configuration],
+                 from_term: frozenset[Configuration]) -> None:
+        object.__setattr__(self, "arriving", arriving)
+        object.__setattr__(self, "from_event_structure", from_event_structure)
+        object.__setattr__(self, "from_term", from_term)
 
     @property
     def ok(self) -> bool:
@@ -463,9 +469,11 @@ class CorrespondenceCase:
         )
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
-    cases: tuple[CorrespondenceCase, ...]
+class CorrespondenceReport(_Value):
+    __slots__ = _fields = ("cases",)
+
+    def __init__(self, cases: tuple[CorrespondenceCase, ...]) -> None:
+        object.__setattr__(self, "cases", cases)
 
     @property
     def ok(self) -> bool:
@@ -504,14 +512,16 @@ def check_correspondence(marked: MarkedNet) -> CorrespondenceReport:
 # Exact outcome enumeration
 # --------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
+class OutcomeDistribution(_Value):
     """Exact joint result of playing a compiled term: probability per
     (maximal configuration, final marking) pair, with both marginals."""
 
-    joint: Dist
-    markings: Dist
-    configurations: Dist
+    __slots__ = _fields = ("joint", "markings", "configurations")
+
+    def __init__(self, joint: Dist, markings: Dist, configurations: Dist) -> None:
+        object.__setattr__(self, "joint", joint)
+        object.__setattr__(self, "markings", markings)
+        object.__setattr__(self, "configurations", configurations)
 
     def place_marginal(self, place: PlaceId) -> float:
         return float(
@@ -551,14 +561,16 @@ def enumerate_outcome_distribution(
     return OutcomeDistribution(joint, Dist(markings), Dist(configs))
 
 
-@dataclass(frozen=True)
-class SampleSummary:
+class SampleSummary(_Value):
     """Monte-Carlo estimate of the outcome distribution for nets too
     large to enumerate exactly."""
 
-    samples: int
-    seed: int
-    marking_counts: Mapping[frozenset[str], int]
+    __slots__ = _fields = ("samples", "seed", "marking_counts")
+
+    def __init__(self, samples: int, seed: int, marking_counts: Mapping[frozenset[str], int]) -> None:
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "marking_counts", marking_counts)
 
     def place_marginal(self, place: PlaceId) -> float:
         hits = sum(c for marking, c in self.marking_counts.items() if place in marking)

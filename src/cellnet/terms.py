@@ -18,13 +18,12 @@ layers by place dataflow and reassembled in a fixed order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Mapping, NamedTuple
 
 from .cells import stratify
 from .errors import CompositionError, TermError, TermSyntaxError
-from .nets import PlaceId, Process, Walk, run
+from .nets import PlaceId, Process, Walk, _Value, run
 
 
 def render_place_set(places: Iterable[str]) -> str:
@@ -41,42 +40,40 @@ def subsets_lex(places: Iterable[str]) -> list[frozenset[str]]:
     return out
 
 
-@dataclass(frozen=True)
-class ConstantKey:
+class ConstantKey(_Value):
     """Identity of a cell constant: the marked input places, the output
     places, and the set of transactions δ distributes over."""
 
-    marked: frozenset[PlaceId]
-    outputs: frozenset[PlaceId]
-    transactions: frozenset[Process]
+    # the signature is kept outside the fields, so that equality,
+    # hashing and repr are those of the three fields
+    __slots__ = ("marked", "outputs", "transactions", "_signature")
+    _fields = ("marked", "outputs", "transactions")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "marked", frozenset(self.marked))
-        object.__setattr__(self, "outputs", frozenset(self.outputs))
-        object.__setattr__(self, "transactions", frozenset(self.transactions))
-        if not self.transactions:
+    def __init__(self, marked: frozenset[PlaceId], outputs: frozenset[PlaceId],
+                 transactions: frozenset[Process]) -> None:
+        marked, outputs, transactions = frozenset(marked), frozenset(outputs), frozenset(transactions)
+        if not transactions:
             raise TermError("a cell constant needs at least one transaction")
-        if len({p.transitions for p in self.transactions}) < len(self.transactions):
-            labels = sorted(p.label for p in self.transactions)
+        if len({p.transitions for p in transactions}) < len(transactions):
+            labels = sorted(p.label for p in transactions)
             twice = next(a for a, b in zip(labels, labels[1:]) if a == b)
             raise TermError(f"constant has two transactions on the transition set {{{twice}}}")
-        finals = frozenset().union(*(p.final_places for p in self.transactions))
-        if finals != self.outputs:
+        finals = frozenset().union(*(p.final_places for p in transactions))
+        if finals != outputs:
             raise TermError(
-                f"constant outputs {sorted(self.outputs)} do not match the union "
+                f"constant outputs {sorted(outputs)} do not match the union "
                 f"of transaction final places {sorted(finals)}"
             )
-        for proc in self.transactions:
-            if not proc.initial_places <= self.marked:
+        for proc in transactions:
+            if not proc.initial_places <= marked:
                 raise TermError(
                     f"transaction {proc.label} consumes unmarked places "
-                    f"{sorted(proc.initial_places - self.marked)}"
+                    f"{sorted(proc.initial_places - marked)}"
                 )
-        # kept on the instance, outside the fields, so that equality,
-        # hashing and repr are those of the three fields
-        object.__setattr__(
-            self, "_signature", "|".join(sorted(p.label for p in self.transactions))
-        )
+        object.__setattr__(self, "marked", marked)
+        object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "transactions", transactions)
+        object.__setattr__(self, "_signature", "|".join(sorted(p.label for p in transactions)))
 
     @property
     def signature(self) -> str:
@@ -94,9 +91,9 @@ class ConstantKey:
 _HASH = "_hash"  # the instance attribute that holds a node's hash
 
 
-class Term:
-    """Base class of the term AST.  The nodes are frozen dataclasses that
-    leave equality and hashing to this class.
+class Term(_Value):
+    """Base class of the term AST.  The nodes are immutable values whose
+    equality and hashing are this class's.
 
     Equality and hashing are structural: two terms are equal when they
     are nodes of one kind with equal fields.  Both walk the term with a
@@ -144,72 +141,72 @@ class Term:
         return self.__dict__[_HASH]
 
 
-@dataclass(frozen=True, eq=False)
 class Identity(Term):
-    places: frozenset[PlaceId]
+    _fields = ("places",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "places", frozenset(self.places))
+    def __init__(self, places: frozenset[PlaceId]) -> None:
+        self.__dict__["places"] = frozenset(places)
 
     def _parts(self) -> tuple[tuple, tuple[Term, ...]]:
         return (self.places,), ()
 
 
-@dataclass(frozen=True, eq=False)
 class Dead(Term):
-    places: frozenset[PlaceId]
+    _fields = ("places",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "places", frozenset(self.places))
+    def __init__(self, places: frozenset[PlaceId]) -> None:
+        self.__dict__["places"] = frozenset(places)
 
     def _parts(self) -> tuple[tuple, tuple[Term, ...]]:
         return (self.places,), ()
 
 
-@dataclass(frozen=True, eq=False)
 class Par(Term):
-    left: Term
-    right: Term
+    _fields = ("left", "right")
+
+    def __init__(self, left: Term, right: Term) -> None:
+        self.__dict__.update(left=left, right=right)
 
     def _parts(self) -> tuple[tuple, tuple[Term, ...]]:
         return (), (self.left, self.right)
 
 
-@dataclass(frozen=True, eq=False)
 class Seq(Term):
-    first: Term
-    second: Term
+    _fields = ("first", "second")
+
+    def __init__(self, first: Term, second: Term) -> None:
+        self.__dict__.update(first=first, second=second)
 
     def _parts(self) -> tuple[tuple, tuple[Term, ...]]:
         return (), (self.first, self.second)
 
 
-@dataclass(frozen=True, eq=False)
 class Constant(Term):
-    key: ConstantKey
+    _fields = ("key",)
+
+    def __init__(self, key: ConstantKey) -> None:
+        self.__dict__["key"] = key
 
     def _parts(self) -> tuple[tuple, tuple[Term, ...]]:
         return (self.key,), ()
 
 
-@dataclass(frozen=True, eq=False)
 class Sum(Term):
     """Case split over the subsets of ``inputs``; branches are stored
     sorted by subset so structurally equal sums compare equal."""
 
-    inputs: frozenset[PlaceId]
-    branches: tuple[tuple[frozenset[PlaceId], Term], ...]
+    _fields = ("inputs", "branches")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "inputs", frozenset(self.inputs))
+    def __init__(self, inputs: frozenset[PlaceId],
+                 branches: tuple[tuple[frozenset[PlaceId], Term], ...]) -> None:
         normalized = tuple(
             sorted(
-                ((frozenset(m), t) for m, t in self.branches),
+                ((frozenset(m), t) for m, t in branches),
                 key=lambda item: (len(item[0]), sorted(item[0])),
             )
         )
-        object.__setattr__(self, "branches", normalized)
-        self.__dict__["_by_subset"] = dict(normalized)  # outside the fields, like the stored type
+        # the branch table is kept outside the fields, like the stored type
+        self.__dict__.update(inputs=frozenset(inputs), branches=normalized, _by_subset=dict(normalized))
 
     def branch(self, m: frozenset[PlaceId]) -> Term:
         try:
@@ -238,14 +235,16 @@ def par_all(terms: list[Term]) -> Term:
     return terms[0]
 
 
-@dataclass(frozen=True)
-class TermType:
+class TermType(_Value):
     """(inputs, nodes, outputs): unmarked input places, every place and
     transition mentioned, and output places."""
 
-    inputs: frozenset[str]
-    nodes: frozenset[str]
-    outputs: frozenset[str]
+    __slots__ = _fields = ("inputs", "nodes", "outputs")
+
+    def __init__(self, inputs: frozenset[str], nodes: frozenset[str], outputs: frozenset[str]) -> None:
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "outputs", outputs)
 
 
 class _TypecheckInfo(NamedTuple):
@@ -265,8 +264,8 @@ def typecheck(term: Term) -> TermType:
     sums with missing or inconsistently-typed branches.
 
     Each node's type is computed once, bottom-up, and kept on the node
-    itself (outside its dataclass fields, so equality and hashing do
-    not change): typing a term again, or a larger term that contains
+    itself (outside its fields, so equality and hashing do not
+    change): typing a term again, or a larger term that contains
     it, reads the stored types instead of walking the subterm.  No
     global table holds terms.  Children are typed left to right, so an
     ill-typed term raises the same error however deep it is, and a node

@@ -1,5 +1,6 @@
 """What a command loads when it starts, each case in a fresh interpreter:
-``import cellnet`` loads neither numpy nor ``importlib.metadata``, the
+``import cellnet`` loads neither numpy nor ``importlib.metadata``, nor
+``dataclasses`` and the ``inspect`` it pulls in, the
 structural commands run with numpy blocked and print what
 ``tests/golden_cli.json`` recorded, and ``matrix`` still runs."""
 
@@ -62,6 +63,8 @@ def test_import_loads_no_numpy_and_no_metadata():
     assert "cellnet.kleisli" in loaded and "cellnet.inference" in loaded
     assert not {name for name in loaded if name == "numpy" or name.startswith("numpy.")}
     assert "importlib.metadata" not in loaded
+    # the value classes are written out, so no class generates its methods at import
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_structural_commands_run_without_numpy(tmp_path):
