@@ -10,8 +10,10 @@ them all with one pass of Tarjan's algorithm
 :func:`nets.validate_occurrence` reports).  Cells are the
 indecomposable blocks of a marked occurrence net; every net factors
 uniquely (up to the commutative-monoidal axioms) into a layered
-parallel/sequential composition of cell subnets and identity nets,
-which this module computes as a tree of :class:`TreeNode` values.
+parallel/sequential composition of cell subnets and identity nets.
+:func:`stratify` composes those layers from whatever the caller builds
+for a block, a pad, a layer and a sequence: a tree of :class:`TreeNode`
+values here, a term in the compiler and in normalization.
 
 Also here: the place-removal operator used to specialise a cell under
 the hypothesis that some of its inputs stay empty, and the fully-marked
@@ -20,7 +22,6 @@ restriction view derived from it.
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import chain
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
@@ -282,16 +283,29 @@ def stratify(
     blocks: list[tuple[frozenset[PlaceId], frozenset[PlaceId]]],
     inputs: frozenset[PlaceId],
     outputs: frozenset[PlaceId],
-) -> tuple[list[int], list[frozenset[PlaceId]]]:
+    leaf: Callable[[int], _R],
+    identity: Callable[[frozenset[PlaceId]], _R],
+    par: Callable[[list[_R]], _R],
+    seq: Callable[[_R, _R], _R],
+) -> _R:
     """Layer blocks, given as (consumed, produced) place sets, by place
-    dataflow.
+    dataflow, and compose the layers.
 
     A block's layer is one past the deepest block producing a place it
-    consumes; places in ``inputs`` are available before layer 1.  Returns
-    each block's layer and, for each layer from 1 on, its identity pad:
-    the places that are available before the layer and still needed
-    after it, by a later layer or as one of the ``outputs``.
+    consumes (for a cell: one past the deepest of its strict predecessors
+    in the cell order); places in ``inputs`` are available before layer
+    1.  A layer is the ⊕ of its blocks, in the given order, and of one
+    identity pad: the places available before the layer and still needed
+    after it, by a later layer or as one of the ``outputs``.  Composed
+    by ;, the layers reproduce the whole exactly.
+
+    Layer by layer from the first, block ``i`` is built by ``leaf(i)``,
+    a nonempty pad by ``identity(pad)``, a layer of two or more parts by
+    ``par(parts)``, and the layers so far and the next by ``seq``.  No
+    blocks give ``identity(inputs)``.
     """
+    if not blocks:
+        return identity(inputs)
     producer: dict[PlaceId, int] = {}
     consumer: dict[PlaceId, int] = {}
     for i, (consumed, produced) in enumerate(blocks):
@@ -335,41 +349,31 @@ def stratify(
             raise CompositionError(f"place {p} is neither consumed nor delivered as an output")
         for j in range(avail, last):
             pads[j].add(p)
-    return layer, [frozenset(pad) for pad in pads]
+
+    by_layer: list[list[int]] = [[] for _ in range(depth)]
+    for i, k in enumerate(layer):
+        by_layer[k - 1].append(i)
+    composed = None
+    for indices, pad in zip(by_layer, pads):
+        parts = [leaf(i) for i in indices]
+        if pad:
+            parts.append(identity(frozenset(pad)))
+        part = parts[0] if len(parts) == 1 else par(parts)
+        composed = part if composed is None else seq(composed, part)
+    return composed
 
 
 def canonical_form(marked: MarkedNet) -> TreeNode:
-    """Layered decomposition of a marked occurrence net.
-
-    Cells are stratified greedily: a cell's layer is one past the
-    deepest cell producing one of its inputs, which is one past the
-    deepest of its strict predecessors in the cell order.  Each layer is
-    the parallel composition of its cells (ordered by smallest member
-    place) plus one identity net threading every place that crosses the
-    layer boundary.  Folding the tree back with ⊕ and ; reproduces the
-    input net exactly.
-    """
-    net = marked.net
-    leaves = [CellLeaf(cell) for cell in scells(net, marked.marking)]
-    if not leaves:
-        return IdentityLeaf(net.places)
-    layer, pads = stratify(
-        [(leaf.inputs, leaf.outputs) for leaf in leaves], marked.inputs, marked.outputs
-    )
-    # scells returns the cells sorted by smallest member place, and each
-    # layer keeps that order
-    cells_of: list[list[TreeNode]] = [[] for _ in pads]
-    for leaf, k in zip(leaves, layer):
-        cells_of[k - 1].append(leaf)
-    layers: list[TreeNode] = []
-    for children, pad in zip(cells_of, pads):
-        if pad:
-            children.append(IdentityLeaf(pad))
-        layers.append(children[0] if len(children) == 1 else ParNode(tuple(children)))
-    return reduce(SeqNode, layers)
+    """Layered decomposition of a marked occurrence net: its cells,
+    ordered by smallest member place as :func:`scells` returns them,
+    stratified by :func:`stratify` into a tree.  Folding the tree back
+    with ⊕ and ; reproduces the input net exactly."""
+    cells = scells(marked.net, marked.marking)
+    return stratify([(c.subnet.inputs, c.subnet.outputs) for c in cells], marked.inputs, marked.outputs,
+                    lambda i: CellLeaf(cells[i]), IdentityLeaf, lambda parts: ParNode(tuple(parts)), SeqNode)
 
 
-def fold_nodes(
+def _fold_nodes(
     tree: TreeNode,
     cell: Callable[[CellLeaf], _R],
     identity: Callable[[IdentityLeaf], _R],
@@ -404,7 +408,7 @@ def fold_tree(tree: TreeNode) -> MarkedNet:
     """Recompose a composition tree back into a marked net, checked once:
     each ⊕ and ; step checks only its interfaces, and each intermediate
     net is a subnet of the whole, so the final check implies theirs."""
-    return fold_nodes(
+    return _fold_nodes(
         tree,
         lambda leaf: _Parts.of(leaf.cell.subnet),
         lambda leaf: _Parts(leaf.places, frozenset(), frozenset(), frozenset(), leaf.places, leaf.places),
@@ -416,7 +420,7 @@ def fold_tree(tree: TreeNode) -> MarkedNet:
 def cell_leaves(tree: TreeNode) -> tuple[CellLeaf, ...]:
     """The cell leaves of a composition tree, left to right."""
     leaves: list[CellLeaf] = []
-    fold_nodes(tree, leaves.append, lambda leaf: None, lambda parts: None, lambda first, second: None)
+    _fold_nodes(tree, leaves.append, lambda leaf: None, lambda parts: None, lambda first, second: None)
     return tuple(leaves)
 
 
@@ -430,7 +434,7 @@ def render_tree(tree: TreeNode) -> str:
             return f"cell{{{body} | m={','.join(sorted(marking))}}}"
         return f"cell{{{body}}}"
 
-    return fold_nodes(
+    return _fold_nodes(
         tree,
         render_cell,
         lambda leaf: f"I{{{','.join(sorted(leaf.places))}}}",

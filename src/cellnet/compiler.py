@@ -1,8 +1,9 @@
 """Translation from marked occurrence nets to terms.
 
-The net's canonical form is folded homomorphically: identity leaves map
-to identity terms, parallel/sequential nodes to + and ;, and each cell
-leaf is encoded either as a single constant (when every initial place of
+The net's cells are layered by the same :func:`cells.stratify` that
+builds its canonical form, with terms in place of tree nodes: identity
+pads become identity terms, layers and their sequence + and ;, and each
+cell is encoded either as a single constant (when every initial place of
 the cell is already marked) or as a sum over all subsets of its unmarked
 initial places, where each branch restricts the cell to the arriving
 tokens, recursively compiles the restriction, and pads the final places
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import weakref
 
-from .cells import TreeNode, at_marking, canonical_form, cell_classes, fold_nodes
+from .cells import at_marking, cell_classes, scells, stratify
 from .errors import CompileError
 from .nets import MarkedNet, Process, enumerate_transactions, isolated_places, min_places
 from .terms import Constant, ConstantKey, Dead, Identity, Par, Seq, Term, make_sum, par_all, subsets_lex
@@ -40,27 +41,26 @@ def compile_net(marked: MarkedNet) -> Term:
     """
     term = _compiled.get(marked)
     if term is None:
-        term = _compiled[marked] = _compile_tree(canonical_form(marked), DEFAULT_DEPTH_GUARD)
+        term = _compiled[marked] = _compile(marked, DEFAULT_DEPTH_GUARD)
     return term
 
 
-def _compile_tree(tree: TreeNode, fuel: int) -> Term:
+def _compile(marked: MarkedNet, fuel: int) -> Term:
     # Fuel only falls inside cells, where compile_cell compiles each
-    # restricted cell's tree with one less, not along ; or +.
+    # restriction with one less, not along ; or +.
     if fuel <= 0:
         raise CompileError("recursion depth guard exceeded while compiling")
-    return fold_nodes(
-        tree,
+    cells = scells(marked.net, marked.marking)
+    return stratify(
+        [(c.subnet.inputs, c.subnet.outputs) for c in cells], marked.inputs, marked.outputs,
         # compile_cell is looked up when called, so a wrapper bound in its place sees every call
-        lambda leaf: compile_cell(leaf.cell.subnet, depth_guard=fuel),
-        lambda leaf: Identity(leaf.places),
-        par_all,
-        Seq,
+        lambda i: compile_cell(cells[i].subnet, depth_guard=fuel),
+        Identity, par_all, Seq,
     )
 
 
 def compile_cell(cell: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) -> Term:
-    """Encode one s-cell leaf.
+    """Encode one s-cell.
 
     Fully marked cells become a constant over their transactions.  A
     cell with unmarked inputs becomes a sum with one branch per subset
@@ -90,7 +90,7 @@ def compile_cell(cell: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) -> 
     for arriving in subsets_lex(unmarked)[:-1]:  # all but the last, the full set
         view = at_marking(cell, arriving)
         if view.marked.net.places or view.marked.net.transitions:
-            inner = _compile_tree(canonical_form(view.marked), depth_guard - 1)
+            inner = _compile(view.marked, depth_guard - 1)
         else:
             inner = Identity(frozenset())
         branches[arriving] = _pad_dead(view.dead_finals, inner)

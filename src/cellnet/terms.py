@@ -18,7 +18,6 @@ layers by place dataflow and reassembled in a fixed order.
 from __future__ import annotations
 
 import re
-from functools import reduce
 from typing import Iterable, Mapping, NamedTuple
 
 from .cells import stratify
@@ -409,22 +408,13 @@ def normalize(term: Term) -> Term:
 
 def _normal_form(term: Term) -> Walk[Term]:
     ty = typecheck(term)
-    atoms = yield _atoms(term)
-    if not atoms:
-        return Identity(ty.inputs)
-
+    # stratify keeps the given order within a layer, so one sort orders every layer
+    atoms = sorted((yield _atoms(term)), key=render_term)
     try:
-        layer, pads = stratify([(a.inputs, a.outputs) for a in map(typecheck, atoms)],
-                               ty.inputs, ty.outputs)
+        return stratify([(a.inputs, a.outputs) for a in map(typecheck, atoms)],
+                        ty.inputs, ty.outputs, atoms.__getitem__, Identity, par_all, Seq)
     except CompositionError as exc:
         raise TermError(f"{exc}; cannot normalize") from exc
-    layers: list[Term] = []
-    for j, pad in enumerate(pads, start=1):
-        blocks = sorted((a for a, k in zip(atoms, layer) if k == j), key=render_term)
-        if pad:
-            blocks.append(Identity(pad))
-        layers.append(par_all(blocks))
-    return reduce(Seq, layers)
 
 
 # --------------------------------------------------------------------- #

@@ -252,18 +252,40 @@ def test_at_marking_drops_marked_isolated_token():
     assert view.dead_finals == fs({"r"})
 
 
+def _layered(blocks, inputs, outputs, names="abcdef"):
+    """stratify with plain constructors: block i is names[i], a pad its
+    place set, a layer a list and a sequence a pair."""
+    return stratify(blocks, inputs, outputs, names.__getitem__, lambda pad: pad, list, lambda a, b: (a, b))
+
+
 def test_stratify_layers_and_pads():
     blocks = [(fs({"i"}), fs({"x"})), (fs({"x"}), fs({"o"})), (fs(), fs({"z"}))]
-    layer, pads = stratify(blocks, fs({"i", "w"}), fs({"o", "w", "z"}))
-    assert layer == [1, 2, 1]
-    assert pads == [fs({"w"}), fs({"w", "z"})]
+    inputs, outputs = fs({"i", "w"}), fs({"o", "w", "z"})
+    assert _layered(blocks, inputs, outputs) == (["a", "c", fs({"w"})], ["b", fs({"w", "z"})])
+    # a layer keeps the given block order
+    assert _layered(blocks[::-1], inputs, outputs, "cba") == (["c", "a", fs({"w"})], ["b", fs({"w", "z"})])
+
+
+def test_stratify_composes_layer_by_layer():
+    chain = [(fs({"q"}), fs({"r"})), (fs({"p"}), fs({"q"})), (fs({"r"}), fs({"s"}))]
+    built = []
+
+    def leaf(i):
+        built.append(i)
+        return i
+
+    # a lone part is its layer, and the layers nest to the left
+    assert stratify(chain, fs({"p"}), fs({"s"}), leaf, lambda pad: pad, list, lambda a, b: (a, b)) == ((1, 0), 2)
+    assert built == [1, 0, 2]
+    # no blocks give the identity on the inputs
+    assert _layered([], fs({"p", "q"}), fs({"p", "q"})) == fs({"p", "q"})
 
 
 def test_stratify_rejects_bad_dataflow():
     with pytest.raises(CompositionError, match="cyclic place dataflow"):
-        stratify([(fs({"a"}), fs({"b"})), (fs({"b"}), fs({"a"}))], fs(), fs())
+        _layered([(fs({"a"}), fs({"b"})), (fs({"b"}), fs({"a"}))], fs(), fs())
     with pytest.raises(CompositionError, match="place q is consumed but never produced"):
-        stratify([(fs({"q"}), fs())], fs(), fs())
+        _layered([(fs({"q"}), fs())], fs(), fs())
 
 
 def test_canonical_layer_is_one_past_the_deepest_producer():

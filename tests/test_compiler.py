@@ -1,6 +1,10 @@
+import weakref
+
 import pytest
 
+import cellnet.compiler
 from cellnet import (
+    CellLeaf,
     CompileError,
     Constant,
     Dead,
@@ -10,6 +14,7 @@ from cellnet import (
     Par,
     Seq,
     Sum,
+    canonical_form,
     compile_cell,
     compile_net,
     constants_of,
@@ -206,6 +211,21 @@ def test_depth_guard():
     with pytest.raises(CompileError, match="depth guard exceeded while compiling a cell"):
         compile_cell(MarkedNet(Net(fs({"p", "q"}), fs({"t"}), fs([("p", "t"), ("t", "q")])), fs()),
                      depth_guard=0)
+
+
+def test_compiling_builds_no_composition_tree(monkeypatch, three_cells, confusion):
+    # compile_net layers the compiled cells itself, restrictions included:
+    # with CellLeaf refusing to be built and the memo emptied, it still compiles
+    def refuse(self, cell):
+        raise AssertionError("a composition tree node was built")
+
+    expected = [compile_net(three_cells), compile_net(confusion)]
+    monkeypatch.setattr(cellnet.compiler, "_compiled", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(CellLeaf, "__init__", refuse)
+    with pytest.raises(AssertionError, match="tree node was built"):
+        canonical_form(three_cells)
+    again = [compile_net(three_cells), compile_net(confusion)]
+    assert again == expected and again[0] is not expected[0]
 
 
 def test_compile_net_is_remembered_per_net(three_cells):

@@ -36,7 +36,7 @@ from cellnet import (
     typecheck,
 )
 from cellnet.cli import run
-from cellnet.compiler import DEFAULT_DEPTH_GUARD, _compile_tree
+from cellnet.compiler import DEFAULT_DEPTH_GUARD, _compile
 from conftest import deep_doc, wide_doc
 
 N = 1000
@@ -116,7 +116,7 @@ def test_render_term_round_trips_through_parse_term(terms, shape):
 def test_wide_terms_compare_with_eq(nets, terms):
     # compiled twice, once past the memo: equal, distinct objects
     first = terms["wide"]
-    second = _compile_tree(canonical_form(nets["wide"]), DEFAULT_DEPTH_GUARD)
+    second = _compile(nets["wide"], DEFAULT_DEPTH_GUARD)
     assert first is not second
     assert first == second and hash(first) == hash(second)
     assert parse_term(render_term(first)) == first

@@ -63,11 +63,11 @@ from cellnet import (
     typecheck,
     validate_occurrence,
 )
-from cellnet.cells import cell_classes, cell_leaves
-from cellnet.compiler import _compile_tree
+from cellnet.cells import _fold_nodes, cell_classes, cell_leaves
+from cellnet.compiler import _compile
 from cellnet.nets import dependents, subnet_of
 from cellnet.oracle import _live_events, _maximal_r_stopped, _net_pes
-from cellnet.terms import subsets_lex
+from cellnet.terms import par_all, subsets_lex
 from references import (
     compose_arrows,
     constant_arrow,
@@ -312,6 +312,26 @@ def test_compiled_terms_typecheck_on_random_nets():
         assert ty.outputs == marked.outputs
 
 
+def test_compiling_is_the_homomorphic_image_of_the_canonical_form():
+    # compile_net and canonical_form layer the same cells with the same
+    # stratify, so folding the tree into terms gives the compiled term;
+    # deep(1000) nests 1000 deep, which _fold_nodes walks without recursion
+    nets = [load_net(str(path)) for path in sorted(NETS.glob("*.net"))]
+    nets += [disjoint_copies(build_three_cell_net(), 3), confusion_chain(9)]
+    nets += [parse_net(json.dumps(make(n))) for make, n in ((wide_doc, 300), (deep_doc, 1000))]
+    rng = random.Random(29)
+    nets += [random_occurrence_net(rng, 12, 9) for _ in range(400)]
+    for marked in nets:
+        image = _fold_nodes(
+            canonical_form(marked),
+            lambda leaf: compile_cell(leaf.cell.subnet),
+            lambda leaf: Identity(leaf.places),
+            par_all,
+            Seq,
+        )
+        assert image == compile_net(marked)
+
+
 def _outcome(compile_: Callable[[], Term]) -> Term | str:
     """The term compiled, or the message of the CompileError raised."""
     try:
@@ -338,7 +358,7 @@ def test_full_arrival_branch_is_the_cell_itself_on_random_nets():
             pending += [view for view in views if view.net.transitions]
             for guard in range(1, 6):
                 old = [
-                    _outcome(lambda: _compile_tree(canonical_form(view), guard - 1))
+                    _outcome(lambda: _compile(view, guard - 1))
                     if view.net.places else Identity(fs())
                     for view in views
                 ]
