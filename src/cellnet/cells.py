@@ -77,10 +77,6 @@ class SCell(_Value):
     def transitions(self) -> frozenset[str]:
         return self.subnet.net.transitions
 
-    def sort_key(self) -> str:
-        """Lexicographically smallest member place id (deterministic order)."""
-        return min(p for p in self.members if p in self.subnet.net.places)
-
 
 def scells(net: Net, marking: frozenset[PlaceId] = frozenset()) -> tuple[SCell, ...]:
     """All s-cells of the net, sorted by their smallest member place.
@@ -91,19 +87,43 @@ def scells(net: Net, marking: frozenset[PlaceId] = frozenset()) -> tuple[SCell, 
     cell's subnet is its member transitions with their pre- and
     post-places, and inherits ``marking ∩ minp``.
     The net is checked (once per object); each subnet inherits that
-    check and the net's tables (see :func:`nets.subnet_of`), and keeps
-    its one class, so none of them is worked out again.
+    check and the net's tables (see :func:`nets.subnet_of`) and keeps
+    its one class.  The compiler builds a subnet only to restrict a cell.
     """
+    return tuple(SCell(block.members, block.subnet(net, marking)) for block in _blocks(net))
+
+
+class _Block(NamedTuple):
+    """One cell read off a net's tables; its places are its subnet's."""
+
+    members: frozenset[NodeId]
+    transitions: frozenset[str]
+    places: frozenset[PlaceId]
+    initial: frozenset[PlaceId]
+    final: frozenset[PlaceId]
+
+    def subnet(self, net: Net, marking: frozenset[PlaceId]) -> MarkedNet:
+        """The cell's subnet of ``net``, which keeps its one class, marked with ``marking ∩ minp``."""
+        subnet = subnet_of(net, self.places, self.transitions)
+        subnet.__dict__["_cell_classes"] = (self.members,)
+        return MarkedNet(subnet, marking & self.initial)
+
+
+def _blocks(net: Net) -> list[_Block]:
+    """The cells of the net, checked first, by smallest member place.  Every
+    consumer of a member place is a member, so the final places are the
+    post-places outside the members, and the initial places the member
+    places no member produces."""
     ensure_occurrence(net)
-    post = net._post
-    cells = []
+    pre, post = net._pre, net._post
+    blocks = {}
     for members in cell_classes(net):
         transitions = members & net.transitions
-        places = (members - transitions).union(*(post[t] for t in transitions))
-        subnet = subnet_of(net, places, transitions)
-        subnet.__dict__["_cell_classes"] = (members,)
-        cells.append(SCell(members, MarkedNet(subnet, marking & min_places(subnet))))
-    return tuple(sorted(cells, key=SCell.sort_key))
+        own = members - transitions
+        places = own.union(*(post[t] for t in transitions))
+        initial = frozenset([p for p in own if pre[p].isdisjoint(transitions)])
+        blocks[min(own)] = _Block(members, transitions, places, initial, places - members)
+    return [blocks[key] for key in sorted(blocks)]
 
 
 def cell_classes(net: Net) -> list[frozenset[NodeId]]:

@@ -7,7 +7,8 @@ cell is encoded either as a single constant (when every initial place of
 the cell is already marked) or as a sum over all subsets of its unmarked
 initial places, where each branch restricts the cell to the arriving
 tokens, recursively compiles the restriction, and pads the final places
-that die with a dead-wire term.
+that die with a dead-wire term.  A fully marked cell compiles straight
+from the net's own tables; a subnet is built only to restrict a cell.
 
 Termination is structural (every restriction strictly shrinks the cell)
 but a depth guard turns any accidental non-termination into an error.
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 import weakref
 
-from .cells import at_marking, cell_classes, scells, stratify
+from .cells import _Block, _blocks, at_marking, cell_classes, stratify
 from .errors import CompileError
-from .nets import MarkedNet, Process, enumerate_transactions, isolated_places, min_places
+from .nets import MarkedNet, Net, Process, _completions, _process_of, isolated_places, min_places, run
 from .terms import Constant, ConstantKey, Dead, Identity, Par, Seq, Term, make_sum, par_all, subsets_lex
 
 DEFAULT_DEPTH_GUARD = 64
@@ -50,11 +51,13 @@ def _compile(marked: MarkedNet, fuel: int) -> Term:
     # restriction with one less, not along ; or +.
     if fuel <= 0:
         raise CompileError("recursion depth guard exceeded while compiling")
-    cells = scells(marked.net, marked.marking)
+    net, marking = marked.net, marked.marking
+    blocks = _blocks(net)
     return stratify(
-        [(c.subnet.inputs, c.subnet.outputs) for c in cells], marked.inputs, marked.outputs,
+        [(b.initial - marking, b.final) for b in blocks], marked.inputs, marked.outputs,
         # compile_cell is looked up when called, so a wrapper bound in its place sees every call
-        lambda i: compile_cell(cells[i].subnet, depth_guard=fuel),
+        lambda i: _constant(net, blocks[i]) if blocks[i].initial <= marking
+        else compile_cell(blocks[i].subnet(net, marking), depth_guard=fuel),
         Identity, par_all, Seq,
     )
 
@@ -62,11 +65,11 @@ def _compile(marked: MarkedNet, fuel: int) -> Term:
 def compile_cell(cell: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) -> Term:
     """Encode one s-cell.
 
-    Fully marked cells become a constant over their transactions.  A
-    cell with unmarked inputs becomes a sum with one branch per subset
-    of those inputs; branch m pads the final places killed by the
-    missing tokens and recursively compiles the restricted net (which
-    may decompose into several smaller cells).
+    A fully marked cell becomes the constant over its transactions, run
+    on the cell's own tables.  A cell with unmarked inputs becomes a sum
+    with one branch per subset of those inputs: the cell's constant when
+    all arrive, else the restricted net compiled recursively (it may
+    decompose into several cells), padded by the final places killed.
     """
     if depth_guard <= 0:
         raise CompileError("recursion depth guard exceeded while compiling a cell")
@@ -76,15 +79,10 @@ def compile_cell(cell: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) -> 
             "not a single s-cell: the net decomposes into "
             f"{len(classes)} cell(s) and possibly identity wires"
         )
-    unmarked = cell.inputs
+    net, unmarked = cell.net, cell.inputs
+    whole = _Block(classes[0], net.transitions, net.places, min_places(net), cell.outputs)
     if not unmarked:
-        transactions = _clip_to_boundary(enumerate_transactions(cell), cell.outputs)
-        key = ConstantKey(
-            marked=min_places(cell.net),
-            outputs=frozenset().union(*(p.final_places for p in transactions)),
-            transactions=transactions,
-        )
-        return Constant(key)
+        return _constant(net, whole)
 
     branches: dict[frozenset[str], Term] = {}
     for arriving in subsets_lex(unmarked)[:-1]:  # all but the last, the full set
@@ -94,35 +92,28 @@ def compile_cell(cell: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) -> 
         else:
             inner = Identity(frozenset())
         branches[arriving] = _pad_dead(view.dead_finals, inner)
-    # When every input arrives nothing is removed: the view is the cell
-    # itself with all its initial places marked, which is its own
-    # canonical form, so it is compiled as that one cell.
     if depth_guard - 1 <= 0:
         raise CompileError("recursion depth guard exceeded while compiling")
-    full = MarkedNet(cell.net, min_places(cell.net))
-    branches[unmarked] = compile_cell(full, depth_guard=depth_guard - 1)
+    branches[unmarked] = _constant(net, whole)
     return make_sum(unmarked, branches)
 
 
-def _clip_to_boundary(transactions, boundary: frozenset[str]):
-    """Restrict transaction final places to the cell's own final places.
-
-    A maximal process can strand a token on a place internal to the
-    cell (produced there, but every consumer conflicts with the chosen
-    run).  Nothing outside the cell can ever consume it, so the matrix
-    semantics drops it; the stranded places stay accounted among the
-    transaction's nodes.  A transaction that strands nothing is kept as
-    it is.
-    """
-    return frozenset(
-        proc if proc.final_places <= boundary else Process(
-            proc.transitions,
-            proc.initial_places,
-            proc.final_places & boundary,
-            proc.internal_places | (proc.final_places - boundary),
-        )
-        for proc in transactions
+def _constant(net: Net, cell: _Block) -> Constant:
+    """The constant of a fully marked cell of ``net``: the maximal runs
+    of its transitions from its initial places, on the net's own tables.
+    A run can strand a token on a place internal to the cell, which no
+    transition outside the cell consumes, so the matrix semantics drops
+    it: the run's final places are clipped to the cell's, and the
+    stranded places stay among the transaction's nodes."""
+    runs = run(_completions(net, cell.transitions, cell.initial, {}))
+    transactions = frozenset(
+        proc if proc.final_places <= cell.final else Process(
+            proc.transitions, proc.initial_places, proc.final_places & cell.final,
+            proc.internal_places | (proc.final_places - cell.final))
+        for proc in (_process_of(net, fired) for fired in runs)
     )
+    outputs = frozenset().union(*(p.final_places for p in transactions))
+    return Constant(ConstantKey(marked=cell.initial, outputs=outputs, transactions=transactions))
 
 
 def _pad_dead(dead_finals: frozenset[str], inner: Term) -> Term:

@@ -9,7 +9,8 @@ Grammar (documented in the README):
     }
 
 ``marking`` is optional and defaults to empty.  The parser rejects
-duplicate identifiers and references to undeclared places.
+duplicate identifiers, undeclared references and identifiers no term
+can carry.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Any
 
 from .errors import FileFormatError, NetError
 from .nets import MarkedNet, Net
+from .terms import _IDENTIFIER
 
 
 def parse_net_parts(text: str) -> tuple[Net, frozenset[str]]:
@@ -74,6 +76,12 @@ def parse_net_parts(text: str) -> tuple[Net, frozenset[str]]:
     if len(set(marking)) != len(marking):
         raise FileFormatError("duplicate places in marking")
 
+    # A term or a δ signature must carry each declared identifier; none is
+    # empty, so all are words of the term syntax when their concatenation is.
+    declared = places + [entry["id"] for entry in raw_transitions]
+    if declared and not _IDENTIFIER.fullmatch("".join(declared)):
+        bad = next(x for x in declared if not _IDENTIFIER.fullmatch(x))
+        raise FileFormatError(f"identifier {bad!r} may hold only ASCII letters, digits, '_', '.' and '-'")
     try:
         net = Net(frozenset(places), frozenset(transitions), frozenset(flow))
     except NetError as exc:

@@ -336,17 +336,13 @@ def validate_occurrence(net: Net) -> ValidationReport:
         components = strong_components(net.nodes, net._post.__getitem__)
         for x in sorted(x for c in components if len(c) > 1 for x in c):
             violations.append(Violation("cycle", x, "node lies on a flow cycle"))
-    for p in sorted(net.places):
-        producers = net.pre(p)
-        if len(producers) > 1:
-            violations.append(
-                Violation("backward-conflict", p, f"multiple producers {sorted(producers)}")
-            )
+    for p in sorted(p for p in net.places if len(net._pre[p]) > 1):
+        violations.append(Violation("backward-conflict", p, f"multiple producers {sorted(net._pre[p])}"))
     if not net._has_flow_cycle:
         # Conflict is only meaningful on acyclic nets.
         witness: dict[TransitionId, tuple[TransitionId, TransitionId]] = {}
-        for p in net.places:
-            for u, v in combinations(sorted(net._post[p]), 2):
+        for consumers in [net._post[p] for p in net.places if len(net._post[p]) > 1]:
+            for u, v in combinations(sorted(consumers), 2):
                 for t in net._descendants[u] & net._descendants[v] & net.transitions:
                     if t not in witness or (u, v) < witness[t]:
                         witness[t] = (u, v)
@@ -533,29 +529,28 @@ def enumerate_transactions(marked: MarkedNet) -> frozenset[Process]:
     unmarked = needed - marked.marking
     if unmarked:
         raise OccurrenceError(f"unmarked initial place present: {sorted(unmarked)}")
-
-    net = marked.net
-    return frozenset(_process_of(net, fired) for fired in run(_completions(net, marked.marking, {})))
+    runs = run(_completions(marked.net, marked.net.transitions, marked.marking, {}))
+    return frozenset(_process_of(marked.net, fired) for fired in runs)
 
 
 _Firings = frozenset[frozenset[TransitionId]]  # the transition sets of some runs
 
 
-def _completions(net: Net, m: frozenset[PlaceId],
+def _completions(net: Net, transitions: frozenset[TransitionId], m: frozenset[PlaceId],
                  memo: dict[frozenset[PlaceId], _Firings]) -> Walk[_Firings]:
-    """The transition sets of the maximal runs from marking m; the result
-    for each marking reached is kept in ``memo``."""
+    """The transition sets of the maximal runs of ``transitions`` from
+    marking m; the result for each marking reached is kept in ``memo``."""
     if m in memo:
         return memo[m]
     pre, post = net._pre, net._post
-    fireable = [t for t in net.transitions if pre[t] <= m]
+    fireable = [t for t in transitions if pre[t] <= m]
     if not fireable:
         result = frozenset({frozenset()})
     else:
         acc: set[frozenset[TransitionId]] = set()
         for t in fireable:
             after = (m - pre[t]) | post[t]
-            for rest in (yield _completions(net, after, memo)):
+            for rest in (yield _completions(net, transitions, after, memo)):
                 acc.add(rest | {t})
         result = frozenset(acc)
     memo[m] = result

@@ -478,7 +478,8 @@ def _emit(t: Term, pieces: list[str]) -> Walk[None]:
         raise TermError(f"not a term: {t!r}")
 
 
-_TOKEN = re.compile(r"\s*([{}()\[\]+;:>,|]|[A-Za-z0-9_.\-]+)")
+_IDENTIFIER = re.compile(r"[A-Za-z0-9_.\-]+")  # a place or transition, here and in net files
+_TOKEN = re.compile(r"\s*([{}()\[\]+;:>,|]|" + _IDENTIFIER.pattern + ")")
 
 
 class _Parser:

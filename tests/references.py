@@ -2,10 +2,11 @@
 
 Each one computes something the library computes another way: the
 dense Kronecker algebra that ``interpret`` replaced, the widest cut
-that ``interpret`` checks against its width cap, the reachability
-preorder whose classes ``scells`` finds by Tarjan's algorithm, a token
-game over markings, a state marginal, and box and wire counts of a DOT
-diagram.  None of them is used by the library.
+that ``interpret`` checks against its width cap, a compiler that
+compiles every cell from its subnet, the reachability preorder whose
+classes ``scells`` finds by Tarjan's algorithm, a token game over
+markings, a state marginal, and box and wire counts of a DOT diagram.
+None of them is used by the library.
 """
 
 from __future__ import annotations
@@ -15,21 +16,33 @@ from typing import Iterable
 import numpy as np
 
 from cellnet import (
+    Constant,
+    ConstantKey,
+    Dead,
     DeltaTable,
+    Identity,
     InferenceError,
     KleisliArrow,
     MarkedNet,
     Net,
     Par,
+    Process,
     Seq,
     State,
     Sum,
     Term,
     Wiring,
     WiringError,
+    at_marking,
+    enumerate_transactions,
+    make_sum,
+    min_places,
+    scells,
     typecheck,
 )
+from cellnet.cells import stratify
 from cellnet.kleisli import subset_index
+from cellnet.terms import par_all, subsets_lex
 
 # --------------------------------------------------------------------- #
 # Dense Kronecker algebra
@@ -137,6 +150,46 @@ def _push_widths(term: Term, cut: int) -> tuple[int, int]:
 def _factors(term: Par) -> list[Term]:
     """The maximal non-``+`` subterms of a ``+`` tree, left to right."""
     return [f for t in (term.left, term.right) for f in (_factors(t) if isinstance(t, Par) else [t])]
+
+
+# --------------------------------------------------------------------- #
+# Compiling from cell subnets
+# --------------------------------------------------------------------- #
+
+
+def compile_by_subnets(marked: MarkedNet) -> Term:
+    """The compiled term of a marked net, with every cell compiled from
+    the subnet ``scells`` builds for it: a fully marked cell is the
+    constant over the transactions of that subnet, and a cell with
+    inputs is the sum over their subsets of each restriction's compiled
+    term, the full subset included, padded with ⊥ on the final places it
+    kills.  The layers are those of ``stratify``."""
+    cells = scells(marked.net, marked.marking)
+    return stratify([(c.subnet.inputs, c.subnet.outputs) for c in cells], marked.inputs, marked.outputs,
+                    lambda i: _compile_subnet(cells[i].subnet), Identity, par_all, Seq)
+
+
+def _compile_subnet(cell: MarkedNet) -> Term:
+    if not cell.inputs:
+        boundary = cell.outputs
+        transactions = frozenset(
+            Process(p.transitions, p.initial_places, p.final_places & boundary,
+                    p.internal_places | (p.final_places - boundary))
+            for p in enumerate_transactions(cell)
+        )
+        outputs = frozenset().union(*(p.final_places for p in transactions))
+        return Constant(ConstantKey(min_places(cell.net), outputs, transactions))
+    branches = {}
+    for arriving in subsets_lex(cell.inputs):
+        view = at_marking(cell, arriving)
+        if view.marked.net.places or view.marked.net.transitions:
+            inner = compile_by_subnets(view.marked)
+        else:
+            inner = Identity(frozenset())
+        if view.dead_finals:
+            inner = Dead(view.dead_finals) if inner == Identity(frozenset()) else Par(Dead(view.dead_finals), inner)
+        branches[arriving] = inner
+    return make_sum(cell.inputs, branches)
 
 
 # --------------------------------------------------------------------- #

@@ -52,6 +52,16 @@ def test_validate_json_nested_too_deeply(tmp_path, capsys):
     assert err == "cellnet validate: the input nests too deeply for this command (Python recursion limit reached)\n"
 
 
+def test_compile_refuses_an_identifier_a_term_cannot_carry(tmp_path, capsys):
+    net = tmp_path / "comma.net"
+    net.write_text('{"places": ["p", "q"], "transitions": [{"id": "a,b", "pre": ["p"], "post": ["q"]}], '
+                   '"marking": ["p"]}')
+    assert run(["compile", str(net)]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert len(err.splitlines()) == 1 and "'a,b'" in err
+
+
 def test_validate_missing_file(capsys):
     assert run(["validate", "nets/nope.net"]) == 1
     assert "nope.net" in capsys.readouterr().err

@@ -1,7 +1,11 @@
+import json
+import random
 import weakref
+from pathlib import Path
 
 import pytest
 
+import cellnet.cells
 import cellnet.compiler
 from cellnet import (
     CellLeaf,
@@ -19,12 +23,26 @@ from cellnet import (
     compile_net,
     constants_of,
     identity_net,
+    load_net,
+    parse_net,
     render_term,
     scells,
     typecheck,
 )
 
+from conftest import (
+    build_confusion_net,
+    build_three_cell_net,
+    confusion_chain,
+    deep_doc,
+    disjoint_copies,
+    random_occurrence_net,
+    wide_doc,
+)
+from references import compile_by_subnets
+
 fs = frozenset
+NETS = Path(__file__).resolve().parent.parent / "nets"
 
 
 def cell_subnet(marked, member):
@@ -249,3 +267,38 @@ def test_compile_memo_keeps_no_net_alive():
     gc.collect()
     assert ref() is None
     assert compile_net(build()) == term
+
+
+def test_compile_net_matches_compiling_every_cell_from_its_subnet():
+    rng = random.Random(20221)
+    nets = [random_occurrence_net(rng, 12, 9) for _ in range(1000)]
+    nets += [load_net(str(path)) for path in sorted(NETS.glob("*.net"))]
+    nets += [disjoint_copies(base, k) for base in (build_three_cell_net(), build_confusion_net()) for k in (1, 3)]
+    nets += [confusion_chain(n) for n in (1, 2, 9)]
+    nets += [parse_net(json.dumps(family(n))) for family in (wide_doc, deep_doc) for n in (1, 2, 40)]
+    for marked in nets:
+        term, expected = compile_net(marked), compile_by_subnets(marked)
+        assert term == expected
+        assert render_term(term) == render_term(expected)
+
+
+def test_only_cells_with_an_input_build_subnets(monkeypatch):
+    # the compiler builds subnets through cells alone, so the wrapper sees every one
+    assert not hasattr(cellnet.compiler, "subnet_of")
+    built = []   # (parent, subnet) per call
+
+    def counting(parent, places, transitions, real=cellnet.cells.subnet_of):
+        built.append((parent, real(parent, places, transitions)))
+        return built[-1][1]
+
+    monkeypatch.setattr(cellnet.cells, "subnet_of", counting)
+    monkeypatch.setattr(cellnet.compiler, "_compiled", weakref.WeakKeyDictionary())
+    compile_net(parse_net(json.dumps(wide_doc(50))))
+    assert built == []
+
+    deep = parse_net(json.dumps(deep_doc(20)))   # every cell but the first has an input
+    compile_net(deep)
+    cells = [sub for parent, sub in built if parent is deep.net]
+    assert len(cells) == 19 and {sub.transitions for sub in cells} == {fs({f"t{i:02d}"}) for i in range(1, 20)}
+    restrictions = [parent for parent, _ in built if parent is not deep.net]
+    assert len(restrictions) == 19 and all(any(parent is sub for sub in cells) for parent in restrictions)

@@ -49,3 +49,12 @@ def test_duplicate_transition_identifier(places, transitions):
     doc = {"places": places, "transitions": [{"id": t, "pre": ["p"]} for t in transitions]}
     with pytest.raises(FileFormatError, match=r"^duplicate identifier 't'$"):
         parse_net(json.dumps(doc))
+
+
+@pytest.mark.parametrize("places, transition", [(["a,b", "q"], "t"), (["p", "q"], "a,b"), (["p q", "q"], "t")])
+def test_identifier_outside_the_term_syntax(places, transition):
+    # a comma or a space would split the identifier in a term or a δ signature
+    doc = {"places": places, "transitions": [{"id": transition, "pre": [places[0]], "post": ["q"]}]}
+    bad = transition if transition == "a,b" else places[0]
+    with pytest.raises(FileFormatError, match=rf"^identifier {bad!r} may hold only ASCII letters, digits"):
+        parse_net(json.dumps(doc))
