@@ -20,7 +20,8 @@ import weakref
 
 from .cells import _Block, _blocks, at_marking, cell_classes, stratify
 from .errors import CompileError
-from .nets import MarkedNet, Net, Process, _completions, _process_of, isolated_places, min_places, run
+from .nets import MarkedNet, Net, Process, _completions, _process_of, dependents, isolated_places
+from .nets import min_places, run
 from .terms import Constant, ConstantKey, Dead, Identity, Par, Seq, Term, make_sum, par_all, subsets_lex
 
 DEFAULT_DEPTH_GUARD = 64
@@ -70,6 +71,8 @@ def compile_cell(cell: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) -> 
     with one branch per subset of those inputs: the cell's constant when
     all arrive, else the restricted net compiled recursively (it may
     decompose into several cells), padded by the final places killed.
+    Subsets that kill the same transitions leave the same survivor, so
+    they share one branch term, built once.
     """
     if depth_guard <= 0:
         raise CompileError("recursion depth guard exceeded while compiling a cell")
@@ -85,13 +88,14 @@ def compile_cell(cell: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) -> 
         return _constant(net, whole)
 
     branches: dict[frozenset[str], Term] = {}
+    by_killed: dict[frozenset[str], Term] = {}
     for arriving in subsets_lex(unmarked)[:-1]:  # all but the last, the full set
-        view = at_marking(cell, arriving)
-        if view.marked.net.places or view.marked.net.transitions:
-            inner = _compile(view.marked, depth_guard - 1)
-        else:
-            inner = Identity(frozenset())
-        branches[arriving] = _pad_dead(view.dead_finals, inner)
+        killed = dependents(net, unmarked - arriving) & net.transitions
+        if killed not in by_killed:
+            view = at_marking(cell, arriving)
+            inner = _compile(view.marked, depth_guard - 1) if view.marked.net.nodes else Identity(frozenset())
+            by_killed[killed] = _pad_dead(view.dead_finals, inner)
+        branches[arriving] = by_killed[killed]
     if depth_guard - 1 <= 0:
         raise CompileError("recursion depth guard exceeded while compiling")
     branches[unmarked] = _constant(net, whole)

@@ -10,34 +10,39 @@ compiled term admits.  The outcome distribution
 :func:`sample_outcome_distribution` by sampling) is not independent of
 the compiler: it plays the compiled term with δ's weights, so it
 checks the matrix backend's arithmetic but not the term.  A probability
-oracle that never reads the term is open (ROADMAP.md, item 3).
+oracle that never reads the term is open (ROADMAP.md, item 6).
 
 The event structure is stored as two per-event tables, each event's
-causes and its rivals (the events in conflict with it).  It is built
-once per net, for the fully marked net, and restricted for each subset
-of inputs that receive tokens to the events with no input outside the
-subset below them; a restriction cuts both tables down to the kept
-events.  The restriction
-equals the structure of the net with those inputs removed, because:
+causes and its rivals (the events in conflict with it).  The searches
+run on an index of them, built once per structure: events numbered in
+sorted order, so that a set of events is an int (a bit mask), and per
+event its causes, rivals and immediate conflicts as masks.
+
+A check builds one structure, for the fully marked net.  Each subset of
+arriving inputs keeps one mask of it: the events minus the dependents of
+each absent input.  That equals the structure of the net with those
+inputs removed, because:
 
 - a transition dies exactly when a dead input lies below it;
 - paths between surviving transitions survive;
 - two surviving conflicting transitions keep their shared pre-place.
 
-The search for maximal r-stopped configurations rests on two more
+The search for maximal r-stopped configurations rests on three more
 facts:
 
 - The branching cells enabled after a configuration are pairwise
-  disjoint and compatible: an event in conflict with a cell lies above
-  one of its events.  Completing one cell leaves the others enabled and
-  unchanged, so completions commute, and :func:`maximal_r_stopped`
-  completes every enabled cell in one step.
-- A future is determined by its event set.  Every future built here is
-  the fully marked structure restricted to a set that holds every cause
-  outside the configuration, so its causes, conflicts and immediate
-  conflicts are that structure's tables cut down to the set.  One check
-  therefore keeps each future's branching cells by event set and shares
-  them across all input subsets.
+  disjoint and compatible, so completions commute and
+  :func:`maximal_r_stopped` completes every enabled cell in one step.
+- The future of a configuration v is the mask ``live & ~v &
+  ~rivals(v)``, with ``rivals(v)`` carried along as v grows.  Its
+  causes and (immediate) conflicts are the index's cut down to it, as a
+  cause it drops lies in v and no rival of v is in it.  So one check
+  keeps each future's branching cells by its mask for all subsets.
+- Inside a cell, a configuration is maximal exactly when no event of
+  the cell extends it by one.
+
+The term player uses masks too, and in a check its transitions take the
+event structure's bits, so one mask-to-frozenset cache serves both.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from __future__ import annotations
 import random
 from functools import cached_property
 from itertools import product
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .compiler import compile_net
@@ -68,21 +74,66 @@ from .terms import (
 Configuration = frozenset[TransitionId]
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _Index:
+    """Bit i stands for ``order[i]``.  ``names`` turns each mask into a
+    frozenset once, through a cache it may share with an extending index."""
+
+    def __init__(self, order: Iterable[str], names: dict[int, frozenset[str]] | None = None) -> None:
+        self.order = tuple(order)
+        self.bit = {x: 1 << i for i, x in enumerate(self.order)}
+        self._names = {} if names is None else names
+
+    def mask(self, xs: Iterable[str]) -> int:
+        return sum(map(self.bit.__getitem__, xs))
+
+    def names(self, mask: int) -> frozenset[str]:
+        got = self._names.get(mask)
+        if got is None:
+            got = self._names[mask] = frozenset(map(self.order.__getitem__, _bits(mask)))
+        return got
+
+
+class _Events(_Index):
+    """A PES's tables over its events in sorted order: per event, as
+    masks, its causes (itself included), rivals and immediate conflicts."""
+
+    def __init__(self, pes: PES) -> None:
+        super().__init__(sorted(pes.events))
+        self.all = (1 << len(self.order)) - 1
+        self.causes = causes = [self.mask(pes.causes[e]) for e in self.order]
+        self.rivals = rivals = [self.mask(pes.rivals[e]) for e in self.order]
+        # e #0 f exactly when e # f and no other cause of either conflicts
+        # with the other: conflict is inherited along causality
+        self.immediate = [
+            sum(1 << j for j in _bits(mine) if causes[j] & mine == 1 << j and causes[i] & rivals[j] == 1 << i)
+            for i, mine in enumerate(rivals)
+        ]
+
+
 class PES(_Value):
-    """A prime event structure, stored as two tables over its events:
-    ``causes`` maps each event to its causes, itself included (the
-    causality partial order), and ``rivals`` maps each event to the
-    events in conflict with it.  Construction checks that conflict is
-    irreflexive, symmetric and inherited along causality.  Immediate
-    conflicts are indexed once per structure, on first use, and kept in
-    its ``__dict__``."""
+    """A prime event structure, stored as two read-only tables over its
+    events: ``causes`` maps each event to its causes, itself included
+    (the causality partial order), and ``rivals`` maps each event to the
+    events in conflict with it.  Construction copies the tables and
+    checks that conflict is irreflexive, symmetric and inherited along
+    causality.  The searches' index (see the module docstring) is built
+    on first use and kept in the ``__dict__``."""
 
     _fields = ("events", "causes", "rivals")
 
     def __init__(self, events: frozenset[TransitionId],
                  causes: Mapping[TransitionId, frozenset[TransitionId]],
                  rivals: Mapping[TransitionId, frozenset[TransitionId]]) -> None:
-        self.__dict__.update(events=events, causes=causes, rivals=rivals)
+        self.__dict__.update(events=events, causes=MappingProxyType(dict(causes)),
+                             rivals=MappingProxyType(dict(rivals)))
         if self.causes.keys() != self.events or self.rivals.keys() != self.events:
             raise NetError("causes and rivals must map exactly the events")
         conflicted = frozenset(e for e, rivals in self.rivals.items() if rivals)
@@ -100,22 +151,12 @@ class PES(_Value):
                     f = min(self.rivals[x] - rivals)
                     raise NetError(f"conflict not inherited: {f} # {x} ≼ {e} but not {f} # {e}")
 
+    def __reduce__(self) -> tuple[type, tuple]:
+        return PES, (self.events, dict(self.causes), dict(self.rivals))
+
     @cached_property
-    def _immediate(self) -> dict[TransitionId, frozenset[TransitionId]]:
-        # e #0 f exactly when, for every cause x of e, the rivals of x
-        # below f are {f} if x = e and none otherwise.
-        none: frozenset[TransitionId] = frozenset()
-        return {
-            e: frozenset(
-                f
-                for f in rivals
-                if all(
-                    self.rivals[x] & self.causes[f] == ({f} if x == e else none)
-                    for x in self.causes[e]
-                )
-            )
-            for e, rivals in self.rivals.items()
-        }
+    def _index(self) -> _Events:
+        return _Events(self)
 
     def down(self, e: TransitionId) -> frozenset[TransitionId]:
         return self.causes.get(e, frozenset())
@@ -126,7 +167,9 @@ class PES(_Value):
     def immediate_conflicts(self, e: TransitionId) -> frozenset[TransitionId]:
         """Events f with e #0 f: in conflict with e, but with every other
         pair of their causes compatible."""
-        return self._immediate.get(e, frozenset())
+        index = self._index
+        bit = index.bit.get(e, 0)
+        return index.names(index.immediate[bit.bit_length() - 1] if bit else 0)
 
     def is_configuration(self, v: Iterable[TransitionId]) -> bool:
         v = frozenset(v)
@@ -136,21 +179,13 @@ class PES(_Value):
 
     def restrict(self, keep: frozenset[TransitionId]) -> PES:
         """The sub-structure on the events in ``keep``: this structure's
-        tables cut down to them, checked again on construction.
-
-        Immediate conflict survives the cut when every cause dropped
-        from below a kept event conflicts with nothing kept, as in a
-        downward-closed set or the events of a future."""
+        tables cut down to them, checked again on construction."""
         keep = self.events & keep
-        sub = PES(
+        return PES(
             keep,
             {e: self.causes[e] & keep for e in keep},
             {e: self.rivals[e] & keep for e in keep},
         )
-        sub.__dict__["_immediate"] = {
-            e: fs & keep for e, fs in self._immediate.items() if e in keep
-        }
-        return sub
 
 
 def _net_pes(net: Net) -> PES:
@@ -177,13 +212,6 @@ def _net_pes(net: Net) -> PES:
     )
 
 
-def _live_events(net: Net, dead: frozenset[PlaceId]) -> frozenset[TransitionId]:
-    """The transitions with none of the ``dead`` initial places below
-    them: exactly the ones that stay fireable when those places never
-    receive a token."""
-    return net.transitions - dependents(net, dead)
-
-
 def pes_of_net(marked: MarkedNet) -> PES:
     """The PES of a marked net: events are the transitions that can ever
     fire (those with no unmarked input place below them), causality is
@@ -192,12 +220,8 @@ def pes_of_net(marked: MarkedNet) -> PES:
 
     This is the fully marked net's PES restricted to those events; the
     module docstring says why the restriction is exact."""
-    whole = _net_pes(marked.net)
-    return whole.restrict(_live_events(marked.net, marked.inputs))
-
-
-def _future_events(pes: PES, v: Configuration) -> frozenset[TransitionId]:
-    return pes.events.difference(v, *(pes.rivals[f] for f in v))
+    net = marked.net
+    return _net_pes(net).restrict(net.transitions - dependents(net, marked.inputs))
 
 
 def future(pes: PES, v: Iterable[TransitionId]) -> PES:
@@ -206,56 +230,59 @@ def future(pes: PES, v: Iterable[TransitionId]) -> PES:
     v = frozenset(v)
     if not pes.is_configuration(v):
         raise NetError(f"{sorted(v)} is not a configuration")
-    return pes.restrict(_future_events(pes, v))
+    return pes.restrict(pes.events.difference(v, *(pes.rivals[f] for f in v)))
+
+
+def _stopping_prefixes(index: _Events, future: int) -> set[int]:
+    """The initial stopping prefixes of a future: its minimal non-empty
+    prefixes closed under immediate conflict.  Each is the closure of a
+    minimal event under causes and immediate conflicts; two minimal
+    closures are disjoint or equal, and any other closure holds a
+    smaller one, so the smallest closures first, each kept unless it
+    meets one kept already, are the minimal ones."""
+    causes, immediate = index.causes, index.immediate
+    closures = []
+    for i in _bits(future):
+        if causes[i] & future == 1 << i:
+            block, pending = 1 << i, [i]
+            while pending:
+                j = pending.pop()
+                grown = (causes[j] | immediate[j]) & future & ~block
+                block |= grown
+                pending.extend(_bits(grown))
+            closures.append(block)
+    kept, covered = set(), 0
+    for b in sorted(closures, key=int.bit_count):
+        if not b & covered:
+            kept.add(b)
+            covered |= b
+    return kept
 
 
 def initial_stopping_prefixes(pes: PES) -> frozenset[frozenset[TransitionId]]:
-    """Minimal non-empty prefixes closed under immediate conflict.
-
-    Such a prefix holds a minimal event (one with no cause but itself)
-    and is that event's closure under causes and immediate conflicts, so
-    it suffices to close the minimal events and keep the minimal
-    results.  A closure holds the closure of each minimal event in it,
-    so it is minimal exactly when those are all as large as it is.
-    """
-    closures: dict[TransitionId, frozenset[TransitionId]] = {}
-    for seed in pes.events:
-        if pes.down(seed) <= {seed}:
-            block, pending = {seed}, [seed]
-            while pending:
-                e = pending.pop()
-                extra = (pes.down(e) | pes.immediate_conflicts(e)) - block
-                block |= extra
-                pending.extend(extra)
-            closures[seed] = frozenset(block)
-    return frozenset(
-        b for b in closures.values()
-        if all(len(closures[e]) == len(b) for e in b if e in closures)
-    )
+    """Minimal non-empty prefixes closed under immediate conflict."""
+    index = pes._index
+    return frozenset(map(index.names, _stopping_prefixes(index, index.all)))
 
 
-def _maximal_configurations_within(pes: PES, block: frozenset[TransitionId]) -> frozenset[Configuration]:
-    """The maximal configurations contained in a downward-closed block."""
-    found: set[Configuration] = set()
-    run(_grow(pes, sorted(block), found, frozenset()))
-    return frozenset(c for c in found if not any(c < d for d in found))
-
-
-def _grow(pes: PES, ordered: list[TransitionId], found: set[Configuration],
-          current: Configuration) -> Walk[None]:
-    """Add to ``found`` every configuration that extends ``current`` by
-    events of ``ordered``."""
-    found.add(current)
-    for e in ordered:
-        if e in current:
-            continue
-        if not pes.down(e) - {e} <= current:
-            continue
-        if pes.rivals[e] & current:
-            continue
-        nxt = current | {e}
-        if nxt not in found:
-            yield _grow(pes, ordered, found, nxt)
+def _maximal_within(index: _Events, future: int, cell: int) -> list[tuple[int, int]]:
+    """The maximal configurations of a future inside one of its cells,
+    each with its rivals, adding one enabled event at a time."""
+    causes, rivals = index.causes, index.rivals
+    found, seen, pending = [], {0}, [(0, 0)]
+    while pending:
+        c, r = pending.pop()
+        stuck = True
+        for i in _bits(cell & ~c & ~r):
+            if causes[i] & future & ~c == 1 << i:
+                stuck = False
+                grown = c | 1 << i
+                if grown not in seen:
+                    seen.add(grown)
+                    pending.append((grown, r | rivals[i]))
+        if stuck:
+            found.append((c, r))
+    return found
 
 
 class RStopped(_Value):
@@ -271,47 +298,48 @@ class RStopped(_Value):
         object.__setattr__(self, "maximal", maximal)
 
 
-# Per enabled branching cell of a future, in sorted order, the cell's
-# maximal configurations in sorted order: the ways to complete it.
-CellTable = tuple[tuple[Configuration, ...], ...]
-# Cell tables by the event set of their future.
-CellTables = dict[frozenset[TransitionId], CellTable]
+# Per enabled branching cell of a future, in sorted order, the ways to
+# complete it: its maximal configurations in sorted order, each with its
+# rivals, as masks.  Cell tables are kept by the mask of their future.
+CellTable = tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _cell_table(pes: PES, v: Configuration, tables: CellTables) -> CellTable:
-    """The cell table of the future of v, kept in ``tables`` by the
-    future's event set (see the module docstring); empty exactly when
-    the future is."""
-    keep = _future_events(pes, v)
-    table = tables.get(keep)
+def _cell_table(index: _Events, future: int, tables: dict[int, CellTable]) -> CellTable:
+    """The cell table of a future, kept in ``tables`` by the future's
+    mask (see the module docstring); empty exactly when the future is."""
+    table = tables.get(future)
     if table is None:
-        fut = pes if keep == pes.events else pes.restrict(keep)
-        table = tables[keep] = tuple(
-            tuple(sorted(_maximal_configurations_within(fut, cell), key=sorted))
-            for cell in sorted(initial_stopping_prefixes(fut), key=sorted)
+        table = tables[future] = tuple(
+            tuple(sorted(_maximal_within(index, future, cell), key=lambda way: tuple(_bits(way[0]))))
+            for cell in sorted(_stopping_prefixes(index, future), key=lambda cell: tuple(_bits(cell)))
         )
     return table
 
 
 def r_stopped_configs(pes: PES) -> dict[Configuration, RStopped]:
     """All recursively-stopped configurations, found by repeatedly
-    completing one enabled branching cell.  Futures are built once per
-    event set, which keeps the search polynomial in the number of
-    r-stopped configurations at desk scale."""
-    tables: CellTables = {}
-    empty: Configuration = frozenset()
-    info = {empty: RStopped(empty, (), not _cell_table(pes, empty, tables))}
-    queue = [empty]
+    completing one enabled branching cell, with each future's cells
+    kept by its mask."""
+    index, tables = pes._index, {}
+    # per configuration: its chain, its rivals and whether it is maximal
+    info = {0: ((), 0, not _cell_table(index, index.all, tables))}
+    queue = [0]
     while queue:
         v = queue.pop()
-        for completions in _cell_table(pes, v, tables):
-            for w in completions:
-                nxt = v | w
-                if nxt not in info:
-                    maximal = not _cell_table(pes, nxt, tables)
-                    info[nxt] = RStopped(nxt, info[v].chain + (w,), maximal)
-                    queue.append(nxt)
-    return info
+        chain, rivals, _maximal = info[v]
+        for completions in _cell_table(index, index.all & ~(v | rivals), tables):
+            for w, more in completions:
+                grown = v | w
+                if grown not in info:
+                    more |= rivals
+                    maximal = not _cell_table(index, index.all & ~(grown | more), tables)
+                    info[grown] = (chain + (w,), more, maximal)
+                    queue.append(grown)
+    names = index.names
+    return {
+        names(v): RStopped(names(v), tuple(map(names, chain)), maximal)
+        for v, (chain, _rivals, maximal) in info.items()
+    }
 
 
 def maximal_r_stopped(pes: PES) -> frozenset[Configuration]:
@@ -319,24 +347,29 @@ def maximal_r_stopped(pes: PES) -> frozenset[Configuration]:
     completing every enabled branching cell at once (see the module
     docstring for why this reaches the same ones as
     :func:`r_stopped_configs`)."""
-    return _maximal_r_stopped(pes, {})
+    index = pes._index
+    return frozenset(map(index.names, _maximal_r_stopped(index, index.all, {})))
 
 
-def _maximal_r_stopped(pes: PES, tables: CellTables) -> frozenset[Configuration]:
-    empty: Configuration = frozenset()
-    found, seen, pending = set(), {empty}, [empty]
+def _maximal_r_stopped(index: _Events, live: int, tables: dict[int, CellTable]) -> list[int]:
+    """The maximal r-stopped configurations of the structure cut down
+    to ``live``, a downward-closed mask."""
+    found, seen, pending = [], {0}, [(0, 0)]
     while pending:
-        v = pending.pop()
-        table = _cell_table(pes, v, tables)
+        v, rivals = pending.pop()
+        table = _cell_table(index, live & ~(v | rivals), tables)
         if not table:
-            found.add(v)
+            found.append(v)
             continue
         for choice in product(*table):
-            nxt = v.union(*choice)
-            if nxt not in seen:
-                seen.add(nxt)
-                pending.append(nxt)
-    return frozenset(found)
+            grown, more = v, rivals
+            for w, r in choice:
+                grown |= w
+                more |= r
+            if grown not in seen:
+                seen.add(grown)
+                pending.append((grown, more))
+    return found
 
 
 # --------------------------------------------------------------------- #
@@ -354,88 +387,84 @@ def conf_of_term(term: Term, m: Iterable[PlaceId]) -> frozenset[Configuration]:
     receive tokens: constants contribute whole transactions, sums select
     the branch named by the arriving subset, sequential composition
     feeds each stage the final marking of the previous one."""
-    return _conf_of_term(term, frozenset(m), {})
-
-
-def _conf_of_term(term: Term, m: frozenset[PlaceId], memo: Memo) -> frozenset[Configuration]:
+    m = frozenset(m)
     _split_input(m, typecheck(term).inputs, "conf_of_term")
-    runs = run(_play(term, m, _transactions, memo))
-    return frozenset(v for v, _fin in runs)
+    player = _Player(term, _transactions)
+    return frozenset(player.names(v) for v, _fin in _runs(term, player.mask(m), player, {}))
 
 
 def _transactions(key: ConstantKey) -> Iterator[tuple[Process, float]]:
     return ((proc, 1.0) for proc in key.transactions)
 
 
-Runs = dict[tuple[Configuration, frozenset[str]], float]
-# The runs of each subterm already played, by (id(subterm), input).
-Memo = dict[tuple[int, frozenset[str]], Runs]
+# Weight per (configuration, final marking), both as masks.
+Runs = dict[tuple[int, int], float]
+# The runs of each subterm already played, by (id(subterm), input mask).
+Memo = dict[tuple[int, int], Runs]
 
 
-def _play(
-    term: Term,
-    m: frozenset[str],
-    outcomes: Callable[[ConstantKey], Iterable[tuple[Process, float]]],
-    memo: Memo,
-) -> Walk[Runs]:
-    """Weighted (configuration, final marking) pairs of a term under
-    input m, where ``outcomes`` says which transactions, with which
-    weights, each constant yields.  The final marking mirrors the matrix
-    semantics (identities pass their tokens through, constants emit
-    exactly a transaction's final places); parallel parts multiply and
-    sequential parts feed final markings forward.  Leaves are played by
-    :func:`_leaf_runs`, without a walk of their own; every other subterm
-    is played once per input and kept in ``memo``, which may serve many
-    plays of one term when ``outcomes`` is deterministic."""
+class _Player(_Index):
+    """A bit index of a term's nodes (``order`` first, when given), and
+    the transactions with their weights that ``outcomes`` gives for each
+    constant."""
 
-    def known(sub: Term, m: frozenset[str]) -> Runs | None:
-        return _leaf_runs(sub, m, outcomes) or memo.get((id(sub), m))
+    def __init__(self, term: Term, outcomes: Callable[[ConstantKey], Iterable[tuple[Process, float]]],
+                 order: tuple[str, ...] = (), names: dict[int, frozenset[str]] | None = None) -> None:
+        super().__init__((*order, *typecheck(term).nodes.difference(order)), names)
+        self.outcomes = outcomes
 
-    out: Runs = {}
-    if isinstance(term, Par):
-        m1, m2 = m & typecheck(term.left).inputs, m & typecheck(term.right).inputs
-        left = known(term.left, m1) or (yield _play(term.left, m1, outcomes, memo))
-        right = known(term.right, m2) or (yield _play(term.right, m2, outcomes, memo))
-        for (v1, f1), p1 in left.items():
-            for (v2, f2), p2 in right.items():
-                key = (v1 | v2, f1 | f2)
-                out[key] = out.get(key, 0.0) + p1 * p2
-    elif isinstance(term, Seq):
-        t2 = typecheck(term.second)
-        first = known(term.first, m) or (yield _play(term.first, m, outcomes, memo))
-        for (v1, f1), p1 in first.items():
-            m2 = f1 & t2.inputs
-            second = known(term.second, m2) or (yield _play(term.second, m2, outcomes, memo))
-            for (v2, f2), p2 in second.items():
-                key = (v1 | v2, f2)
-                out[key] = out.get(key, 0.0) + p1 * p2
-    elif isinstance(term, Sum):
-        branch = term.branch(m)
-        out = known(branch, frozenset()) or (yield _play(branch, frozenset(), outcomes, memo))
-    else:
-        return _leaf_runs(term, m, outcomes)  # callers typecheck, so this is a leaf
-    memo[id(term), m] = out
+
+def _known(term: Term, m: int, player: _Player, memo: Memo) -> Runs | None:
+    """The runs of a subterm already played under input m, or of a leaf,
+    played now; None otherwise.  Runs are never empty."""
+    out = memo.get((id(term), m))
+    if out is None:
+        if isinstance(term, Constant):
+            out, mask = {}, player.mask
+            for proc, p in player.outcomes(term.key):
+                pair = mask(proc.transitions), mask(proc.final_places)
+                out[pair] = out.get(pair, 0.0) + p
+        elif isinstance(term, (Identity, Dead)):
+            out = {(0, m if isinstance(term, Identity) else 0): 1.0}
+        else:
+            return None
+        memo[id(term), m] = out
     return out
 
 
-def _leaf_runs(
-    term: Term,
-    m: frozenset[str],
-    outcomes: Callable[[ConstantKey], Iterable[tuple[Process, float]]],
-) -> Runs | None:
-    """The runs of an identity, a dead wire or a constant, which are
-    never empty (δ gives some transaction of each constant a positive
-    weight); None for any other term."""
-    if isinstance(term, Identity):
-        return {(frozenset(), m): 1.0}
-    if isinstance(term, Dead):
-        return {(frozenset(), frozenset()): 1.0}
-    if not isinstance(term, Constant):
-        return None
+def _runs(term: Term, m: int, player: _Player, memo: Memo) -> Runs:
+    return _known(term, m, player, memo) or run(_play(term, m, player, memo))
+
+
+def _play(term: Term, m: int, player: _Player, memo: Memo) -> Walk[Runs]:
+    """Weighted (configuration, final marking) pairs of a +, ; or sum
+    under input m.  The final marking mirrors the matrix semantics
+    (identities pass their tokens through, constants emit exactly a
+    transaction's final places); parallel parts multiply and sequential
+    parts feed final markings forward.  Every subterm is played once
+    per input and kept in ``memo``, which may serve many plays of one
+    term when the player's outcomes are deterministic."""
     out: Runs = {}
-    for proc, p in outcomes(term.key):
-        key = (proc.transitions, proc.final_places)
-        out[key] = out.get(key, 0.0) + p
+    if isinstance(term, Par):
+        m1 = m & player.mask(typecheck(term.left).inputs)
+        m2 = m ^ m1  # m holds only inputs of this +
+        runs1 = _known(term.left, m1, player, memo) or (yield _play(term.left, m1, player, memo))
+        runs2 = _known(term.right, m2, player, memo) or (yield _play(term.right, m2, player, memo))
+        for (v1, f1), p1 in runs1.items():
+            for (v2, f2), p2 in runs2.items():
+                key = (v1 | v2, f1 | f2)
+                out[key] = out.get(key, 0.0) + p1 * p2
+    elif isinstance(term, Seq):
+        runs1 = _known(term.first, m, player, memo) or (yield _play(term.first, m, player, memo))
+        for (v1, f1), p1 in runs1.items():  # f1 holds only outputs of the first, the second's inputs
+            runs2 = _known(term.second, f1, player, memo) or (yield _play(term.second, f1, player, memo))
+            for (v2, f2), p2 in runs2.items():
+                key = (v1 | v2, f2)
+                out[key] = out.get(key, 0.0) + p1 * p2
+    else:  # callers typecheck, so this is a sum
+        branch = term.branch(player.names(m))
+        out = _known(branch, 0, player, memo) or (yield _play(branch, 0, player, memo))
+    memo[id(term), m] = out
     return out
 
 
@@ -488,23 +517,24 @@ def check_correspondence(marked: MarkedNet) -> CorrespondenceReport:
     recursively-stopped configurations of the marked net extended with j
     against the configurations of the compiled term under j.
 
-    The event structure is built once, for the fully marked net, and
-    restricted for each j to the events with no input outside j below
-    them (see :func:`pes_of_net`).  Tokens arriving on isolated input
-    places enable no events, so they change nothing there.  All subsets
-    share one table of branching cells per future event set and one
-    play of each subterm per input.
+    One event structure serves every j (see the module docstring).
+    Tokens arriving on isolated input places enable no events, so they
+    change nothing there.  All subsets share the cell tables, the
+    searches, the plays of each subterm and the mask-to-frozenset cache.
     """
-    term = compile_net(marked)
-    whole = _net_pes(marked.net)
-    tables: CellTables = {}
-    memo: Memo = {}
-    cases = []
+    term, net = compile_net(marked), marked.net
+    events = _net_pes(net)._index
+    player = _Player(term, _transactions, events.order, events._names)
+    below = {p: events.mask(dependents(net, {p}) & net.transitions) for p in marked.inputs}
+    tables, memo, ends, cases = {}, {}, {}, []
     for arriving in subsets_lex(marked.inputs):
-        live = _live_events(marked.net, marked.inputs - arriving)
-        ab = _maximal_r_stopped(whole.restrict(live), tables)
-        tv = _conf_of_term(term, arriving, memo)
-        cases.append(CorrespondenceCase(arriving, ab, tv))
+        live = events.all
+        for p in marked.inputs - arriving:
+            live &= ~below[p]
+        if live not in ends:  # subsets that kill the same events share their search
+            ends[live] = frozenset(map(events.names, _maximal_r_stopped(events, live, tables)))
+        runs = _runs(term, player.mask(arriving), player, memo)
+        cases.append(CorrespondenceCase(arriving, ends[live], frozenset(player.names(v) for v, _fin in runs)))
     return CorrespondenceReport(tuple(cases))
 
 
@@ -551,7 +581,9 @@ def enumerate_outcome_distribution(
             if p > 0:
                 yield proc, p
 
-    weights = run(_play(term, arriving, weighted, {}))
+    player = _Player(term, weighted)
+    runs = _runs(term, player.mask(arriving), player, {})
+    weights = {(player.names(v), player.names(f)): p for (v, f), p in runs.items()}
     joint = Dist(weights)
     markings: dict[frozenset[str], float] = {}
     configs: dict[Configuration, float] = {}
@@ -610,7 +642,8 @@ def sample_outcome_distribution(
                 return [(proc, 1.0)]
         raise DeltaError(f"sampled unknown transaction {sorted(chosen)}")
 
+    player = _Player(term, draw)
     for _ in range(samples):
-        ((_config, outcome),) = run(_play(term, arriving, draw, {}))
-        counts[outcome] = counts.get(outcome, 0) + 1
+        ((_config, outcome),) = _runs(term, player.mask(arriving), player, {})
+        counts[player.names(outcome)] = counts.get(player.names(outcome), 0) + 1
     return SampleSummary(samples, seed, counts)

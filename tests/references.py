@@ -5,13 +5,16 @@ dense Kronecker algebra that ``interpret`` replaced, the widest cut
 that ``interpret`` checks against its width cap, a compiler that
 compiles every cell from its subnet, the reachability preorder whose
 classes ``scells`` finds by Tarjan's algorithm, a token game over
-markings, a state marginal, and box and wire counts of a DOT diagram.
-None of them is used by the library.
+markings, a state marginal, box and wire counts of a DOT diagram, and
+the event-structure oracle's searches and term player on frozensets,
+where the library runs them on bit masks.  None of them is used by the
+library.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import product
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -25,6 +28,7 @@ from cellnet import (
     KleisliArrow,
     MarkedNet,
     Net,
+    PES,
     Par,
     Process,
     Seq,
@@ -256,3 +260,130 @@ def count_boxes(dot: str) -> int:
 
 def count_wires(dot: str) -> int:
     return sum(1 for line in dot.splitlines() if "->" in line)
+
+
+# --------------------------------------------------------------------- #
+# The event-structure oracle on frozensets
+# --------------------------------------------------------------------- #
+
+
+def immediate_conflicts(pes: PES) -> dict[str, frozenset[str]]:
+    """e #0 f exactly when, for every cause x of e, the rivals of x
+    below f are {f} if x = e and none otherwise."""
+    none: frozenset[str] = frozenset()
+    return {
+        e: frozenset(
+            f for f in rivals
+            if all(pes.rivals[x] & pes.causes[f] == ({f} if x == e else none) for x in pes.causes[e])
+        )
+        for e, rivals in pes.rivals.items()
+    }
+
+
+def initial_stopping_prefixes(pes: PES) -> frozenset[frozenset[str]]:
+    """Minimal non-empty prefixes closed under immediate conflict: the
+    closures of the minimal events under causes and immediate
+    conflicts that hold no smaller closure."""
+    immediate = immediate_conflicts(pes)
+    closures: dict[str, frozenset[str]] = {}
+    for seed in pes.events:
+        if pes.down(seed) <= {seed}:
+            block, pending = {seed}, [seed]
+            while pending:
+                e = pending.pop()
+                extra = (pes.down(e) | immediate[e]) - block
+                block |= extra
+                pending.extend(extra)
+            closures[seed] = frozenset(block)
+    return frozenset(
+        b for b in closures.values()
+        if all(len(closures[e]) == len(b) for e in b if e in closures)
+    )
+
+
+def maximal_configurations_within(pes: PES, block: frozenset[str]) -> frozenset[frozenset[str]]:
+    """The maximal configurations contained in a downward-closed block:
+    every configuration in it, grown one event at a time, then the
+    maximal ones among them."""
+    found: set[frozenset[str]] = set()
+    pending = [frozenset()]
+    while pending:
+        current = pending.pop()
+        if current in found:
+            continue
+        found.add(current)
+        for e in sorted(block - current):
+            if pes.down(e) - {e} <= current and not pes.rivals[e] & current:
+                pending.append(current | {e})
+    return frozenset(c for c in found if not any(c < d for d in found))
+
+
+def cell_table(pes: PES, v: frozenset[str], tables: dict) -> tuple[tuple[frozenset[str], ...], ...]:
+    """Per enabled branching cell of the future of v, in sorted order,
+    its maximal configurations in sorted order; kept in ``tables`` by
+    the future's event set, which may be shared across structures cut
+    from one fully marked structure."""
+    keep = pes.events.difference(v, *(pes.rivals[f] for f in v))
+    table = tables.get(keep)
+    if table is None:
+        fut = pes.restrict(keep)
+        table = tables[keep] = tuple(
+            tuple(sorted(maximal_configurations_within(fut, cell), key=sorted))
+            for cell in sorted(initial_stopping_prefixes(fut), key=sorted)
+        )
+    return table
+
+
+def maximal_r_stopped(pes: PES, tables: dict) -> frozenset[frozenset[str]]:
+    """The r-stopped configurations with an empty future, completing
+    every enabled branching cell at once."""
+    empty: frozenset[str] = frozenset()
+    found, seen, pending = set(), {empty}, [empty]
+    while pending:
+        v = pending.pop()
+        table = cell_table(pes, v, tables)
+        if not table:
+            found.add(v)
+            continue
+        for choice in product(*table):
+            nxt = v.union(*choice)
+            if nxt not in seen:
+                seen.add(nxt)
+                pending.append(nxt)
+    return frozenset(found)
+
+
+def play(term: Term, m: frozenset[str], outcomes: Callable, memo: dict) -> dict:
+    """Weighted (configuration, final marking) pairs of a term under
+    input m, where ``outcomes`` gives each constant's transactions with
+    their weights; each subterm but a leaf is played once per input and
+    kept in ``memo``."""
+    if isinstance(term, Identity):
+        return {(frozenset(), m): 1.0}
+    if isinstance(term, Dead):
+        return {(frozenset(), frozenset()): 1.0}
+    out: dict = {}
+    if isinstance(term, Constant):
+        for proc, p in outcomes(term.key):
+            key = (proc.transitions, proc.final_places)
+            out[key] = out.get(key, 0.0) + p
+        return out
+    if (id(term), m) in memo:
+        return memo[id(term), m]
+    if isinstance(term, Par):
+        left = play(term.left, m & typecheck(term.left).inputs, outcomes, memo)
+        right = play(term.right, m & typecheck(term.right).inputs, outcomes, memo)
+        for (v1, f1), p1 in left.items():
+            for (v2, f2), p2 in right.items():
+                key = (v1 | v2, f1 | f2)
+                out[key] = out.get(key, 0.0) + p1 * p2
+    elif isinstance(term, Seq):
+        for (v1, f1), p1 in play(term.first, m, outcomes, memo).items():
+            second = play(term.second, f1 & typecheck(term.second).inputs, outcomes, memo)
+            for (v2, f2), p2 in second.items():
+                key = (v1 | v2, f2)
+                out[key] = out.get(key, 0.0) + p1 * p2
+    else:
+        out = play(term.branch(m), frozenset(), outcomes, memo)
+    memo[id(term), m] = out
+    return out

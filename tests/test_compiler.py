@@ -302,3 +302,22 @@ def test_only_cells_with_an_input_build_subnets(monkeypatch):
     assert len(cells) == 19 and {sub.transitions for sub in cells} == {fs({f"t{i:02d}"}) for i in range(1, 20)}
     restrictions = [parent for parent, _ in built if parent is not deep.net]
     assert len(restrictions) == 19 and all(any(parent is sub for sub in cells) for parent in restrictions)
+
+
+def test_subsets_that_leave_one_survivor_share_its_branch():
+    # equal branches of a sum come from one survivor, so they are one
+    # term object, compiled and typed once
+    rng = random.Random(25)
+    shared = 0
+    for _ in range(300):
+        pending = [compile_net(random_occurrence_net(rng, 12, 9))]
+        while pending:
+            term = pending.pop()
+            if isinstance(term, Sum):
+                branches = [branch for _, branch in term.branches]
+                for i, a in enumerate(branches):
+                    for b in branches[:i]:
+                        assert (a == b) == (a is b)
+                        shared += a is b
+            pending.extend(term._parts()[1])
+    assert shared > 50

@@ -210,11 +210,8 @@ def test_maximal_r_stopped_of_the_wide_net(nets):
     assert maximal_r_stopped(pes_of_net(marked)) == {marked.net.transitions}
 
 
-def test_configs_of_a_deep_net(tmp_path, capsys):
-    # one future per step: each cuts the cause tables of the last
-    doc = deep_doc(300)
-    path = tmp_path / "deep300.net"
-    path.write_text(json.dumps(doc))
-    assert run(["configs", str(path)]) == 0
-    transitions = sorted(t["id"] for t in doc["transitions"])
+def test_configs_of_a_deep_net(docs, files, capsys):
+    # one future per step, each a mask of the one index
+    assert run(["configs", str(files["deep"])]) == 0
+    transitions = sorted(t["id"] for t in docs["deep"]["transitions"])
     assert capsys.readouterr().out == "{" + ",".join(transitions) + "}\n"

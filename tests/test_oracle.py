@@ -27,6 +27,7 @@ from cellnet import (
 )
 from cellnet.oracle import _cell_table
 from conftest import confusion_delta, random_occurrence_net, three_cell_delta
+from references import cell_table as reference_cell_table
 
 fs = frozenset
 
@@ -59,6 +60,21 @@ def test_pes_conflict_free_net():
     net = Net(fs({"p", "q"}), fs({"t"}), fs([("p", "t"), ("t", "q")]))
     pes = pes_of_net(MarkedNet(net, fs({"p"})))
     assert pes.rivals == {"t": fs()}
+
+
+def test_pes_tables_are_read_only_copies():
+    causes, rivals = {"t": fs({"t"}), "u": fs({"u"})}, {"t": fs({"u"}), "u": fs({"t"})}
+    pes = PES(fs({"t", "u"}), causes, rivals)
+    assert pes.immediate_conflicts("t") == fs({"u"})   # builds the searches' index
+    for table in (pes.causes, pes.rivals):
+        with pytest.raises(TypeError):
+            table["t"] = fs()
+        with pytest.raises(TypeError):
+            del table["t"]
+    causes["t"], rivals["t"] = fs(), fs()              # the caller's dicts are copied
+    assert pes.causes["t"] == fs({"t"}) and pes.rivals["t"] == fs({"u"})
+    assert pes.immediate_conflicts("t") == fs({"u"})
+    assert pes == PES(pes.events, dict(pes.causes), dict(pes.rivals))
 
 
 def reference_pes(marked):
@@ -119,7 +135,6 @@ def test_restricted_pes_matches_definition_on_random_nets():
         marked = random_occurrence_net(rng, *size)
         lonely = isolated_places(marked.net)
         report = check_correspondence(marked)
-        tables = {}                             # shared across subsets, as in the check
         for case in report.cases:
             extended = MarkedNet(marked.net, (marked.marking | case.arriving) - lonely)
             pes = pes_of_net(extended)
@@ -131,13 +146,22 @@ def test_restricted_pes_matches_definition_on_random_nets():
                 assert_immediate_conflicts_match_scan(fut)
                 for f in fut.events:            # and a future of that future
                     again = future(fut, fut.down(f))
-                    assert "_immediate" in again.__dict__   # inherited, not rescanned
                     assert_immediate_conflicts_match_scan(again)
+                    # the searches cut the parent's immediate conflicts down to a future
+                    for g in again.events:
+                        assert again.immediate_conflicts(g) == fut.immediate_conflicts(g) & again.events
+            index, tables = pes._index, {}      # one index, its tables shared by every future
             for v in r_stopped_configs(pes):
                 fut = future(pes, v)
                 assert initial_stopping_prefixes(fut) == reference_stopping_prefixes(fut)
                 fresh = PES(fut.events, fut.causes, fut.rivals)
-                assert _cell_table(pes, v, tables) == _cell_table(fresh, fs(), {})
+                table = _cell_table(index, index.mask(fut.events), tables)
+                assert [[index.names(w) for w, _rivals in ways] for ways in table] == [
+                    list(ways) for ways in reference_cell_table(fresh, fs(), {})
+                ]
+                for ways in table:              # each way carries its rivals
+                    assert all(index.names(r) == fs().union(*map(pes.rivals.get, index.names(w)))
+                               for w, r in ways)
 
 
 def reference_restrict(reference, keep):

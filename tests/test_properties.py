@@ -40,8 +40,10 @@ from cellnet import (
     at_marking,
     canonical_form,
     cell_order,
+    check_correspondence,
     compile_cell,
     compile_net,
+    enumerate_outcome_distribution,
     enumerate_transactions,
     fold_tree,
     identity_arrow,
@@ -57,6 +59,7 @@ from cellnet import (
     normalize,
     parse_net,
     permutation_arrow,
+    pes_of_net,
     r_stopped_configs,
     remove_places,
     scells,
@@ -66,14 +69,15 @@ from cellnet import (
 from cellnet.cells import _fold_nodes, cell_classes, cell_leaves
 from cellnet.compiler import _compile
 from cellnet.nets import dependents, subnet_of
-from cellnet.oracle import _live_events, _maximal_r_stopped, _net_pes
 from cellnet.terms import par_all, subsets_lex
+import references
 from references import (
     compose_arrows,
     constant_arrow,
     copair,
     dead_arrow,
     maximal_firing_outcomes,
+    play,
     relabel,
     scell_preorder,
     tensor,
@@ -387,8 +391,6 @@ def test_interpretation_stochastic_on_random_nets():
 def test_correspondence_on_random_nets():
     # exercises input places threaded through identity padding into
     # deeper layers, which the worked examples never hit
-    from cellnet import check_correspondence
-
     rng = random.Random(15)
     for _ in range(15):
         marked = random_occurrence_net(rng, max_places=7, max_transitions=5)
@@ -399,8 +401,6 @@ def test_correspondence_on_random_nets():
 
 
 def test_oracle_matches_matrix_on_every_input_row():
-    from cellnet import enumerate_outcome_distribution
-
     rng = random.Random(16)
     for _ in range(10):
         marked = random_occurrence_net(rng, max_places=7, max_transitions=5)
@@ -550,22 +550,72 @@ def test_cell_order_matches_pairwise_preorder_on_random_nets():
 def test_maximal_r_stopped_completes_every_enabled_cell_at_once():
     # The product search must find the maximal configurations of the
     # one-cell-at-a-time search, both with the cell tables shared across
-    # input subsets as check_correspondence shares them and on a
-    # structure rebuilt from its tables, which inherits no immediate
-    # conflicts.
+    # input subsets, as check_correspondence shares them, and on a
+    # structure rebuilt from its tables.
     rng = random.Random(43)
     cases = 0
     for _ in range(200):
         marked = random_occurrence_net(rng, 12, 9)
-        whole = _net_pes(marked.net)
-        tables = {}
-        for arriving in subsets_lex(marked.inputs):
-            pes = whole.restrict(_live_events(marked.net, marked.inputs - arriving))
+        lonely = isolated_places(marked.net)
+        for case in check_correspondence(marked).cases:
+            pes = pes_of_net(MarkedNet(marked.net, (marked.marking | case.arriving) - lonely))
             expected = fs(v for v, r in r_stopped_configs(pes).items() if r.maximal)
-            assert _maximal_r_stopped(pes, tables) == expected
+            assert case.from_event_structure == expected
             assert maximal_r_stopped(PES(pes.events, pes.causes, pes.rivals)) == expected
             cases += 1
     assert cases > 10000
+
+
+class _DrawnDelta:
+    """δ weights drawn for each constant on first use: enough for the
+    term player, with no check of the constants' signatures."""
+
+    def __init__(self, rng):
+        self.rng, self.dists = rng, {}
+
+    def distribution_for(self, key):
+        if key not in self.dists:
+            outcomes = sorted((p.transitions for p in key.transactions), key=sorted)
+            weights = [self.rng.random() + 1e-3 for _ in outcomes]
+            self.dists[key] = Dist({o: w / sum(weights) for o, w in zip(outcomes, weights)})
+        return self.dists[key]
+
+
+def test_mask_searches_and_player_match_the_frozenset_references():
+    # For every input subset of each net: the check's event-structure
+    # side (cell tables shared across subsets by future) and term side,
+    # and the enumerated joint, which must hold the same floats in the
+    # same order.  test_oracle.py compares the public searches on each
+    # subset's own structure.
+    rng = random.Random(67)
+    subsets = 0
+    for _ in range(1000):
+        marked = random_occurrence_net(rng, 12, 9)
+        net, term, delta = marked.net, compile_net(marked), _DrawnDelta(rng)
+        lonely = isolated_places(net)
+        whole = pes_of_net(MarkedNet(net, marked.marking | marked.inputs - lonely))
+        assert whole.events == net.transitions
+        tables, memo, weighted_memo = {}, {}, {}
+
+        def weighted(key):
+            dist = delta.distribution_for(key)
+            for proc in sorted(key.transactions, key=lambda p: p.sort_key()):
+                yield proc, dist.prob(proc.transitions)
+
+        for case in check_correspondence(marked).cases:
+            arriving = case.arriving
+            live = whole.restrict(net.transitions - dependents(net, marked.inputs - arriving))
+            expected = references.maximal_r_stopped(live, tables)
+            assert case.from_event_structure == expected
+            assert case.from_term == fs(v for v, _fin in play(term, arriving, _one_each, memo))
+            joint = enumerate_outcome_distribution(marked, delta, arriving).joint
+            assert list(joint.items()) == list(Dist(play(term, arriving, weighted, weighted_memo)).items())
+            subsets += 1
+    assert subsets > 50000
+
+
+def _one_each(key):
+    return ((proc, 1.0) for proc in key.transactions)
 
 
 # ------------------------------------------------------------------ #
@@ -662,7 +712,9 @@ def test_remove_places_and_live_events_kill_what_saturation_kills():
                 places, transitions = _reference_dead(sub.net, dead)
                 survivor = remove_places(sub, dead).net
                 assert sub.net.transitions - survivor.transitions == transitions
-                assert sub.net.transitions - _live_events(sub.net, dead) == transitions
+                # check_correspondence kills the dependents of each absent input
+                killed = fs().union(*(dependents(sub.net, {p}) for p in dead))
+                assert killed & sub.net.transitions == transitions
                 # the rest of what goes is junk: places no survivor consumes
                 removed_places = sub.net.places - survivor.places
                 assert places <= removed_places
