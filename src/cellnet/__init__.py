@@ -96,7 +96,6 @@ from .oracle import (
     check_correspondence,
     conf_of_term,
     enumerate_outcome_distribution,
-    future,
     initial_stopping_prefixes,
     maximal_r_stopped,
     pes_of_net,

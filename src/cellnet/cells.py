@@ -15,24 +15,28 @@ parallel/sequential composition of cell subnets and identity nets.
 for a block, a pad, a layer and a sequence: a tree of :class:`TreeNode`
 values here, a term in the compiler and in normalization.
 
-Also here: the place-removal operator used to specialise a cell under
-the hypothesis that some of its inputs stay empty, and the fully-marked
-restriction view derived from it.
+Also here: the restriction that specialises a cell to the inputs that
+receive tokens, on the masks of a net's index (:func:`_kills`,
+:func:`_survivor`), which the compiler runs on masks alone and the
+place-removal operator and the restriction view build as a subnet.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import chain
-from typing import Callable, Iterable, NamedTuple, TypeVar
+from operator import or_
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .errors import CompositionError, NetError
 from .nets import (
     MarkedNet,
     Net,
+    NetIndex,
     NodeId,
     PlaceId,
     Walk,
-    dependents,
+    bits,
     ensure_occurrence,
     max_places,
     min_places,
@@ -88,13 +92,15 @@ def scells(net: Net, marking: frozenset[PlaceId] = frozenset()) -> tuple[SCell, 
     post-places, and inherits ``marking ∩ minp``.
     The net is checked (once per object); each subnet inherits that
     check and the net's tables (see :func:`nets.subnet_of`) and keeps
-    its one class.  The compiler builds a subnet only to restrict a cell.
+    its one class.  The compiler builds no subnet: it reads the same
+    cells off the net's tables, and restricts them on masks.
     """
     return tuple(SCell(block.members, block.subnet(net, marking)) for block in _blocks(net))
 
 
 class _Block(NamedTuple):
-    """One cell read off a net's tables; its places are its subnet's."""
+    """One cell read off a net's tables, or as masks off its index; its
+    places are its subnet's."""
 
     members: frozenset[NodeId]
     transitions: frozenset[str]
@@ -123,6 +129,26 @@ def _blocks(net: Net) -> list[_Block]:
         places = own.union(*(post[t] for t in transitions))
         initial = frozenset([p for p in own if pre[p].isdisjoint(transitions)])
         blocks[min(own)] = _Block(members, transitions, places, initial, places - members)
+    return [blocks[key] for key in sorted(blocks)]
+
+
+def _index_blocks(index: NetIndex, transitions: int, places: int) -> list[_Block]:
+    """The cells of a restriction of the index's net to ``transitions``
+    and ``places``, read as :func:`_blocks` reads them, as masks: the
+    same Tarjan pass, on bit nodes."""
+    pre, post = index.pre, index.post
+
+    def successors(x: int) -> Iterator[int]:
+        return bits(post[x] & places | pre[x] if 1 << x & transitions else post[x] & transitions)
+
+    blocks = {}
+    for component in strong_components(bits(transitions), successors):
+        if len(component) > 1:
+            members = sum(1 << x for x in component)
+            cell, own = members & transitions, members & places
+            reach = reduce(or_, (post[t] & places for t in bits(cell)), own)
+            initial = sum(1 << p for p in bits(own) if not pre[p] & cell)
+            blocks[own & -own] = _Block(members, cell, reach, initial, reach & ~members)
     return [blocks[key] for key in sorted(blocks)]
 
 
@@ -156,7 +182,7 @@ def cell_order(net: Net, cells: tuple[SCell, ...]) -> frozenset[tuple[int, int]]
     between two cells runs through cell members only, and ⊑ on cells is
     reachability in the acyclic graph with an arc for each flow arc
     between two cells.  Reach sets are unioned in reverse topological
-    order, as for :attr:`Net._descendants`."""
+    order, as the descendants of :class:`nets.NetIndex` are."""
     ensure_occurrence(net)
     cell_of = {x: i for i, cell in enumerate(cells) for x in cell.members}
     succ: dict[int, set[int]] = {i: set() for i in range(len(cells))}
@@ -467,35 +493,50 @@ def render_tree(tree: TreeNode) -> str:
 # Place removal and restriction
 # --------------------------------------------------------------------- #
 
+def _kills(index: NetIndex, transitions: int, places: int) -> int:
+    """The ``transitions`` with one of ``places`` below them along the
+    flow between them."""
+    post, killed = index.post, 0
+    while places:
+        hit = reduce(or_, map(post.__getitem__, bits(places)), 0) & transitions & ~killed
+        killed |= hit
+        places = reduce(or_, map(post.__getitem__, bits(hit)), 0)
+    return killed
+
+
+def _survivor(index: NetIndex, transitions: int, places: int, killed: int) -> tuple[int, int]:
+    """The transitions and places of a restriction that stay when the
+    ``killed`` transitions die.  A place goes with its producer, and
+    with its consumers when they all die (a token there could never be
+    used again); a produced place with no consumer stays, as an output.
+    A transition that stays keeps its whole pre-set, as
+    :func:`nets.subnet_of` requires, and its post-set is cut to the
+    places that stay."""
+    pre, post, kept = index.pre, index.post, 0
+    for p in bits(places):
+        made, used = pre[p] & transitions, post[p] & transitions
+        if not made & killed and (used & ~killed or made and not used):
+            kept |= 1 << p
+    return transitions & ~killed, kept
+
+
 def remove_places(cell: MarkedNet, dead: frozenset[PlaceId]) -> MarkedNet:
     """Delete the (unmarked, initial) places ``dead`` plus every
     transition and place that causally depends on them, then drop the
     junk this leaves behind: places whose consumers all died (a token
-    landing there could never be used again) and places left isolated."""
+    landing there could never be used again) and places left isolated.
+    This is the compiler's restriction, built as a subnet."""
     dead = frozenset(dead)
     stray = dead - cell.inputs
     if stray:
         raise NetError(
             f"places {sorted(stray)} are not unmarked initial places of the cell"
         )
-    net = cell.net
-    doomed = dependents(net, dead)
-    dead_transitions = doomed & net.transitions
-    # A surviving place goes too when every consumer died, as a token
-    # there could never be used again: a produced place is cut away (its
-    # producer keeps firing, the token vanishes), and an initial place is
-    # left isolated (a marked one loses its token).  A
-    # produced place with no consumer stays, as an output.
-    pre, post = net._pre, net._post
-    removed = (doomed - dead_transitions).union(
-        p for p in net.places - doomed if post[p] <= dead_transitions and (post[p] or not pre[p])
-    )
-
-    # A surviving transition keeps its whole pre-set (a dead pre-place kills
-    # it; the removed places feed none), as subnet_of requires.
-    places = net.places - removed
-    subnet = subnet_of(net, places, net.transitions - dead_transitions)
-    return MarkedNet(subnet, cell.marking & places)
+    index = cell.net._index
+    killed = _kills(index, index.transitions, index.mask(dead))
+    transitions, places = _survivor(index, index.transitions, index.places, killed)
+    kept = index.names(places)
+    return MarkedNet(subnet_of(cell.net, kept, index.names(transitions)), cell.marking & kept)
 
 
 class MarkedView(_Value):

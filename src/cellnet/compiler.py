@@ -8,7 +8,15 @@ the cell is already marked) or as a sum over all subsets of its unmarked
 initial places, where each branch restricts the cell to the arriving
 tokens, recursively compiles the restriction, and pads the final places
 that die with a dead-wire term.  A fully marked cell compiles straight
-from the net's own tables; a subnet is built only to restrict a cell.
+from the net's own tables.  A cell with unmarked inputs is restricted on
+the masks of the net's index (:class:`nets.NetIndex`), building no
+subnet: each input kills the transitions it lies below, one mask closed
+forward per input, and a subset kills the union of its absent inputs'
+masks, as a transition dies exactly when a dead input lies below it.
+The survivor keeps whole pre-sets and cuts post-sets to the places that
+stay, so it is a subnet, an occurrence net whose tables are the net's
+masks cut down to it; its cells come from the same Tarjan pass, and its
+constants from the token game, on masks.
 
 Termination is structural (every restriction strictly shrinks the cell)
 but a depth guard turns any accidental non-termination into an error.
@@ -17,12 +25,13 @@ but a depth guard turns any accidental non-termination into an error.
 from __future__ import annotations
 
 import weakref
+from typing import Any, Callable
 
-from .cells import _Block, _blocks, at_marking, cell_classes, stratify
+from .cells import _Block, _blocks, _index_blocks, _kills, _survivor, cell_classes, stratify
 from .errors import CompileError
-from .nets import MarkedNet, Net, Process, _completions, _process_of, dependents, isolated_places
-from .nets import min_places, run
-from .terms import Constant, ConstantKey, Dead, Identity, Par, Seq, Term, make_sum, par_all, subsets_lex
+from .nets import MarkedNet, Net, NetIndex, NodeId, _completions, _Move, _process_of, bits
+from .nets import isolated_places, run
+from .terms import Constant, ConstantKey, Dead, Identity, Par, Seq, Term, make_sum, par_all
 
 DEFAULT_DEPTH_GUARD = 64
 
@@ -48,19 +57,22 @@ def compile_net(marked: MarkedNet) -> Term:
 
 
 def _compile(marked: MarkedNet, fuel: int) -> Term:
-    # Fuel only falls inside cells, where compile_cell compiles each
-    # restriction with one less, not along ; or +.
+    # Fuel only falls inside cells, where each restriction is compiled
+    # with one less, not along ; or +.
     if fuel <= 0:
         raise CompileError("recursion depth guard exceeded while compiling")
     net, marking = marked.net, marked.marking
     blocks = _blocks(net)
-    return stratify(
-        [(b.initial - marking, b.final) for b in blocks], marked.inputs, marked.outputs,
-        # compile_cell is looked up when called, so a wrapper bound in its place sees every call
-        lambda i: _constant(net, blocks[i]) if blocks[i].initial <= marking
-        else compile_cell(blocks[i].subnet(net, marking), depth_guard=fuel),
-        Identity, par_all, Seq,
-    )
+
+    def leaf(i: int) -> Term:
+        block = blocks[i]
+        if block.initial <= marking:
+            return _table_constant(net, block)
+        index = net._index
+        return _sum(index, _Block(*map(index.mask, block)), index.mask(block.initial - marking), fuel)
+
+    return stratify([(b.initial - marking, b.final) for b in blocks], marked.inputs, marked.outputs,
+                    leaf, Identity, par_all, Seq)
 
 
 def compile_cell(cell: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) -> Term:
@@ -82,42 +94,75 @@ def compile_cell(cell: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) -> 
             "not a single s-cell: the net decomposes into "
             f"{len(classes)} cell(s) and possibly identity wires"
         )
-    net, unmarked = cell.net, cell.inputs
-    whole = _Block(classes[0], net.transitions, net.places, min_places(net), cell.outputs)
-    if not unmarked:
-        return _constant(net, whole)
+    return _compile(cell, depth_guard)  # one block, which stratify returns as it is
 
-    branches: dict[frozenset[str], Term] = {}
-    by_killed: dict[frozenset[str], Term] = {}
-    for arriving in subsets_lex(unmarked)[:-1]:  # all but the last, the full set
-        killed = dependents(net, unmarked - arriving) & net.transitions
-        if killed not in by_killed:
-            view = at_marking(cell, arriving)
-            inner = _compile(view.marked, depth_guard - 1) if view.marked.net.nodes else Identity(frozenset())
-            by_killed[killed] = _pad_dead(view.dead_finals, inner)
-        branches[arriving] = by_killed[killed]
-    if depth_guard - 1 <= 0:
+
+def _sum(index: NetIndex, cell: _Block, unmarked: int, fuel: int) -> Term:
+    """The sum of a cell, given as masks, over the subsets of its
+    ``unmarked`` inputs: the cell's constant when all arrive, else the
+    survivor of what the absent ones kill, compiled with every initial
+    place marked and one less fuel, beside ⊥ on the final places that
+    die."""
+    if fuel - 1 <= 0:
         raise CompileError("recursion depth guard exceeded while compiling")
-    branches[unmarked] = _constant(net, whole)
-    return make_sum(unmarked, branches)
+    subsets: list[tuple[frozenset[NodeId], int]] = [(frozenset(), 0)]  # (arriving, killed), subsets_lex order
+    for p in bits(unmarked):
+        kills = _kills(index, cell.transitions, 1 << p)
+        subsets = [(a, k | kills) for a, k in subsets] + [(a | {index.order[p]}, k) for a, k in subsets]
+    by_killed: dict[int, Term] = {0: _index_constant(index, cell)}  # every input kills something
+    for _, killed in subsets:
+        if killed not in by_killed:
+            transitions, places = _survivor(index, cell.transitions, cell.places, killed)
+            inner = _restricted(index, transitions, places, fuel - 1) if transitions else Identity(frozenset())
+            by_killed[killed] = _pad_dead(index.names(cell.final & ~places), inner)
+    return make_sum(index.names(unmarked), {arriving: by_killed[killed] for arriving, killed in subsets})
 
 
-def _constant(net: Net, cell: _Block) -> Constant:
-    """The constant of a fully marked cell of ``net``: the maximal runs
-    of its transitions from its initial places, on the net's own tables.
-    A run can strand a token on a place internal to the cell, which no
-    transition outside the cell consumes, so the matrix semantics drops
-    it: the run's final places are clipped to the cell's, and the
-    stranded places stay among the transaction's nodes."""
-    runs = run(_completions(net, cell.transitions, cell.initial, {}))
-    transactions = frozenset(
-        proc if proc.final_places <= cell.final else Process(
-            proc.transitions, proc.initial_places, proc.final_places & cell.final,
-            proc.internal_places | (proc.final_places - cell.final))
-        for proc in (_process_of(net, fired) for fired in runs)
-    )
+def _restricted(index: NetIndex, transitions: int, places: int, fuel: int) -> Term:
+    """A restriction of the index's net with every initial place marked,
+    layered as :func:`_compile` layers a net."""
+    if fuel <= 0:
+        raise CompileError("recursion depth guard exceeded while compiling")
+    pre, post, names = index.pre, index.post, index.names
+    blocks = _index_blocks(index, transitions, places)
+    marking = sum(1 << p for p in bits(places) if not pre[p] & transitions)
+    outputs = sum(1 << p for p in bits(places) if not post[p] & transitions)
+
+    def leaf(i: int) -> Term:
+        unmarked = blocks[i].initial & ~marking
+        return _sum(index, blocks[i], unmarked, fuel) if unmarked else _index_constant(index, blocks[i])
+
+    layers = [(names(b.initial & ~marking), names(b.final)) for b in blocks]
+    return stratify(layers, frozenset(), names(outputs), leaf, Identity, par_all, Seq)
+
+
+def _index_constant(index: NetIndex, cell: _Block) -> Constant:
+    """The constant of a fully marked cell given as masks, its
+    transitions' post-sets cut to its places."""
+    moves = [(1 << t, index.pre[t], index.post[t] & cell.places) for t in bits(cell.transitions)]
+    return _constant(index.names, moves, cell.initial, cell.final)
+
+
+def _table_constant(net: Net, cell: _Block) -> Constant:
+    """The constant of a fully marked cell of ``net``, on the net's own
+    tables."""
+    moves = [(frozenset({t}), net._pre[t], net._post[t]) for t in cell.transitions]
+    return _constant(frozenset, moves, cell.initial, cell.final)
+
+
+def _constant(names: Callable[[Any], frozenset[NodeId]], moves: list[_Move], initial: Any,
+              final: Any) -> Constant:
+    """The constant of a fully marked cell: the maximal runs of its
+    ``moves`` from its ``initial`` places, all as frozensets or all as
+    masks.  A run can strand a token on a place internal to the cell,
+    which no transition outside the cell consumes, so the matrix
+    semantics drops it: the run's final places are clipped to the
+    cell's ``final`` ones, and the stranded places stay among the
+    transaction's nodes."""
+    runs = run(_completions(moves, initial, {}))
+    transactions = frozenset(_process_of(names, moves, fired, final) for fired in runs)
     outputs = frozenset().union(*(p.final_places for p in transactions))
-    return Constant(ConstantKey(marked=cell.initial, outputs=outputs, transactions=transactions))
+    return Constant(ConstantKey(marked=names(initial), outputs=outputs, transactions=transactions))
 
 
 def _pad_dead(dead_finals: frozenset[str], inner: Term) -> Term:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
 
 from .errors import DeltaError, FileFormatError, InterfaceWidthError, WiringError
@@ -249,14 +250,18 @@ class DeltaTable(_Value):
 
     Strict tables refuse to interpret a constant they do not cover;
     non-strict tables fall back to the uniform distribution over the
-    constant's transactions.  The table keeps a copy of ``entries``.
+    constant's transactions.  The table keeps a read-only view of a
+    copy of ``entries``.
     """
 
     __slots__ = _fields = ("entries", "strict")
 
     def __init__(self, entries: Mapping[str, Dist] = {}, strict: bool = True) -> None:
-        object.__setattr__(self, "entries", dict(entries))
+        object.__setattr__(self, "entries", MappingProxyType(dict(entries)))
         object.__setattr__(self, "strict", strict)
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return DeltaTable, (dict(self.entries), self.strict)
 
     def distribution_for(self, key: ConstantKey) -> Dist:
         dist = self.entries.get(key.signature)

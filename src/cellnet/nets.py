@@ -1,5 +1,5 @@
-"""Finite occurrence Petri nets: structural validation, the flow's
-causal closure, token-game firing, and maximal-process enumeration.
+"""Finite occurrence Petri nets: structural validation, bit indexes,
+token-game firing, and maximal-process enumeration.
 The graph passes that other modules share live here too: :func:`run`
 for walks written as generators, :func:`topological_order` and the
 strongly connected components of :func:`strong_components`.
@@ -11,6 +11,12 @@ Each :class:`Net` is checked once; a subnet derived from a checked net
 (:func:`subnet_of`: s-cells and their restrictions) inherits that check
 and its parent's pre- and post-set tables, cut down to the subnet's
 nodes, sharing every set the cut leaves whole.
+
+Each net numbers its nodes once, on first use, in a :class:`NetIndex`:
+transitions take bits 0…T−1 in sorted order and places follow, so a set
+of nodes is an int (a bit mask).  The compiler restricts cells on its
+pre- and post-set masks, and the oracle and validation read causality
+and conflict off its per-transition tables.
 Set-valued results are deterministic: whenever an order is needed it is
 the lexicographic order on identifiers.
 """
@@ -20,7 +26,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations
 from operator import attrgetter
-from typing import Any, Callable, Generator, Hashable, Iterable, Iterator, Mapping, TypeVar
+from typing import Any, Callable, Generator, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import NetError, OccurrenceError
 
@@ -234,14 +240,8 @@ class Net(_Value):
             raise NetError(f"unknown node {x!r}") from None
 
     @cached_property
-    def _descendants(self) -> dict[NodeId, frozenset[NodeId]]:
-        # Reflexive-transitive closure of F, per node, unioned in reverse
-        # topological order; so for acyclic nets only, which every caller
-        # has validated (validate_occurrence reads it only without a cycle).
-        closure: dict[NodeId, frozenset[NodeId]] = {}
-        for x in reversed(self._flow_order):
-            closure[x] = frozenset({x}).union(*(closure[y] for y in self._post[x]))
-        return closure
+    def _index(self) -> "NetIndex":
+        return NetIndex(self)
 
     @cached_property
     def _flow_order(self) -> tuple[NodeId, ...]:
@@ -270,6 +270,87 @@ class Net(_Value):
     @cached_property
     def _isolated_places(self) -> frozenset[PlaceId]:
         return self._min_places & self._max_places
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class BitIndex:
+    """Bit i stands for ``order[i]``, and ``bit`` maps each name to its
+    mask (given with the order, when another index has it already);
+    ``names`` turns each mask into a frozenset once, through a cache of
+    this index's own."""
+
+    def __init__(self, order: Iterable[str], bit: dict[str, int] | None = None) -> None:
+        self.order = tuple(order)
+        self.bit = {x: 1 << i for i, x in enumerate(self.order)} if bit is None else bit
+        self._names: dict[int, frozenset[str]] = {}
+
+    def mask(self, xs: Iterable[str]) -> int:
+        return sum(map(self.bit.__getitem__, xs))
+
+    def names(self, mask: int) -> frozenset[str]:
+        got = self._names.get(mask)
+        if got is None:
+            got = self._names[mask] = frozenset(map(self.order.__getitem__, bits(mask)))
+        return got
+
+
+class NetIndex(BitIndex):
+    """A net's bit index (see the module docstring): ``transitions`` and
+    ``places`` mask each kind, ``pre[i]`` and ``post[i]`` are node i's
+    pre- and post-set, and ``flow`` lists the transitions in a
+    topological order.  On an acyclic net, each per-transition table
+    below is one pass in that order over its parents (the producers of
+    its pre-places) or children (the consumers of its post-places):
+    ``causes``, itself and its parents' causes; ``descendants``, itself
+    and its children's, in reverse; ``rivals``, the descendants of the
+    other consumers of each of its pre-places, and its parents' rivals.
+    So t ≤ u exactly when the flow leads from t to u, and t # u exactly
+    when a cause of t and another cause of u share a pre-place."""
+
+    def __init__(self, net: Net) -> None:
+        transitions = sorted(net.transitions)
+        super().__init__((*transitions, *sorted(net.places)))
+        bit, count = self.bit, len(transitions)
+        self.transitions, self.places = (1 << count) - 1, (1 << len(self.order)) - (1 << count)
+        self.pre, self.post = [0] * len(self.order), [0] * len(self.order)
+        for src, dst in net.flow:
+            self.pre[bit[dst].bit_length() - 1] |= bit[src]
+            self.post[bit[src].bit_length() - 1] |= bit[dst]
+        self.flow = [b.bit_length() - 1 for b in map(bit.__getitem__, net._flow_order) if b < 1 << count]
+
+    def _pass(self, flow: Iterable[int], table: list[int], own: list[int]) -> list[int]:
+        """``own`` per transition, united with the entries of those two
+        steps of ``table`` away, which ``flow`` visits first."""
+        for t in flow:
+            for p in bits(table[t]):
+                for u in bits(table[p]):
+                    own[t] |= own[u]
+        return own
+
+    @cached_property
+    def causes(self) -> list[int]:
+        return self._pass(self.flow, self.pre, [1 << t for t in bits(self.transitions)])
+
+    @cached_property
+    def descendants(self) -> list[int]:
+        return self._pass(reversed(self.flow), self.post, [1 << t for t in bits(self.transitions)])
+
+    @cached_property
+    def rivals(self) -> list[int]:
+        descendants = self.descendants
+        direct = [0] * len(descendants)
+        for consumers in self.post[len(descendants):]:  # the places'
+            for u, v in combinations(bits(consumers), 2):
+                direct[u] |= descendants[v]
+                direct[v] |= descendants[u]
+        return self._pass(self.flow, self.pre, direct)
 
 
 class Violation(_Value):
@@ -302,22 +383,6 @@ class ValidationReport(_Value):
         return "\n".join(str(v) for v in self.violations)
 
 
-def dependents(net: Net, places: Iterable[PlaceId]) -> frozenset[NodeId]:
-    """The nodes with one of ``places`` below them, those places
-    included: on an occurrence net, everything that can no longer happen
-    when they never receive a token.  A search forward along the flow
-    from the places, which builds no closure of the whole net."""
-    post = net._post
-    reached = set(places)
-    pending = [post[p] for p in reached]
-    while pending:
-        for y in pending.pop():
-            if y not in reached:
-                reached.add(y)
-                pending.append(post[y])
-    return frozenset(reached)
-
-
 def validate_occurrence(net: Net) -> ValidationReport:
     """Check the occurrence-net conditions.
 
@@ -326,8 +391,9 @@ def validate_occurrence(net: Net) -> ValidationReport:
     self-conflicting transitions.  A transition is self-conflicting when
     two consumers of one place lie below it; one pass over the pairs of
     consumers of each place with several consumers finds them all, and
-    keeps for each the least such pair as its witness.  The flow's
-    closure is built only for a net that has such a place.
+    keeps for each the least such pair as its witness.  Those pairs are
+    read off the descendants of the net's index, which is built only
+    for a net that has such a place.
     """
     violations: list[Violation] = []
     if net._has_flow_cycle:
@@ -338,17 +404,20 @@ def validate_occurrence(net: Net) -> ValidationReport:
             violations.append(Violation("cycle", x, "node lies on a flow cycle"))
     for p in sorted(p for p in net.places if len(net._pre[p]) > 1):
         violations.append(Violation("backward-conflict", p, f"multiple producers {sorted(net._pre[p])}"))
-    if not net._has_flow_cycle:
-        # Conflict is only meaningful on acyclic nets.
-        witness: dict[TransitionId, tuple[TransitionId, TransitionId]] = {}
-        for consumers in [net._post[p] for p in net.places if len(net._post[p]) > 1]:
-            for u, v in combinations(sorted(consumers), 2):
-                for t in net._descendants[u] & net._descendants[v] & net.transitions:
+    if not net._has_flow_cycle and any(len(net._post[p]) > 1 for p in net.places):
+        # Conflict is only meaningful on acyclic nets.  Bits number the
+        # transitions in sorted order, so the least pair of bits is the least pair.
+        index = net._index
+        order, descendants, witness = index.order, index.descendants, {}
+        for consumers in index.post[len(descendants):]:  # the places'
+            for u, v in combinations(bits(consumers), 2):
+                for t in bits(descendants[u] & descendants[v]):
                     if t not in witness or (u, v) < witness[t]:
                         witness[t] = (u, v)
         for t in sorted(witness):
             u, v = witness[t]
-            violations.append(Violation("self-conflict", t, f"conflicting causes {u} #0 {v}"))
+            detail = f"conflicting causes {order[u]} #0 {order[v]}"
+            violations.append(Violation("self-conflict", order[t], detail))
     return ValidationReport(tuple(violations))
 
 
@@ -500,22 +569,6 @@ class Process(_Value):
         return tuple(sorted(self.transitions))
 
 
-def _process_of(net: Net, fired: Iterable[TransitionId]) -> Process:
-    """Build the :class:`Process` induced by a set of fired transitions."""
-    fired = frozenset(fired)
-    consumed: set[PlaceId] = set()
-    produced: set[PlaceId] = set()
-    for t in fired:
-        consumed |= net.pre(t)
-        produced |= net.post(t)
-    return Process(
-        transitions=fired,
-        initial_places=frozenset(consumed - produced),
-        final_places=frozenset(produced - consumed),
-        internal_places=frozenset(produced & consumed),
-    )
-
-
 def enumerate_transactions(marked: MarkedNet) -> frozenset[Process]:
     """All maximal deterministic processes runnable from the marking.
 
@@ -529,29 +582,45 @@ def enumerate_transactions(marked: MarkedNet) -> frozenset[Process]:
     unmarked = needed - marked.marking
     if unmarked:
         raise OccurrenceError(f"unmarked initial place present: {sorted(unmarked)}")
-    runs = run(_completions(marked.net, marked.net.transitions, marked.marking, {}))
-    return frozenset(_process_of(marked.net, fired) for fired in runs)
+    net = marked.net
+    moves = [(frozenset({t}), net._pre[t], net._post[t]) for t in net.transitions]
+    runs = run(_completions(moves, marked.marking, {}))
+    return frozenset(_process_of(frozenset, moves, fired, net.places) for fired in runs)
 
 
-_Firings = frozenset[frozenset[TransitionId]]  # the transition sets of some runs
+# A transition, its pre-set and its post-set: frozensets of nodes, or bit
+# masks of one numbering.  The token game below uses only &, |, ^ and ==,
+# which mean the same on both.
+_Move = tuple[Any, Any, Any]
 
 
-def _completions(net: Net, transitions: frozenset[TransitionId], m: frozenset[PlaceId],
-                 memo: dict[frozenset[PlaceId], _Firings]) -> Walk[_Firings]:
-    """The transition sets of the maximal runs of ``transitions`` from
-    marking m; the result for each marking reached is kept in ``memo``."""
-    if m in memo:
-        return memo[m]
-    pre, post = net._pre, net._post
-    fireable = [t for t in transitions if pre[t] <= m]
-    if not fireable:
-        result = frozenset({frozenset()})
-    else:
-        acc: set[frozenset[TransitionId]] = set()
-        for t in fireable:
-            after = (m - pre[t]) | post[t]
-            for rest in (yield _completions(net, transitions, after, memo)):
-                acc.add(rest | {t})
-        result = frozenset(acc)
-    memo[m] = result
+def _completions(moves: Sequence[_Move], m: Any, memo: dict[Any, frozenset]) -> Walk[frozenset]:
+    """The transitions fired by each maximal run of ``moves`` from
+    marking m; the result for each marking reached is kept in ``memo``,
+    and a marking found there is not walked again."""
+    runs = set()
+    for t, pre, post in moves:
+        if pre & m == pre:
+            after = m ^ pre | post
+            rests = memo.get(after)
+            if rests is None:
+                rests = yield _completions(moves, after, memo)
+            for rest in rests:
+                runs.add(rest | t)
+    memo[m] = result = frozenset(runs or {m ^ m})  # the empty run, of the marking's kind
     return result
+
+
+def _process_of(names: Callable[[Any], frozenset[NodeId]], moves: Sequence[_Move], fired: Any,
+                final: Any) -> Process:
+    """The :class:`Process` of the ``fired`` moves, named by ``names``.  A
+    place it ends on outside ``final`` is stranded: kept among its
+    internal places, not its final ones."""
+    consumed = produced = fired ^ fired
+    for t, pre, post in moves:
+        if t & fired:
+            consumed |= pre
+            produced |= post
+    ends, both = produced ^ (produced & consumed), produced & consumed
+    return Process(names(fired), names(consumed ^ both), names(ends & final),
+                   names(both | ends ^ (ends & final)))

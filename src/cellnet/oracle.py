@@ -14,13 +14,15 @@ oracle that never reads the term is open (ROADMAP.md, item 6).
 
 The event structure is stored as two per-event tables, each event's
 causes and its rivals (the events in conflict with it).  The searches
-run on an index of them, built once per structure: events numbered in
-sorted order, so that a set of events is an int (a bit mask), and per
-event its causes, rivals and immediate conflicts as masks.
+run on an index of them: events numbered in sorted order, so that a set
+of events is an int (a bit mask), and per event its causes, rivals and
+immediate conflicts as masks.  A structure of a net takes the tables of
+the net's index (:class:`nets.NetIndex`) and builds its frozenset tables
+only when they are read; one built by hand indexes its tables.
 
 A check builds one structure, for the fully marked net.  Each subset of
-arriving inputs keeps one mask of it: the events minus the dependents of
-each absent input.  That equals the structure of the net with those
+arriving inputs keeps one mask of it: the events minus those each absent
+input lies below.  That equals the structure of the net with those
 inputs removed, because:
 
 - a transition dies exactly when a dead input lies below it;
@@ -40,23 +42,29 @@ facts:
   keeps each future's branching cells by its mask for all subsets.
 - Inside a cell, a configuration is maximal exactly when no event of
   the cell extends it by one.
+- A future holds every event between two of its own, so an event
+  becomes minimal in a smaller future only after one it immediately
+  follows leaves: a step carries the minimal events along at the cost
+  of the events it drops.
 
-The term player uses masks too, and in a check its transitions take the
-event structure's bits, so one mask-to-frozenset cache serves both.
+The term player uses masks too, on the bits of the net's index, so in a
+check one mask-to-frozenset cache serves both sides.
 """
 
 from __future__ import annotations
 
 import random
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
+from operator import or_
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
+from .cells import _kills
 from .compiler import compile_net
 from .errors import CellnetError, DeltaError, NetError
 from .kleisli import DeltaTable, Dist
-from .nets import MarkedNet, Net, PlaceId, Process, TransitionId, Walk, _Value, dependents, run
+from .nets import BitIndex, MarkedNet, NetIndex, PlaceId, Process, TransitionId, Walk, _Value, bits, run
 from .terms import (
     Constant,
     ConstantKey,
@@ -64,58 +72,47 @@ from .terms import (
     Identity,
     Par,
     Seq,
-    Sum,
     Term,
     render_place_set,
-    subsets_lex,
     typecheck,
 )
 
 Configuration = frozenset[TransitionId]
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+class _Events(BitIndex):
+    """A PES's tables over the numbering of ``index`` (with a
+    mask-to-frozenset cache of the structure's own), as masks: ``all`` its
+    events, and per event its causes (itself included), rivals and
+    immediate conflicts, and ``after``, events that hold each it
+    immediately precedes (by default all, so that a search scans each
+    future for its minimal events).  Bits outside ``all`` may stand for
+    other nodes: a search reads no table at them."""
 
-
-class _Index:
-    """Bit i stands for ``order[i]``.  ``names`` turns each mask into a
-    frozenset once, through a cache it may share with an extending index."""
-
-    def __init__(self, order: Iterable[str], names: dict[int, frozenset[str]] | None = None) -> None:
-        self.order = tuple(order)
-        self.bit = {x: 1 << i for i, x in enumerate(self.order)}
-        self._names = {} if names is None else names
-
-    def mask(self, xs: Iterable[str]) -> int:
-        return sum(map(self.bit.__getitem__, xs))
-
-    def names(self, mask: int) -> frozenset[str]:
-        got = self._names.get(mask)
-        if got is None:
-            got = self._names[mask] = frozenset(map(self.order.__getitem__, _bits(mask)))
-        return got
-
-
-class _Events(_Index):
-    """A PES's tables over its events in sorted order: per event, as
-    masks, its causes (itself included), rivals and immediate conflicts."""
-
-    def __init__(self, pes: PES) -> None:
-        super().__init__(sorted(pes.events))
-        self.all = (1 << len(self.order)) - 1
-        self.causes = causes = [self.mask(pes.causes[e]) for e in self.order]
-        self.rivals = rivals = [self.mask(pes.rivals[e]) for e in self.order]
+    def __init__(self, index: BitIndex, events: int, causes: list[int], rivals: list[int],
+                 after: list[int] | None = None) -> None:
+        super().__init__(index.order, index.bit)
+        self.all, self.causes, self.rivals = events, causes, rivals
+        self.after = [events] * len(causes) if after is None else after
         # e #0 f exactly when e # f and no other cause of either conflicts
         # with the other: conflict is inherited along causality
         self.immediate = [
-            sum(1 << j for j in _bits(mine) if causes[j] & mine == 1 << j and causes[i] & rivals[j] == 1 << i)
+            sum(1 << j for j in bits(mine) if causes[j] & mine == 1 << j and causes[i] & rivals[j] == 1 << i)
             for i, mine in enumerate(rivals)
         ]
+
+    def table(self, masks: list[int]) -> Mapping[str, frozenset[str]]:
+        return MappingProxyType({self.order[i]: self.names(masks[i]) for i in bits(self.all)})
+
+
+def _net_events(index: NetIndex, live: int) -> _Events:
+    """The structure of a net cut down to the ``live`` events, a
+    downward-closed mask: the net's own tables, with the rivals cut to
+    ``live`` (a live event's causes are live), each transition followed
+    by its children, the consumers of its post-places."""
+    post = index.post
+    children = [reduce(or_, map(post.__getitem__, bits(post[t])), 0) for t in bits(index.transitions)]
+    return _Events(index, live, index.causes, [r & live for r in index.rivals], children)
 
 
 class PES(_Value):
@@ -125,7 +122,9 @@ class PES(_Value):
     events in conflict with it.  Construction copies the tables and
     checks that conflict is irreflexive, symmetric and inherited along
     causality.  The searches' index (see the module docstring) is built
-    on first use and kept in the ``__dict__``."""
+    on first use and kept in the ``__dict__``.  A structure that
+    :func:`pes_of_net` builds starts from its index instead, and reads
+    its events and tables off it when they are first read."""
 
     _fields = ("events", "causes", "rivals")
 
@@ -156,7 +155,21 @@ class PES(_Value):
 
     @cached_property
     def _index(self) -> _Events:
-        return _Events(self)
+        index = BitIndex(sorted(self.events))
+        return _Events(index, (1 << len(index.order)) - 1, [index.mask(self.causes[e]) for e in index.order],
+                       [index.mask(self.rivals[e]) for e in index.order])
+
+    @cached_property
+    def events(self) -> frozenset[TransitionId]:
+        return self._index.names(self._index.all)
+
+    @cached_property
+    def causes(self) -> Mapping[TransitionId, frozenset[TransitionId]]:
+        return self._index.table(self._index.causes)
+
+    @cached_property
+    def rivals(self) -> Mapping[TransitionId, frozenset[TransitionId]]:
+        return self._index.table(self._index.rivals)
 
     def down(self, e: TransitionId) -> frozenset[TransitionId]:
         return self.causes.get(e, frozenset())
@@ -168,48 +181,9 @@ class PES(_Value):
         """Events f with e #0 f: in conflict with e, but with every other
         pair of their causes compatible."""
         index = self._index
-        bit = index.bit.get(e, 0)
+        bit = index.bit.get(e, 0) & index.all
         return index.names(index.immediate[bit.bit_length() - 1] if bit else 0)
 
-    def is_configuration(self, v: Iterable[TransitionId]) -> bool:
-        v = frozenset(v)
-        if not v <= self.events:
-            return False
-        return all(self.causes[e] <= v and not self.rivals[e] & v for e in v)
-
-    def restrict(self, keep: frozenset[TransitionId]) -> PES:
-        """The sub-structure on the events in ``keep``: this structure's
-        tables cut down to them, checked again on construction."""
-        keep = self.events & keep
-        return PES(
-            keep,
-            {e: self.causes[e] & keep for e in keep},
-            {e: self.rivals[e] & keep for e in keep},
-        )
-
-
-def _net_pes(net: Net) -> PES:
-    """The PES of the net with every initial place marked: every
-    transition is an event, causality is the flow order, and conflict
-    is the shared-precondition relation inherited along causality."""
-    events = net.transitions
-    above = {t: net._descendants[t] & events for t in events}
-    causes: dict[TransitionId, set[TransitionId]] = {t: set() for t in events}
-    rivals: dict[TransitionId, set[TransitionId]] = {t: set() for t in events}
-    for t in events:
-        for u in above[t]:
-            causes[u].add(t)
-    for p in net.places:
-        consumers = net.post(p)
-        for t1 in consumers:
-            others = frozenset().union(*(above[t2] for t2 in consumers if t2 != t1))
-            for x in above[t1]:
-                rivals[x] |= others
-    return PES(
-        events,
-        {e: frozenset(xs) for e, xs in causes.items()},
-        {e: frozenset(fs) for e, fs in rivals.items()},
-    )
 
 
 def pes_of_net(marked: MarkedNet) -> PES:
@@ -220,37 +194,52 @@ def pes_of_net(marked: MarkedNet) -> PES:
 
     This is the fully marked net's PES restricted to those events; the
     module docstring says why the restriction is exact."""
-    net = marked.net
-    return _net_pes(net).restrict(net.transitions - dependents(net, marked.inputs))
+    index = marked.net._index
+    pes = object.__new__(PES)  # skips the check of the tables, which the net's flow implies
+    pes.__dict__["_index"] = _net_events(index, index.transitions & ~_kills(index, index.transitions,
+                                                                            index.mask(marked.inputs)))
+    return pes
 
 
-def future(pes: PES, v: Iterable[TransitionId]) -> PES:
-    """The events executable after configuration v: outside v and
-    compatible with all of it."""
-    v = frozenset(v)
-    if not pes.is_configuration(v):
-        raise NetError(f"{sorted(v)} is not a configuration")
-    return pes.restrict(pes.events.difference(v, *(pes.rivals[f] for f in v)))
+def _minimal(index: _Events, future: int) -> int:
+    """The minimal events of a future, by a scan of its events."""
+    causes = index.causes
+    return sum(1 << i for i in bits(future) if causes[i] & future == 1 << i)
 
 
-def _stopping_prefixes(index: _Events, future: int) -> set[int]:
-    """The initial stopping prefixes of a future: its minimal non-empty
-    prefixes closed under immediate conflict.  Each is the closure of a
-    minimal event under causes and immediate conflicts; two minimal
-    closures are disjoint or equal, and any other closure holds a
-    smaller one, so the smallest closures first, each kept unless it
-    meets one kept already, are the minimal ones."""
+def _narrowed(index: _Events, future: int, minimal: int, narrower: int) -> int:
+    """The minimal events of a future ``narrower`` inside ``future``,
+    whose minimal events are ``minimal``: those it keeps, and those of
+    the events after one it drops whose causes have all left it (see
+    the module docstring)."""
+    causes, after = index.causes, index.after
+    woken = 0
+    for i in bits(future & ~narrower):
+        woken |= after[i]
+    for j in bits(woken & narrower & ~minimal):
+        if causes[j] & narrower == 1 << j:
+            minimal |= 1 << j
+    return minimal & narrower
+
+
+def _stopping_prefixes(index: _Events, future: int, minimal: int) -> set[int]:
+    """The initial stopping prefixes of a future, whose minimal events
+    are ``minimal``: its minimal non-empty prefixes closed under
+    immediate conflict.  Each is the closure of a minimal event under
+    causes and immediate conflicts; two minimal closures are disjoint or
+    equal, and any other closure holds a smaller one, so the smallest
+    closures first, each kept unless it meets one kept already, are the
+    minimal ones."""
     causes, immediate = index.causes, index.immediate
     closures = []
-    for i in _bits(future):
-        if causes[i] & future == 1 << i:
-            block, pending = 1 << i, [i]
-            while pending:
-                j = pending.pop()
-                grown = (causes[j] | immediate[j]) & future & ~block
-                block |= grown
-                pending.extend(_bits(grown))
-            closures.append(block)
+    for i in bits(minimal):
+        block, pending = 1 << i, [i]
+        while pending:
+            j = pending.pop()
+            grown = (causes[j] | immediate[j]) & future & ~block
+            block |= grown
+            pending.extend(bits(grown))
+        closures.append(block)
     kept, covered = set(), 0
     for b in sorted(closures, key=int.bit_count):
         if not b & covered:
@@ -262,7 +251,7 @@ def _stopping_prefixes(index: _Events, future: int) -> set[int]:
 def initial_stopping_prefixes(pes: PES) -> frozenset[frozenset[TransitionId]]:
     """Minimal non-empty prefixes closed under immediate conflict."""
     index = pes._index
-    return frozenset(map(index.names, _stopping_prefixes(index, index.all)))
+    return frozenset(map(index.names, _stopping_prefixes(index, index.all, _minimal(index, index.all))))
 
 
 def _maximal_within(index: _Events, future: int, cell: int) -> list[tuple[int, int]]:
@@ -273,7 +262,7 @@ def _maximal_within(index: _Events, future: int, cell: int) -> list[tuple[int, i
     while pending:
         c, r = pending.pop()
         stuck = True
-        for i in _bits(cell & ~c & ~r):
+        for i in bits(cell & ~c & ~r):
             if causes[i] & future & ~c == 1 << i:
                 stuck = False
                 grown = c | 1 << i
@@ -300,20 +289,27 @@ class RStopped(_Value):
 
 # Per enabled branching cell of a future, in sorted order, the ways to
 # complete it: its maximal configurations in sorted order, each with its
-# rivals, as masks.  Cell tables are kept by the mask of their future.
+# rivals, as masks.  Cell tables are kept by the mask of their future,
+# with the future's minimal events.
 CellTable = tuple[tuple[tuple[int, int], ...], ...]
+Tables = dict[int, tuple[CellTable, int]]
 
 
-def _cell_table(index: _Events, future: int, tables: dict[int, CellTable]) -> CellTable:
+def _cell_table(index: _Events, future: int, tables: Tables, parent: int | None = None) -> CellTable:
     """The cell table of a future, kept in ``tables`` by the future's
-    mask (see the module docstring); empty exactly when the future is."""
-    table = tables.get(future)
-    if table is None:
-        table = tables[future] = tuple(
-            tuple(sorted(_maximal_within(index, future, cell), key=lambda way: tuple(_bits(way[0]))))
-            for cell in sorted(_stopping_prefixes(index, future), key=lambda cell: tuple(_bits(cell)))
+    mask (see the module docstring); empty exactly when the future is.
+    Its minimal events are narrowed from those of ``parent``, a future
+    around it kept already, or else found by a scan."""
+    got = tables.get(future)
+    if got is None:
+        minimal = (_minimal(index, future) if parent is None
+                   else _narrowed(index, parent, tables[parent][1], future))
+        table = tuple(
+            tuple(sorted(_maximal_within(index, future, cell), key=lambda way: tuple(bits(way[0]))))
+            for cell in sorted(_stopping_prefixes(index, future, minimal), key=lambda cell: tuple(bits(cell)))
         )
-    return table
+        got = tables[future] = (table, minimal)
+    return got[0]
 
 
 def r_stopped_configs(pes: PES) -> dict[Configuration, RStopped]:
@@ -327,12 +323,13 @@ def r_stopped_configs(pes: PES) -> dict[Configuration, RStopped]:
     while queue:
         v = queue.pop()
         chain, rivals, _maximal = info[v]
-        for completions in _cell_table(index, index.all & ~(v | rivals), tables):
+        future = index.all & ~(v | rivals)
+        for completions in _cell_table(index, future, tables):
             for w, more in completions:
                 grown = v | w
                 if grown not in info:
                     more |= rivals
-                    maximal = not _cell_table(index, index.all & ~(grown | more), tables)
+                    maximal = not _cell_table(index, index.all & ~(grown | more), tables, future)
                     info[grown] = (chain + (w,), more, maximal)
                     queue.append(grown)
     names = index.names
@@ -351,13 +348,15 @@ def maximal_r_stopped(pes: PES) -> frozenset[Configuration]:
     return frozenset(map(index.names, _maximal_r_stopped(index, index.all, {})))
 
 
-def _maximal_r_stopped(index: _Events, live: int, tables: dict[int, CellTable]) -> list[int]:
+def _maximal_r_stopped(index: _Events, live: int, tables: Tables) -> list[int]:
     """The maximal r-stopped configurations of the structure cut down
     to ``live``, a downward-closed mask."""
-    found, seen, pending = [], {0}, [(0, 0)]
+    found, seen = [], {0}
+    pending: list[tuple[int, int, int | None]] = [(0, 0, None)]  # with the future each was grown in
     while pending:
-        v, rivals = pending.pop()
-        table = _cell_table(index, live & ~(v | rivals), tables)
+        v, rivals, parent = pending.pop()
+        future = live & ~(v | rivals)
+        table = _cell_table(index, future, tables, parent)
         if not table:
             found.append(v)
             continue
@@ -368,7 +367,7 @@ def _maximal_r_stopped(index: _Events, live: int, tables: dict[int, CellTable]) 
                 more |= r
             if grown not in seen:
                 seen.add(grown)
-                pending.append((grown, more))
+                pending.append((grown, more, future))
     return found
 
 
@@ -389,7 +388,7 @@ def conf_of_term(term: Term, m: Iterable[PlaceId]) -> frozenset[Configuration]:
     feeds each stage the final marking of the previous one."""
     m = frozenset(m)
     _split_input(m, typecheck(term).inputs, "conf_of_term")
-    player = _Player(term, _transactions)
+    player = _Player(BitIndex(typecheck(term).nodes), _transactions)
     return frozenset(player.names(v) for v, _fin in _runs(term, player.mask(m), player, {}))
 
 
@@ -403,15 +402,23 @@ Runs = dict[tuple[int, int], float]
 Memo = dict[tuple[int, int], Runs]
 
 
-class _Player(_Index):
-    """A bit index of a term's nodes (``order`` first, when given), and
-    the transactions with their weights that ``outcomes`` gives for each
-    constant."""
+class _Player:
+    """A bit index over (at least) a term's nodes, and the transactions
+    with their weights that ``outcomes`` gives for each constant.  A
+    compiled term's nodes are its net's, so it plays on the net's
+    numbering."""
 
-    def __init__(self, term: Term, outcomes: Callable[[ConstantKey], Iterable[tuple[Process, float]]],
-                 order: tuple[str, ...] = (), names: dict[int, frozenset[str]] | None = None) -> None:
-        super().__init__((*order, *typecheck(term).nodes.difference(order)), names)
-        self.outcomes = outcomes
+    def __init__(self, index: BitIndex,
+                 outcomes: Callable[[ConstantKey], Iterable[tuple[Process, float]]]) -> None:
+        self.mask, self.names, self.outcomes = index.mask, index.names, outcomes
+        self._inputs: dict[int, int] = {}
+
+    def inputs(self, term: Term) -> int:
+        """The mask of a subterm's inputs, kept by its id while it is played."""
+        got = self._inputs.get(id(term))
+        if got is None:
+            got = self._inputs[id(term)] = self.mask(typecheck(term).inputs)
+        return got
 
 
 def _known(term: Term, m: int, player: _Player, memo: Memo) -> Runs | None:
@@ -446,7 +453,7 @@ def _play(term: Term, m: int, player: _Player, memo: Memo) -> Walk[Runs]:
     term when the player's outcomes are deterministic."""
     out: Runs = {}
     if isinstance(term, Par):
-        m1 = m & player.mask(typecheck(term.left).inputs)
+        m1 = m & player.inputs(term.left)
         m2 = m ^ m1  # m holds only inputs of this +
         runs1 = _known(term.left, m1, player, memo) or (yield _play(term.left, m1, player, memo))
         runs2 = _known(term.right, m2, player, memo) or (yield _play(term.right, m2, player, memo))
@@ -522,19 +529,21 @@ def check_correspondence(marked: MarkedNet) -> CorrespondenceReport:
     change nothing there.  All subsets share the cell tables, the
     searches, the plays of each subterm and the mask-to-frozenset cache.
     """
-    term, net = compile_net(marked), marked.net
-    events = _net_pes(net)._index
-    player = _Player(term, _transactions, events.order, events._names)
-    below = {p: events.mask(dependents(net, {p}) & net.transitions) for p in marked.inputs}
+    term, index = compile_net(marked), marked.net._index
+    events = _net_events(index, index.transitions)
+    player = _Player(events, _transactions)
+    subsets = [(0, events.all)]  # (arriving, live) in subsets_lex order
+    for p in bits(index.mask(marked.inputs)):
+        below = _kills(index, index.transitions, 1 << p)
+        subsets = [(arriving, live & ~below) for arriving, live in subsets] + [
+            (arriving | 1 << p, live) for arriving, live in subsets]
     tables, memo, ends, cases = {}, {}, {}, []
-    for arriving in subsets_lex(marked.inputs):
-        live = events.all
-        for p in marked.inputs - arriving:
-            live &= ~below[p]
+    for arriving, live in subsets:
         if live not in ends:  # subsets that kill the same events share their search
             ends[live] = frozenset(map(events.names, _maximal_r_stopped(events, live, tables)))
-        runs = _runs(term, player.mask(arriving), player, memo)
-        cases.append(CorrespondenceCase(arriving, ends[live], frozenset(player.names(v) for v, _fin in runs)))
+        runs = _runs(term, arriving, player, memo)
+        cases.append(CorrespondenceCase(events.names(arriving), ends[live],
+                                        frozenset(events.names(v) for v, _fin in runs)))
     return CorrespondenceReport(tuple(cases))
 
 
@@ -581,7 +590,7 @@ def enumerate_outcome_distribution(
             if p > 0:
                 yield proc, p
 
-    player = _Player(term, weighted)
+    player = _Player(BitIndex(marked.net._index.order, marked.net._index.bit), weighted)
     runs = _runs(term, player.mask(arriving), player, {})
     weights = {(player.names(v), player.names(f)): p for (v, f), p in runs.items()}
     joint = Dist(weights)
@@ -642,7 +651,7 @@ def sample_outcome_distribution(
                 return [(proc, 1.0)]
         raise DeltaError(f"sampled unknown transaction {sorted(chosen)}")
 
-    player = _Player(term, draw)
+    player = _Player(BitIndex(marked.net._index.order, marked.net._index.bit), draw)
     for _ in range(samples):
         ((_config, outcome),) = _runs(term, player.mask(arriving), player, {})
         counts[player.names(outcome)] = counts.get(player.names(outcome), 0) + 1

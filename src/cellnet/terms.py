@@ -32,10 +32,9 @@ def render_place_set(places: Iterable[str]) -> str:
 def subsets_lex(places: Iterable[str]) -> list[frozenset[str]]:
     """All subsets of a place set, in binary-counting order with the
     lexicographically first place as the least-significant bit."""
-    ordered = sorted(places)
-    out = []
-    for k in range(1 << len(ordered)):
-        out.append(frozenset(p for bit, p in enumerate(ordered) if k >> bit & 1))
+    out = [frozenset()]
+    for p in sorted(places):  # each place doubles the list: the subsets without it, then with it
+        out += [s | {p} for s in out]
     return out
 
 

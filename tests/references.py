@@ -3,12 +3,14 @@
 Each one computes something the library computes another way: the
 dense Kronecker algebra that ``interpret`` replaced, the widest cut
 that ``interpret`` checks against its width cap, a compiler that
-compiles every cell from its subnet, the reachability preorder whose
-classes ``scells`` finds by Tarjan's algorithm, a token game over
-markings, a state marginal, box and wire counts of a DOT diagram, and
-the event-structure oracle's searches and term player on frozensets,
-where the library runs them on bit masks.  None of them is used by the
-library.
+compiles every cell from its subnet and restricts it on frozensets, the
+reachability preorder whose classes ``scells`` finds by Tarjan's
+algorithm, a token game over markings, a state marginal, box and wire
+counts of a DOT diagram, the flow's closure and the event structure
+built from it on frozensets, where the library reads both off a net's
+bit index, and the event-structure oracle's searches and term player on
+frozensets, where the library runs them on bit masks.  None of them is
+used by the library.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from cellnet import (
     KleisliArrow,
     MarkedNet,
     Net,
+    NetError,
     PES,
     Par,
     Process,
@@ -37,7 +40,6 @@ from cellnet import (
     Term,
     Wiring,
     WiringError,
-    at_marking,
     enumerate_transactions,
     make_sum,
     min_places,
@@ -46,6 +48,7 @@ from cellnet import (
 )
 from cellnet.cells import stratify
 from cellnet.kleisli import subset_index
+from cellnet.nets import subnet_of, topological_order
 from cellnet.terms import par_all, subsets_lex
 
 # --------------------------------------------------------------------- #
@@ -185,15 +188,32 @@ def _compile_subnet(cell: MarkedNet) -> Term:
         return Constant(ConstantKey(min_places(cell.net), outputs, transactions))
     branches = {}
     for arriving in subsets_lex(cell.inputs):
-        view = at_marking(cell, arriving)
-        if view.marked.net.places or view.marked.net.transitions:
-            inner = compile_by_subnets(view.marked)
+        view, dead_finals = restrict_cell(cell, arriving)
+        if view.net.places or view.net.transitions:
+            inner = compile_by_subnets(view)
         else:
             inner = Identity(frozenset())
-        if view.dead_finals:
-            inner = Dead(view.dead_finals) if inner == Identity(frozenset()) else Par(Dead(view.dead_finals), inner)
+        if dead_finals:
+            inner = Dead(dead_finals) if inner == Identity(frozenset()) else Par(Dead(dead_finals), inner)
         branches[arriving] = inner
     return make_sum(cell.inputs, branches)
+
+
+def restrict_cell(cell: MarkedNet, arriving: frozenset[str]) -> tuple[MarkedNet, frozenset[str]]:
+    """The cell specialised to the inputs ``arriving``, on frozensets: the
+    absent inputs go with their dependents, then every place whose
+    consumers all died (a produced one with no consumer stays, as an
+    output), and every initial place that stays is marked.  With it, the
+    final places that go."""
+    net = cell.net
+    doomed = dependents(net, cell.inputs - arriving)
+    dead = doomed & net.transitions
+    removed = (doomed - dead).union(
+        p for p in net.places - doomed if net.post(p) <= dead and (net.post(p) or not net.pre(p))
+    )
+    survivor = subnet_of(net, net.places - removed, net.transitions - dead)
+    view = MarkedNet(survivor, min_places(survivor))
+    return view, cell.outputs - view.outputs
 
 
 # --------------------------------------------------------------------- #
@@ -263,8 +283,79 @@ def count_wires(dot: str) -> int:
 
 
 # --------------------------------------------------------------------- #
+# The flow's closure and the event structure on frozensets
+# --------------------------------------------------------------------- #
+
+
+def dependents(net: Net, places: Iterable[str]) -> frozenset[str]:
+    """The nodes with one of ``places`` below them, those places
+    included, by a search forward along the flow."""
+    reached = set(places)
+    pending = list(reached)
+    while pending:
+        for y in net.post(pending.pop()):
+            if y not in reached:
+                reached.add(y)
+                pending.append(y)
+    return frozenset(reached)
+
+
+def descendants(net: Net) -> dict[str, frozenset[str]]:
+    """The reflexive-transitive closure of the flow, per node, unioned in
+    reverse topological order: for an acyclic net only."""
+    if len(topological_order(net._post)) < len(net.nodes):
+        raise NetError("the flow has a cycle")
+    closure: dict[str, frozenset[str]] = {}
+    for x in reversed(topological_order(net._post)):
+        closure[x] = frozenset({x}).union(*(closure[y] for y in net.post(x)))
+    return closure
+
+
+def net_pes(net: Net) -> PES:
+    """The PES of the net with every initial place marked, through the
+    checked constructor: every transition is an event, causality is the
+    flow order, and conflict is the shared-precondition relation
+    inherited along causality."""
+    events = net.transitions
+    closure = descendants(net)
+    above = {t: closure[t] & events for t in events}
+    causes: dict[str, set[str]] = {t: set() for t in events}
+    rivals: dict[str, set[str]] = {t: set() for t in events}
+    for t in events:
+        for u in above[t]:
+            causes[u].add(t)
+    for p in net.places:
+        consumers = net.post(p)
+        for t1 in consumers:
+            others = frozenset().union(*(above[t2] for t2 in consumers if t2 != t1))
+            for x in above[t1]:
+                rivals[x] |= others
+    return PES(
+        events,
+        {e: frozenset(xs) for e, xs in causes.items()},
+        {e: frozenset(fs) for e, fs in rivals.items()},
+    )
+
+
+# --------------------------------------------------------------------- #
 # The event-structure oracle on frozensets
 # --------------------------------------------------------------------- #
+
+
+def restrict(pes: PES, keep: frozenset[str]) -> PES:
+    """The sub-structure on the events in ``keep``: the tables cut down
+    to them, checked again by the constructor."""
+    keep = pes.events & keep
+    return PES(keep, {e: pes.causes[e] & keep for e in keep}, {e: pes.rivals[e] & keep for e in keep})
+
+
+def future(pes: PES, v: Iterable[str]) -> PES:
+    """The events executable after configuration v: outside v and
+    compatible with all of it."""
+    v = frozenset(v)
+    if not v <= pes.events or not all(pes.causes[e] <= v and not pes.rivals[e] & v for e in v):
+        raise NetError(f"{sorted(v)} is not a configuration")
+    return restrict(pes, pes.events.difference(v, *(pes.rivals[f] for f in v)))
 
 
 def immediate_conflicts(pes: PES) -> dict[str, frozenset[str]]:
@@ -326,7 +417,7 @@ def cell_table(pes: PES, v: frozenset[str], tables: dict) -> tuple[tuple[frozens
     keep = pes.events.difference(v, *(pes.rivals[f] for f in v))
     table = tables.get(keep)
     if table is None:
-        fut = pes.restrict(keep)
+        fut = restrict(pes, keep)
         table = tables[keep] = tuple(
             tuple(sorted(maximal_configurations_within(fut, cell), key=sorted))
             for cell in sorted(initial_stopping_prefixes(fut), key=sorted)

@@ -282,26 +282,32 @@ def test_compile_net_matches_compiling_every_cell_from_its_subnet():
         assert render_term(term) == render_term(expected)
 
 
-def test_only_cells_with_an_input_build_subnets(monkeypatch):
-    # the compiler builds subnets through cells alone, so the wrapper sees every one
+def test_compile_net_builds_no_subnet(monkeypatch):
+    # fully marked cells are read off the net's tables, and the others
+    # are restricted on the masks of its index: no subnet and no marked
+    # net is built, and a net whose cells are all fully marked gets no index
     assert not hasattr(cellnet.compiler, "subnet_of")
-    built = []   # (parent, subnet) per call
+    rng = random.Random(22)
+    wide, deep = (parse_net(json.dumps(doc)) for doc in (wide_doc(50), deep_doc(20)))
+    nets = [wide, deep] + [random_occurrence_net(rng, 12, 9) for _ in range(300)]
+    built = []
 
     def counting(parent, places, transitions, real=cellnet.cells.subnet_of):
-        built.append((parent, real(parent, places, transitions)))
-        return built[-1][1]
+        built.append(parent)
+        return real(parent, places, transitions)
+
+    def marking(self, net, marking=fs(), real=MarkedNet.__init__):
+        built.append(net)
+        real(self, net, marking)
 
     monkeypatch.setattr(cellnet.cells, "subnet_of", counting)
+    monkeypatch.setattr(MarkedNet, "__init__", marking)
     monkeypatch.setattr(cellnet.compiler, "_compiled", weakref.WeakKeyDictionary())
-    compile_net(parse_net(json.dumps(wide_doc(50))))
+    for marked in nets:
+        compile_net(marked)
     assert built == []
-
-    deep = parse_net(json.dumps(deep_doc(20)))   # every cell but the first has an input
-    compile_net(deep)
-    cells = [sub for parent, sub in built if parent is deep.net]
-    assert len(cells) == 19 and {sub.transitions for sub in cells} == {fs({f"t{i:02d}"}) for i in range(1, 20)}
-    restrictions = [parent for parent, _ in built if parent is not deep.net]
-    assert len(restrictions) == 19 and all(any(parent is sub for sub in cells) for parent in restrictions)
+    assert "_index" not in wide.net.__dict__ and "_index" in deep.net.__dict__
+    assert sum("_index" in marked.net.__dict__ for marked in nets) > 100  # nets with a cell to restrict
 
 
 def test_subsets_that_leave_one_survivor_share_its_branch():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -215,3 +216,21 @@ def test_configs_of_a_deep_net(docs, files, capsys):
     assert run(["configs", str(files["deep"])]) == 0
     transitions = sorted(t["id"] for t in docs["deep"]["transitions"])
     assert capsys.readouterr().out == "{" + ",".join(transitions) + "}\n"
+
+
+def test_configs_of_a_net_3000_deep(tmp_path, capsys):
+    # the event structure is read off the net's bit index, with no
+    # frozenset table per event, and each step of the search carries its
+    # future's minimal events: once a quadratic 1.5 GB, now a few MB
+    doc = deep_doc(3000)
+    path = tmp_path / "deep.net"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        assert run(["configs", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    transitions = sorted(t["id"] for t in doc["transitions"])
+    assert capsys.readouterr().out == "{" + ",".join(transitions) + "}\n"
+    assert peak < 50 * 2**20

@@ -91,10 +91,11 @@ def test_the_flow_closure_is_built_only_for_a_place_with_two_consumers():
     wide = _net_of([(f"p{i}", f"t{i}") for i in range(5)] + [(f"t{i}", f"pq{i}") for i in range(5)])
     for net in (chain, wide):
         assert validate_occurrence(net).ok
-        assert "_descendants" not in net.__dict__
+        assert "_index" not in net.__dict__
     shared = _net_of([("p", "a"), ("p", "b"), ("a", "pa")])
     assert validate_occurrence(shared).ok
-    assert "_descendants" in shared.__dict__
+    index = shared.__dict__["_index"]   # only the descendants are worked out
+    assert "descendants" in index.__dict__ and "rivals" not in index.__dict__
 
 
 def test_empty_preset_rejected():

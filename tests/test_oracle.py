@@ -16,7 +16,6 @@ from cellnet import (
     conf_of_term,
     enumerate_outcome_distribution,
     forward,
-    future,
     initial_stopping_prefixes,
     interpret,
     isolated_places,
@@ -28,6 +27,7 @@ from cellnet import (
 from cellnet.oracle import _cell_table
 from conftest import confusion_delta, random_occurrence_net, three_cell_delta
 from references import cell_table as reference_cell_table
+from references import descendants, future, restrict
 
 fs = frozenset
 
@@ -85,7 +85,8 @@ def reference_pes(marked):
         marked = at_marking(marked, fs()).marked
     net = marked.net
     events = net.transitions
-    leq = fs((t, u) for t in events for u in events if u in net._descendants[t])
+    closure = descendants(net)
+    leq = fs((t, u) for t in events for u in events if u in closure[t])
     conflict = set()
     for t1 in events:
         for t2 in events:
@@ -189,7 +190,7 @@ def test_every_pes_is_its_checked_tables_on_random_nets():
                 rest = fs(f for f in pes.events - v if not any((x, f) in conflict for x in v))
                 structures.append((future(pes, v), reference_restrict(reference, rest)))
                 rest = pes.events - {e}
-                structures.append((pes.restrict(rest), reference_restrict(reference, rest)))
+                structures.append((restrict(pes, rest), reference_restrict(reference, rest)))
         for structure, expected in structures:
             assert PES(structure.events, dict(structure.causes), dict(structure.rivals)) == structure
             assert pairs(structure) == expected

@@ -68,7 +68,7 @@ from cellnet import (
 )
 from cellnet.cells import _fold_nodes, cell_classes, cell_leaves
 from cellnet.compiler import _compile
-from cellnet.nets import dependents, subnet_of
+from cellnet.nets import NetIndex, subnet_of
 from cellnet.terms import par_all, subsets_lex
 import references
 from references import (
@@ -76,9 +76,13 @@ from references import (
     constant_arrow,
     copair,
     dead_arrow,
+    dependents,
+    descendants,
+    net_pes,
     maximal_firing_outcomes,
     play,
     relabel,
+    restrict,
     scell_preorder,
     tensor,
     widest_cut,
@@ -190,7 +194,7 @@ def test_transactions_are_maximal_conflict_free_downward_closed():
 
 def _transition_causes(net, t):
     return fs(
-        u for u in net.transitions if u != t and t in net._descendants[u]
+        u for u in net.transitions if u != t and t in descendants(net)[u]
     )
 
 
@@ -462,14 +466,46 @@ def _reference_report(net):
 
 
 def test_validation_matches_reference_on_random_nets():
+    # self-conflicts are read off the descendants of the net's index
     rng = random.Random(18)
     verdicts = set()
-    for _ in range(400):
+    for _ in range(3000):
         net = _any_net(rng)
         report = str(validate_occurrence(net))
         assert report == _reference_report(net)
         verdicts.update(line.split()[0] for line in report.splitlines())
     assert verdicts == {"OK", "cycle", "backward-conflict", "self-conflict"}
+
+
+def _index_cases():
+    rng = random.Random(71)
+    for _ in range(1000):
+        yield random_occurrence_net(rng, 12, 9).net
+    for _ in range(4000):
+        net = _any_net(rng)  # acyclic, but maybe with backward conflicts and self-conflicts
+        if len(net._flow_order) == len(net.nodes):
+            yield net
+
+
+def test_net_index_masks_match_the_frozenset_references():
+    occurrence = acyclic = 0
+    for net in _index_cases():
+        index, closure = NetIndex(net), descendants(net)
+        names, position = index.names, {x: b.bit_length() - 1 for x, b in index.bit.items()}
+        assert index.order == (*sorted(net.transitions), *sorted(net.places))
+        assert names(index.transitions) == net.transitions and names(index.places) == net.places
+        for x, i in position.items():
+            assert names(index.pre[i]) == net.pre(x) and names(index.post[i]) == net.post(x)
+        for t in net.transitions:
+            assert names(index.descendants[position[t]]) == closure[t] & net.transitions
+        acyclic += 1
+        if validate_occurrence(net).ok:
+            pes = net_pes(net)
+            for t in net.transitions:
+                assert names(index.causes[position[t]]) == pes.causes[t]
+                assert names(index.rivals[position[t]]) == pes.rivals[t]
+            occurrence += 1
+    assert occurrence >= 1000 and acyclic - occurrence > 150
 
 
 def _reference_scells(net, marking):
@@ -604,7 +640,7 @@ def test_mask_searches_and_player_match_the_frozenset_references():
 
         for case in check_correspondence(marked).cases:
             arriving = case.arriving
-            live = whole.restrict(net.transitions - dependents(net, marked.inputs - arriving))
+            live = restrict(whole, net.transitions - dependents(net, marked.inputs - arriving))
             expected = references.maximal_r_stopped(live, tables)
             assert case.from_event_structure == expected
             assert case.from_term == fs(v for v, _fin in play(term, arriving, _one_each, memo))
@@ -674,10 +710,11 @@ def test_derived_subnets_are_the_occurrence_nets_they_claim_to_be():
             assert all(sub._pre[t] is parent._pre[t] for t in sub.transitions)
             assert min_places(sub) == min_places(copy)
             assert max_places(sub) == max_places(copy)
+            closure = descendants(copy)
             for p in sub.places:
-                assert dependents(sub, {p}) == copy._descendants[p]
+                assert dependents(sub, {p}) == closure[p]
             dead = min_places(sub)
-            assert dependents(sub, dead) == fs().union(*(copy._descendants[p] for p in dead))
+            assert dependents(sub, dead) == fs().union(*(closure[p] for p in dead))
     assert derived > 2000
 
 

@@ -175,7 +175,7 @@ def test_repr_text():
         "Par(left=Identity(places=frozenset({'p'})), right=Dead(places=frozenset()))"
     )
     assert repr(Wiring(("p", "q"))) == "Wiring(places=('p', 'q'))"
-    assert repr(DeltaTable()) == "DeltaTable(entries={}, strict=True)"
+    assert repr(DeltaTable()) == "DeltaTable(entries=mappingproxy({}), strict=True)"
 
 
 def test_defaults():
@@ -184,6 +184,18 @@ def test_defaults():
     table = DeltaTable()
     assert (table.entries, table.strict) == ({}, True)
     assert DeltaTable().entries is not table.entries
+
+
+def test_delta_entries_are_a_read_only_copy():
+    entries = {"t": uniform_dist([T])}
+    table = DeltaTable(entries)
+    with pytest.raises(TypeError):
+        table.entries["u"] = uniform_dist([T])
+    with pytest.raises(TypeError):
+        del table.entries["t"]
+    entries["u"] = uniform_dist([T])              # the caller's dict is copied
+    assert set(table.entries) == {"t"} and table == DeltaTable({"t": uniform_dist([T])})
+    assert type(table.__reduce__()[1][0]) is dict
 
 
 @pytest.mark.parametrize("cls, fields, values", SAMPLES, ids=IDS)
