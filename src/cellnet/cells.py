@@ -93,49 +93,37 @@ def scells(net: Net, marking: frozenset[PlaceId] = frozenset()) -> tuple[SCell, 
     The net is checked (once per object); each subnet inherits that
     check and the net's tables (see :func:`nets.subnet_of`) and keeps
     its one class.  The compiler builds no subnet: it reads the same
-    cells off the net's tables, and restricts them on masks.
+    cells, and restricts them, on the masks of the net's index.
     """
-    return tuple(SCell(block.members, block.subnet(net, marking)) for block in _blocks(net))
-
-
-class _Block(NamedTuple):
-    """One cell read off a net's tables, or as masks off its index; its
-    places are its subnet's."""
-
-    members: frozenset[NodeId]
-    transitions: frozenset[str]
-    places: frozenset[PlaceId]
-    initial: frozenset[PlaceId]
-    final: frozenset[PlaceId]
-
-    def subnet(self, net: Net, marking: frozenset[PlaceId]) -> MarkedNet:
-        """The cell's subnet of ``net``, which keeps its one class, marked with ``marking ∩ minp``."""
-        subnet = subnet_of(net, self.places, self.transitions)
-        subnet.__dict__["_cell_classes"] = (self.members,)
-        return MarkedNet(subnet, marking & self.initial)
-
-
-def _blocks(net: Net) -> list[_Block]:
-    """The cells of the net, checked first, by smallest member place.  Every
-    consumer of a member place is a member, so the final places are the
-    post-places outside the members, and the initial places the member
-    places no member produces."""
     ensure_occurrence(net)
-    pre, post = net._pre, net._post
-    blocks = {}
+    cells = {}
     for members in cell_classes(net):
         transitions = members & net.transitions
         own = members - transitions
-        places = own.union(*(post[t] for t in transitions))
-        initial = frozenset([p for p in own if pre[p].isdisjoint(transitions)])
-        blocks[min(own)] = _Block(members, transitions, places, initial, places - members)
-    return [blocks[key] for key in sorted(blocks)]
+        subnet = subnet_of(net, own.union(*(net._post[t] for t in transitions)), transitions)
+        subnet.__dict__["_cell_classes"] = (members,)
+        cells[min(own)] = SCell(members, MarkedNet(subnet, marking & subnet._min_places))
+    return tuple(cells[key] for key in sorted(cells))
 
 
-def _index_blocks(index: NetIndex, transitions: int, places: int) -> list[_Block]:
-    """The cells of a restriction of the index's net to ``transitions``
-    and ``places``, read as :func:`_blocks` reads them, as masks: the
-    same Tarjan pass, on bit nodes."""
+class _Block(NamedTuple):
+    """One cell of a net, or of a restriction of it, as masks of the
+    net's index; its places are its subnet's."""
+
+    members: int
+    transitions: int
+    places: int
+    initial: int
+    final: int
+
+
+def _blocks(index: NetIndex, transitions: int, places: int) -> list[_Block]:
+    """The cells of the index's net cut to ``transitions`` and
+    ``places``, by smallest member place: the components of
+    :func:`cell_classes`' graph, found by the same Tarjan pass on bit
+    nodes.  Every consumer of a member place is a member, so the final
+    places are the post-places outside the members, and the initial
+    places the member places no member produces."""
     pre, post = index.pre, index.post
 
     def successors(x: int) -> Iterator[int]:
@@ -509,9 +497,9 @@ def _survivor(index: NetIndex, transitions: int, places: int, killed: int) -> tu
     ``killed`` transitions die.  A place goes with its producer, and
     with its consumers when they all die (a token there could never be
     used again); a produced place with no consumer stays, as an output.
-    A transition that stays keeps its whole pre-set, as
-    :func:`nets.subnet_of` requires, and its post-set is cut to the
-    places that stay."""
+    So a kept transition keeps its whole pre-set, as
+    :func:`nets.subnet_of` requires; its post-set is cut to the places
+    that stay."""
     pre, post, kept = index.pre, index.post, 0
     for p in bits(places):
         made, used = pre[p] & transitions, post[p] & transitions

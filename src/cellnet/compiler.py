@@ -7,16 +7,12 @@ cell is encoded either as a single constant (when every initial place of
 the cell is already marked) or as a sum over all subsets of its unmarked
 initial places, where each branch restricts the cell to the arriving
 tokens, recursively compiles the restriction, and pads the final places
-that die with a dead-wire term.  A fully marked cell compiles straight
-from the net's own tables.  A cell with unmarked inputs is restricted on
-the masks of the net's index (:class:`nets.NetIndex`), building no
-subnet: each input kills the transitions it lies below, one mask closed
-forward per input, and a subset kills the union of its absent inputs'
-masks, as a transition dies exactly when a dead input lies below it.
-The survivor keeps whole pre-sets and cuts post-sets to the places that
-stay, so it is a subnet, an occurrence net whose tables are the net's
-masks cut down to it; its cells come from the same Tarjan pass, and its
-constants from the token game, on masks.
+that die with a dead-wire term.  All of it runs on the masks of the
+net's index (:class:`nets.NetIndex`) and builds no subnet: an input
+kills the transitions it lies below (one mask, closed forward once per
+cell), a subset kills the union of its absent inputs' masks, and the
+survivor keeps whole pre-sets and cuts post-sets to the places that
+stay, so it is an occurrence net whose tables are the net's, cut down.
 
 Termination is structural (every restriction strictly shrinks the cell)
 but a depth guard turns any accidental non-termination into an error.
@@ -25,12 +21,12 @@ but a depth guard turns any accidental non-termination into an error.
 from __future__ import annotations
 
 import weakref
-from typing import Any, Callable
+from functools import reduce
+from operator import or_
 
-from .cells import _Block, _blocks, _index_blocks, _kills, _survivor, cell_classes, stratify
+from .cells import _Block, _blocks, _kills, _survivor, cell_classes, stratify
 from .errors import CompileError
-from .nets import MarkedNet, Net, NetIndex, NodeId, _completions, _Move, _process_of, bits
-from .nets import isolated_places, run
+from .nets import MarkedNet, NetIndex, NodeId, _completions, _process_of, bits, isolated_places, run
 from .terms import Constant, ConstantKey, Dead, Identity, Par, Seq, Term, make_sum, par_all
 
 DEFAULT_DEPTH_GUARD = 64
@@ -57,34 +53,20 @@ def compile_net(marked: MarkedNet) -> Term:
 
 
 def _compile(marked: MarkedNet, fuel: int) -> Term:
-    # Fuel only falls inside cells, where each restriction is compiled
-    # with one less, not along ; or +.
-    if fuel <= 0:
-        raise CompileError("recursion depth guard exceeded while compiling")
-    net, marking = marked.net, marked.marking
-    blocks = _blocks(net)
-
-    def leaf(i: int) -> Term:
-        block = blocks[i]
-        if block.initial <= marking:
-            return _table_constant(net, block)
-        index = net._index
-        return _sum(index, _Block(*map(index.mask, block)), index.mask(block.initial - marking), fuel)
-
-    return stratify([(b.initial - marking, b.final) for b in blocks], marked.inputs, marked.outputs,
-                    leaf, Identity, par_all, Seq)
+    index = marked.net._index
+    return _layered(index, index.transitions, index.places, index.mask(marked.inputs), fuel)
 
 
 def compile_cell(cell: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) -> Term:
     """Encode one s-cell.
 
     A fully marked cell becomes the constant over its transactions, run
-    on the cell's own tables.  A cell with unmarked inputs becomes a sum
-    with one branch per subset of those inputs: the cell's constant when
-    all arrive, else the restricted net compiled recursively (it may
-    decompose into several cells), padded by the final places killed.
-    Subsets that kill the same transitions leave the same survivor, so
-    they share one branch term, built once.
+    on the masks of the cell's index.  A cell with unmarked inputs
+    becomes a sum with one branch per subset of those inputs: the cell's
+    constant when all arrive, else the restricted net compiled
+    recursively (it may decompose into several cells), padded by the
+    final places killed.  Subsets that kill the same transitions leave
+    the same survivor, so they share one branch term, built once.
     """
     if depth_guard <= 0:
         raise CompileError("recursion depth guard exceeded while compiling a cell")
@@ -98,71 +80,62 @@ def compile_cell(cell: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) -> 
 
 
 def _sum(index: NetIndex, cell: _Block, unmarked: int, fuel: int) -> Term:
-    """The sum of a cell, given as masks, over the subsets of its
-    ``unmarked`` inputs: the cell's constant when all arrive, else the
-    survivor of what the absent ones kill, compiled with every initial
-    place marked and one less fuel, beside ⊥ on the final places that
-    die."""
+    """The sum of a cell over the subsets of its ``unmarked`` inputs:
+    the cell's constant when all arrive, else the survivor of what the
+    absent ones kill, compiled with every initial place marked and one
+    less fuel, beside ⊥ on the final places that die."""
     if fuel - 1 <= 0:
         raise CompileError("recursion depth guard exceeded while compiling")
     subsets: list[tuple[frozenset[NodeId], int]] = [(frozenset(), 0)]  # (arriving, killed), subsets_lex order
     for p in bits(unmarked):
         kills = _kills(index, cell.transitions, 1 << p)
         subsets = [(a, k | kills) for a, k in subsets] + [(a | {index.order[p]}, k) for a, k in subsets]
-    by_killed: dict[int, Term] = {0: _index_constant(index, cell)}  # every input kills something
+    by_killed: dict[int, Term] = {0: _constant(index, cell)}  # every input kills something
     for _, killed in subsets:
         if killed not in by_killed:
             transitions, places = _survivor(index, cell.transitions, cell.places, killed)
-            inner = _restricted(index, transitions, places, fuel - 1) if transitions else Identity(frozenset())
+            inner = _layered(index, transitions, places, 0, fuel - 1) if transitions else Identity(frozenset())
             by_killed[killed] = _pad_dead(index.names(cell.final & ~places), inner)
     return make_sum(index.names(unmarked), {arriving: by_killed[killed] for arriving, killed in subsets})
 
 
-def _restricted(index: NetIndex, transitions: int, places: int, fuel: int) -> Term:
-    """A restriction of the index's net with every initial place marked,
-    layered as :func:`_compile` layers a net."""
+def _layered(index: NetIndex, transitions: int, places: int, inputs: int, fuel: int) -> Term:
+    """The index's net cut to ``transitions`` and ``places`` (all of it,
+    or a survivor), its initial places marked but for ``inputs``,
+    layered by :func:`cells.stratify`.  A cell is a sum over its initial
+    places that tokens arrive on (inputs, or places another cell
+    produces), or a constant if it has none.  A cell holds every place
+    it consumes, so the outputs are the places produced or input that
+    no cell holds."""
+    # Fuel only falls inside cells, where each restriction is compiled
+    # with one less, not along ; or +.
     if fuel <= 0:
         raise CompileError("recursion depth guard exceeded while compiling")
-    pre, post, names = index.pre, index.post, index.names
-    blocks = _index_blocks(index, transitions, places)
-    marking = sum(1 << p for p in bits(places) if not pre[p] & transitions)
-    outputs = sum(1 << p for p in bits(places) if not post[p] & transitions)
+    blocks = _blocks(index, transitions, places)
+    arriving = reduce(or_, (b.final for b in blocks), inputs)
+    held = reduce(or_, (b.members for b in blocks), 0)
 
     def leaf(i: int) -> Term:
-        unmarked = blocks[i].initial & ~marking
-        return _sum(index, blocks[i], unmarked, fuel) if unmarked else _index_constant(index, blocks[i])
+        unmarked = blocks[i].initial & arriving
+        return _sum(index, blocks[i], unmarked, fuel) if unmarked else _constant(index, blocks[i])
 
-    layers = [(names(b.initial & ~marking), names(b.final)) for b in blocks]
-    return stratify(layers, frozenset(), names(outputs), leaf, Identity, par_all, Seq)
-
-
-def _index_constant(index: NetIndex, cell: _Block) -> Constant:
-    """The constant of a fully marked cell given as masks, its
-    transitions' post-sets cut to its places."""
-    moves = [(1 << t, index.pre[t], index.post[t] & cell.places) for t in bits(cell.transitions)]
-    return _constant(index.names, moves, cell.initial, cell.final)
+    layers = [(index.names(b.initial & arriving), index.names(b.final)) for b in blocks]
+    return stratify(layers, index.names(inputs), index.names(arriving & ~held), leaf, Identity, par_all, Seq)
 
 
-def _table_constant(net: Net, cell: _Block) -> Constant:
-    """The constant of a fully marked cell of ``net``, on the net's own
-    tables."""
-    moves = [(frozenset({t}), net._pre[t], net._post[t]) for t in cell.transitions]
-    return _constant(frozenset, moves, cell.initial, cell.final)
-
-
-def _constant(names: Callable[[Any], frozenset[NodeId]], moves: list[_Move], initial: Any,
-              final: Any) -> Constant:
-    """The constant of a fully marked cell: the maximal runs of its
-    ``moves`` from its ``initial`` places, all as frozensets or all as
-    masks.  A run can strand a token on a place internal to the cell,
-    which no transition outside the cell consumes, so the matrix
-    semantics drops it: the run's final places are clipped to the
-    cell's ``final`` ones, and the stranded places stay among the
+def _constant(index: NetIndex, cell: _Block) -> Constant:
+    """The constant of a fully marked cell given as masks: the maximal
+    runs of its transitions, their post-sets cut to its places, from its
+    initial places.  A run can strand a token on a place internal to
+    the cell, which no transition outside the cell consumes, so the
+    matrix semantics drops it: the run's final places are clipped to
+    the cell's final ones, and the stranded places stay among the
     transaction's nodes."""
-    runs = run(_completions(moves, initial, {}))
-    transactions = frozenset(_process_of(names, moves, fired, final) for fired in runs)
+    moves = [(1 << t, index.pre[t], index.post[t] & cell.places) for t in bits(cell.transitions)]
+    runs = run(_completions(moves, cell.initial, {}))
+    transactions = frozenset(_process_of(index.names, moves, fired, cell.final) for fired in runs)
     outputs = frozenset().union(*(p.final_places for p in transactions))
-    return Constant(ConstantKey(marked=names(initial), outputs=outputs, transactions=transactions))
+    return Constant(ConstantKey(marked=index.names(cell.initial), outputs=outputs, transactions=transactions))
 
 
 def _pad_dead(dead_finals: frozenset[str], inner: Term) -> Term:

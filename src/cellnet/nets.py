@@ -11,12 +11,9 @@ Each :class:`Net` is checked once; a subnet derived from a checked net
 (:func:`subnet_of`: s-cells and their restrictions) inherits that check
 and its parent's pre- and post-set tables, cut down to the subnet's
 nodes, sharing every set the cut leaves whole.
-
-Each net numbers its nodes once, on first use, in a :class:`NetIndex`:
-transitions take bits 0…T−1 in sorted order and places follow, so a set
-of nodes is an int (a bit mask).  The compiler restricts cells on its
-pre- and post-set masks, and the oracle and validation read causality
-and conflict off its per-transition tables.
+Each net numbers its nodes once, in a :class:`NetIndex`, so that a set
+of nodes is an int (a bit mask): the compiler, the oracle and validation
+work on its masks.
 Set-valued results are deterministic: whenever an order is needed it is
 the lexicographic order on identifiers.
 """
@@ -302,17 +299,18 @@ class BitIndex:
 
 
 class NetIndex(BitIndex):
-    """A net's bit index (see the module docstring): ``transitions`` and
-    ``places`` mask each kind, ``pre[i]`` and ``post[i]`` are node i's
-    pre- and post-set, and ``flow`` lists the transitions in a
-    topological order.  On an acyclic net, each per-transition table
-    below is one pass in that order over its parents (the producers of
-    its pre-places) or children (the consumers of its post-places):
-    ``causes``, itself and its parents' causes; ``descendants``, itself
-    and its children's, in reverse; ``rivals``, the descendants of the
-    other consumers of each of its pre-places, and its parents' rivals.
-    So t ≤ u exactly when the flow leads from t to u, and t # u exactly
-    when a cause of t and another cause of u share a pre-place."""
+    """A net's bit index: transitions take bits 0…T−1 in sorted order and
+    places follow.  ``transitions`` and ``places`` mask each kind,
+    ``pre[i]`` and ``post[i]`` are node i's pre- and post-set, and
+    ``flow`` lists the transitions in a topological order.  On an
+    acyclic net, each per-transition table below is one pass in that
+    order over its parents (the producers of its pre-places) or
+    children (the consumers of its post-places): ``causes``, itself and
+    its parents' causes; ``descendants``, itself and its children's, in
+    reverse; ``rivals``, the descendants of the other consumers of each
+    of its pre-places, and its parents' rivals.  So t ≤ u exactly when
+    the flow leads from t to u, and t # u exactly when a cause of t and
+    another cause of u share a pre-place."""
 
     def __init__(self, net: Net) -> None:
         transitions = sorted(net.transitions)
@@ -582,45 +580,41 @@ def enumerate_transactions(marked: MarkedNet) -> frozenset[Process]:
     unmarked = needed - marked.marking
     if unmarked:
         raise OccurrenceError(f"unmarked initial place present: {sorted(unmarked)}")
-    net = marked.net
-    moves = [(frozenset({t}), net._pre[t], net._post[t]) for t in net.transitions]
-    runs = run(_completions(moves, marked.marking, {}))
-    return frozenset(_process_of(frozenset, moves, fired, net.places) for fired in runs)
+    index = marked.net._index
+    moves = [(1 << t, index.pre[t], index.post[t]) for t in bits(index.transitions)]
+    runs = run(_completions(moves, index.mask(marked.marking), {}))
+    return frozenset(_process_of(index.names, moves, fired, index.places) for fired in runs)
 
 
-# A transition, its pre-set and its post-set: frozensets of nodes, or bit
-# masks of one numbering.  The token game below uses only &, |, ^ and ==,
-# which mean the same on both.
-_Move = tuple[Any, Any, Any]
+_Move = tuple[int, int, int]  # a transition, its pre-set and its post-set, as masks of one index
 
 
-def _completions(moves: Sequence[_Move], m: Any, memo: dict[Any, frozenset]) -> Walk[frozenset]:
+def _completions(moves: Sequence[_Move], m: int, memo: dict[int, frozenset[int]]) -> Walk[frozenset[int]]:
     """The transitions fired by each maximal run of ``moves`` from
     marking m; the result for each marking reached is kept in ``memo``,
     and a marking found there is not walked again."""
     runs = set()
     for t, pre, post in moves:
         if pre & m == pre:
-            after = m ^ pre | post
+            after = m & ~pre | post
             rests = memo.get(after)
             if rests is None:
                 rests = yield _completions(moves, after, memo)
             for rest in rests:
                 runs.add(rest | t)
-    memo[m] = result = frozenset(runs or {m ^ m})  # the empty run, of the marking's kind
+    memo[m] = result = frozenset(runs or {0})
     return result
 
 
-def _process_of(names: Callable[[Any], frozenset[NodeId]], moves: Sequence[_Move], fired: Any,
-                final: Any) -> Process:
+def _process_of(names: Callable[[int], frozenset[NodeId]], moves: Sequence[_Move], fired: int,
+                final: int) -> Process:
     """The :class:`Process` of the ``fired`` moves, named by ``names``.  A
     place it ends on outside ``final`` is stranded: kept among its
     internal places, not its final ones."""
-    consumed = produced = fired ^ fired
+    consumed = produced = 0
     for t, pre, post in moves:
         if t & fired:
             consumed |= pre
             produced |= post
-    ends, both = produced ^ (produced & consumed), produced & consumed
-    return Process(names(fired), names(consumed ^ both), names(ends & final),
-                   names(both | ends ^ (ends & final)))
+    ends, both = produced & ~consumed, produced & consumed
+    return Process(names(fired), names(consumed & ~produced), names(ends & final), names(both | ends & ~final))

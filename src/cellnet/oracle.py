@@ -185,7 +185,6 @@ class PES(_Value):
         return index.names(index.immediate[bit.bit_length() - 1] if bit else 0)
 
 
-
 def pes_of_net(marked: MarkedNet) -> PES:
     """The PES of a marked net: events are the transitions that can ever
     fire (those with no unmarked input place below them), causality is
@@ -411,14 +410,6 @@ class _Player:
     def __init__(self, index: BitIndex,
                  outcomes: Callable[[ConstantKey], Iterable[tuple[Process, float]]]) -> None:
         self.mask, self.names, self.outcomes = index.mask, index.names, outcomes
-        self._inputs: dict[int, int] = {}
-
-    def inputs(self, term: Term) -> int:
-        """The mask of a subterm's inputs, kept by its id while it is played."""
-        got = self._inputs.get(id(term))
-        if got is None:
-            got = self._inputs[id(term)] = self.mask(typecheck(term).inputs)
-        return got
 
 
 def _known(term: Term, m: int, player: _Player, memo: Memo) -> Runs | None:
@@ -453,7 +444,7 @@ def _play(term: Term, m: int, player: _Player, memo: Memo) -> Walk[Runs]:
     term when the player's outcomes are deterministic."""
     out: Runs = {}
     if isinstance(term, Par):
-        m1 = m & player.inputs(term.left)
+        m1 = m & player.mask(typecheck(term.left).inputs)
         m2 = m ^ m1  # m holds only inputs of this +
         runs1 = _known(term.left, m1, player, memo) or (yield _play(term.left, m1, player, memo))
         runs2 = _known(term.right, m2, player, memo) or (yield _play(term.right, m2, player, memo))
