@@ -11,16 +11,13 @@ from types import ModuleType as _ModuleType
 from .cells import (
     CellLeaf,
     IdentityLeaf,
-    MarkedView,
     ParNode,
     SCell,
     SeqNode,
-    at_marking,
     canonical_form,
     cell_order,
     fold_tree,
     parallel_compose,
-    remove_places,
     render_tree,
     scells,
     sequential_compose,
@@ -62,7 +59,6 @@ from .kleisli import (
     arrow_to_json,
     dump_delta,
     format_arrow,
-    identity_arrow,
     interpret,
     lex_wiring,
     load_delta,
@@ -96,7 +92,6 @@ from .oracle import (
     check_correspondence,
     conf_of_term,
     enumerate_outcome_distribution,
-    initial_stopping_prefixes,
     maximal_r_stopped,
     pes_of_net,
     r_stopped_configs,

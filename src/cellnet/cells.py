@@ -4,10 +4,13 @@ An s-cell groups the transitions whose choices cannot be separated: it
 is an equivalence class of the preorder generated by causality together
 with the inverse precondition relation.  Those classes are the strongly
 connected components of one graph (the flow plus an arc from each
-transition back to each of its pre-places), so :func:`scells` finds
+transition back to each of its pre-places), so :func:`_blocks` finds
 them all with one pass of Tarjan's algorithm
 (:func:`nets.strong_components`, which also finds the cycles that
-:func:`nets.validate_occurrence` reports).  Cells are the
+:func:`nets.validate_occurrence` reports) on the bit masks of the net's
+index (:class:`nets.NetIndex`).  The compiler reads those blocks, and
+:func:`scells` names them as :class:`SCell` values, each of which builds
+its subnet only when that is read.  Cells are the
 indecomposable blocks of a marked occurrence net; every net factors
 uniquely (up to the commutative-monoidal axioms) into a layered
 parallel/sequential composition of cell subnets and identity nets.
@@ -16,19 +19,17 @@ for a block, a pad, a layer and a sequence: a tree of :class:`TreeNode`
 values here, a term in the compiler and in normalization.
 
 Also here: the restriction that specialises a cell to the inputs that
-receive tokens, on the masks of a net's index (:func:`_kills`,
-:func:`_survivor`), which the compiler runs on masks alone and the
-place-removal operator and the restriction view build as a subnet.
+receive tokens, which the compiler runs on the masks of the net's
+index alone (:func:`_kills`, :func:`_survivor`).
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import chain
+from functools import cached_property, reduce
 from operator import or_
-from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
-from .errors import CompositionError, NetError
+from .errors import CompositionError
 from .nets import (
     MarkedNet,
     Net,
@@ -38,8 +39,6 @@ from .nets import (
     Walk,
     bits,
     ensure_occurrence,
-    max_places,
-    min_places,
     run,
     strong_components,
     subnet_of,
@@ -51,59 +50,53 @@ _R = TypeVar("_R")
 
 
 class SCell(_Value):
-    """One structural branching cell.
+    """One structural branching cell of ``net``.
 
     ``members`` is the equivalence class itself (transitions plus their
-    pre-places); ``subnet`` additionally contains the post-places of the
-    member transitions, with the marking inherited from the enclosing
-    net restricted to the subnet's initial places.
+    pre-places).  The cell's subnet adds the post-places of the member
+    transitions: ``min_places`` and ``max_places`` are its initial and
+    final places, and ``marking`` is the enclosing net's marking on the
+    initial ones.  ``subnet``, that subnet as a marked net, is built on
+    first read and kept.
     """
 
-    __slots__ = _fields = ("members", "subnet")
+    _fields = ("net", "members", "min_places", "max_places", "marking")
 
-    def __init__(self, members: frozenset[NodeId], subnet: MarkedNet) -> None:
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "subnet", subnet)
-
-    @property
-    def nodes(self) -> frozenset[NodeId]:
-        return self.subnet.net.nodes
-
-    @property
-    def min_places(self) -> frozenset[PlaceId]:
-        return min_places(self.subnet.net)
-
-    @property
-    def max_places(self) -> frozenset[PlaceId]:
-        return max_places(self.subnet.net)
+    def __init__(self, net: Net, members: frozenset[NodeId], min_places: frozenset[PlaceId],
+                 max_places: frozenset[PlaceId], marking: frozenset[PlaceId]) -> None:
+        self.__dict__.update(net=net, members=members, min_places=min_places, max_places=max_places,
+                             marking=marking)
 
     @property
     def transitions(self) -> frozenset[str]:
-        return self.subnet.net.transitions
+        return self.members & self.net.transitions
+
+    @property
+    def inputs(self) -> frozenset[PlaceId]:
+        """The unmarked initial places."""
+        return self.min_places - self.marking
+
+    @cached_property
+    def subnet(self) -> MarkedNet:
+        """The member transitions with their pre- and post-places, a
+        subnet of ``net`` that inherits its check and tables (see
+        :func:`nets.subnet_of`), marked with ``marking``."""
+        transitions = self.transitions
+        return MarkedNet(subnet_of(self.net, self.members - transitions | self.max_places, transitions),
+                         self.marking)
 
 
 def scells(net: Net, marking: frozenset[PlaceId] = frozenset()) -> tuple[SCell, ...]:
-    """All s-cells of the net, sorted by their smallest member place.
-
-    The cells are the strongly connected components that hold a
-    transition of the flow plus the arcs from each transition back to
-    its pre-places, found by one pass of Tarjan's algorithm.  Each
-    cell's subnet is its member transitions with their pre- and
-    post-places, and inherits ``marking ∩ minp``.
-    The net is checked (once per object); each subnet inherits that
-    check and the net's tables (see :func:`nets.subnet_of`) and keeps
-    its one class.  The compiler builds no subnet: it reads the same
-    cells, and restricts them, on the masks of the net's index.
-    """
+    """All s-cells of the net, sorted by their smallest member place:
+    the blocks that :func:`_blocks` finds on the net's index, each
+    marked with ``marking ∩ minp``.  The net is checked (once per
+    object).  No subnet is built until a cell's ``subnet`` is read."""
     ensure_occurrence(net)
-    cells = {}
-    for members in cell_classes(net):
-        transitions = members & net.transitions
-        own = members - transitions
-        subnet = subnet_of(net, own.union(*(net._post[t] for t in transitions)), transitions)
-        subnet.__dict__["_cell_classes"] = (members,)
-        cells[min(own)] = SCell(members, MarkedNet(subnet, marking & subnet._min_places))
-    return tuple(cells[key] for key in sorted(cells))
+    index, names, cells = net._index, net._index.names, []
+    for block in _blocks(index, index.transitions, index.places):
+        initial = names(block.initial)
+        cells.append(SCell(net, names(block.members), initial, names(block.final), marking & initial))
+    return tuple(cells)
 
 
 class _Block(NamedTuple):
@@ -119,15 +112,23 @@ class _Block(NamedTuple):
 
 def _blocks(index: NetIndex, transitions: int, places: int) -> list[_Block]:
     """The cells of the index's net cut to ``transitions`` and
-    ``places``, by smallest member place: the components of
-    :func:`cell_classes`' graph, found by the same Tarjan pass on bit
-    nodes.  Every consumer of a member place is a member, so the final
-    places are the post-places outside the members, and the initial
-    places the member places no member produces."""
-    pre, post = index.pre, index.post
+    ``places``, by smallest member place.
+
+    A cell is a strongly connected component, holding a transition, of
+    the flow plus the arcs from each transition back to its pre-places,
+    found by one pass of Tarjan's algorithm
+    (:func:`nets.strong_components`) on bit nodes.  A transition and
+    its pre-places are always in one component, so a component holds a
+    transition exactly when it has more than one node.  The pass visits
+    only transitions in ``transitions``, and they hold bits 0…T−1, so a
+    node is a transition exactly when its bit is below T.  Every
+    consumer of a member place is a member, so the final places are the
+    post-places outside the members, and the initial places the member
+    places no member produces."""
+    pre, post, count = index.pre, index.post, index.transitions.bit_length()
 
     def successors(x: int) -> Iterator[int]:
-        return bits(post[x] & places | pre[x] if 1 << x & transitions else post[x] & transitions)
+        return bits(post[x] & places | pre[x] if x < count else post[x] & transitions)
 
     blocks = {}
     for component in strong_components(bits(transitions), successors):
@@ -138,28 +139,6 @@ def _blocks(index: NetIndex, transitions: int, places: int) -> list[_Block]:
             initial = sum(1 << p for p in bits(own) if not pre[p] & cell)
             blocks[own & -own] = _Block(members, cell, reach, initial, reach & ~members)
     return [blocks[key] for key in sorted(blocks)]
-
-
-def cell_classes(net: Net) -> list[frozenset[NodeId]]:
-    """The equivalence classes of ⊑ that hold a transition.
-
-    :func:`nets.strong_components` (Tarjan's algorithm) over the flow
-    plus the arcs from each transition back to its pre-places.  A
-    transition and its pre-places are always in one component, so a
-    component holds a transition exactly when it has more than one node.
-
-    A cell's subnet from :func:`scells` keeps its classes: its members
-    are one class there, and each other node (a post-place outside the
-    members, with no consumer in the subnet) is a class of its own.
-    """
-    if hasattr(net, "_cell_classes"):
-        return list(net._cell_classes)
-    pre, post, transitions = net._pre, net._post, net.transitions
-
-    def successors(x: NodeId) -> Iterable[NodeId]:
-        return chain(post[x], pre[x]) if x in transitions else post[x]
-
-    return [frozenset(c) for c in strong_components(transitions, successors) if len(c) > 1]
 
 
 def cell_order(net: Net, cells: tuple[SCell, ...]) -> frozenset[tuple[int, int]]:
@@ -282,7 +261,7 @@ class CellLeaf(TreeNode):
 
     def __init__(self, cell: SCell) -> None:
         object.__setattr__(self, "cell", cell)
-        self._interface(cell.subnet.inputs, cell.subnet.outputs)
+        self._interface(cell.inputs, cell.max_places)
 
 
 class IdentityLeaf(TreeNode):
@@ -403,7 +382,7 @@ def canonical_form(marked: MarkedNet) -> TreeNode:
     stratified by :func:`stratify` into a tree.  Folding the tree back
     with ⊕ and ; reproduces the input net exactly."""
     cells = scells(marked.net, marked.marking)
-    return stratify([(c.subnet.inputs, c.subnet.outputs) for c in cells], marked.inputs, marked.outputs,
+    return stratify([(c.inputs, c.max_places) for c in cells], marked.inputs, marked.outputs,
                     lambda i: CellLeaf(cells[i]), IdentityLeaf, lambda parts: ParNode(tuple(parts)), SeqNode)
 
 
@@ -463,7 +442,7 @@ def render_tree(tree: TreeNode) -> str:
 
     def render_cell(leaf: CellLeaf) -> str:
         body = ",".join(sorted(leaf.cell.members))
-        marking = leaf.cell.subnet.marking
+        marking = leaf.cell.marking
         if marking:
             return f"cell{{{body} | m={','.join(sorted(marking))}}}"
         return f"cell{{{body}}}"
@@ -478,7 +457,7 @@ def render_tree(tree: TreeNode) -> str:
 
 
 # --------------------------------------------------------------------- #
-# Place removal and restriction
+# Restriction
 # --------------------------------------------------------------------- #
 
 def _kills(index: NetIndex, transitions: int, places: int) -> int:
@@ -506,49 +485,3 @@ def _survivor(index: NetIndex, transitions: int, places: int, killed: int) -> tu
         if not made & killed and (used & ~killed or made and not used):
             kept |= 1 << p
     return transitions & ~killed, kept
-
-
-def remove_places(cell: MarkedNet, dead: frozenset[PlaceId]) -> MarkedNet:
-    """Delete the (unmarked, initial) places ``dead`` plus every
-    transition and place that causally depends on them, then drop the
-    junk this leaves behind: places whose consumers all died (a token
-    landing there could never be used again) and places left isolated.
-    This is the compiler's restriction, built as a subnet."""
-    dead = frozenset(dead)
-    stray = dead - cell.inputs
-    if stray:
-        raise NetError(
-            f"places {sorted(stray)} are not unmarked initial places of the cell"
-        )
-    index = cell.net._index
-    killed = _kills(index, index.transitions, index.mask(dead))
-    transitions, places = _survivor(index, index.transitions, index.places, killed)
-    kept = index.names(places)
-    return MarkedNet(subnet_of(cell.net, kept, index.names(transitions)), cell.marking & kept)
-
-
-class MarkedView(_Value):
-    """A cell specialised to the inputs that actually receive tokens:
-    everything else is removed and all surviving initial places are
-    marked.  ``dead_finals`` are the original final places that can no
-    longer be reached."""
-
-    __slots__ = _fields = ("marked", "dead_finals")
-
-    def __init__(self, marked: MarkedNet, dead_finals: frozenset[PlaceId]) -> None:
-        object.__setattr__(self, "marked", marked)
-        object.__setattr__(self, "dead_finals", dead_finals)
-
-
-def at_marking(cell: MarkedNet, arriving: frozenset[PlaceId]) -> MarkedView:
-    """Specialise ``cell`` to the case where exactly ``arriving`` (a
-    subset of its unmarked initial places) receive tokens."""
-    arriving = frozenset(arriving)
-    stray = arriving - cell.inputs
-    if stray:
-        raise NetError(
-            f"places {sorted(stray)} are not unmarked initial places of the cell"
-        )
-    survivor = remove_places(cell, cell.inputs - arriving).net
-    marked = MarkedNet(survivor, min_places(survivor))
-    return MarkedView(marked, dead_finals=cell.outputs - marked.outputs)

@@ -225,10 +225,10 @@ def _dispatch(args) -> int:
         cells = scells(marked.net, marked.marking)
         order = cell_order(marked.net, cells)
         for i, cell in enumerate(cells):
-            marking = render_place_set(cell.subnet.marking)
+            marking = render_place_set(cell.marking)
             print(
                 f"C{i + 1}: members {render_place_set(cell.members)} "
-                f"interface {render_place_set(cell.subnet.inputs)}->"
+                f"interface {render_place_set(cell.inputs)}->"
                 f"{render_place_set(cell.max_places)} marking {marking}"
             )
         for i, j in sorted(order):

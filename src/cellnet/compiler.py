@@ -24,7 +24,7 @@ import weakref
 from functools import reduce
 from operator import or_
 
-from .cells import _Block, _blocks, _kills, _survivor, cell_classes, stratify
+from .cells import _Block, _blocks, _kills, _survivor, stratify
 from .errors import CompileError
 from .nets import MarkedNet, NetIndex, NodeId, _completions, _process_of, bits, isolated_places, run
 from .terms import Constant, ConstantKey, Dead, Identity, Par, Seq, Term, make_sum, par_all
@@ -70,11 +70,12 @@ def compile_cell(cell: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) -> 
     """
     if depth_guard <= 0:
         raise CompileError("recursion depth guard exceeded while compiling a cell")
-    classes = cell_classes(cell.net)
-    if len(classes) != 1 or isolated_places(cell.net):
+    index = cell.net._index
+    blocks = _blocks(index, index.transitions, index.places)
+    if len(blocks) != 1 or isolated_places(cell.net):
         raise CompileError(
             "not a single s-cell: the net decomposes into "
-            f"{len(classes)} cell(s) and possibly identity wires"
+            f"{len(blocks)} cell(s) and possibly identity wires"
         )
     return _compile(cell, depth_guard)  # one block, which stratify returns as it is
 

@@ -215,12 +215,6 @@ def _check_stochastic(matrix: np.ndarray) -> None:
     raise WiringError(f"matrix is not row-stochastic (worst row error {worst:.3e})")
 
 
-def identity_arrow(wiring: Wiring) -> KleisliArrow:
-    import numpy as np
-
-    return KleisliArrow(wiring, wiring, np.eye(wiring.size))
-
-
 def permutation_arrow(source: Wiring, target: Wiring) -> KleisliArrow:
     """The 0/1 arrow relabelling subset indices between two wirings of
     the same place set: one column gather of the identity."""

@@ -8,9 +8,9 @@ Places and transitions are opaque strings living in disjoint namespaces.
 All values are immutable after construction and every operation is a pure
 function of its inputs, so nets can be shared freely across threads.
 Each :class:`Net` is checked once; a subnet derived from a checked net
-(:func:`subnet_of`: s-cells and their restrictions) inherits that check
-and its parent's pre- and post-set tables, cut down to the subnet's
-nodes, sharing every set the cut leaves whole.
+(:func:`subnet_of`: an s-cell's, built when it is read) inherits that
+check and its parent's pre- and post-set tables, cut down to the
+subnet's nodes, sharing every set the cut leaves whole.
 Each net numbers its nodes once, in a :class:`NetIndex`, so that a set
 of nodes is an int (a bit mask): the compiler, the oracle and validation
 work on its masks.

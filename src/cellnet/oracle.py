@@ -247,12 +247,6 @@ def _stopping_prefixes(index: _Events, future: int, minimal: int) -> set[int]:
     return kept
 
 
-def initial_stopping_prefixes(pes: PES) -> frozenset[frozenset[TransitionId]]:
-    """Minimal non-empty prefixes closed under immediate conflict."""
-    index = pes._index
-    return frozenset(map(index.names, _stopping_prefixes(index, index.all, _minimal(index, index.all))))
-
-
 def _maximal_within(index: _Events, future: int, cell: int) -> list[tuple[int, int]]:
     """The maximal configurations of a future inside one of its cells,
     each with its rivals, adding one enabled event at a time."""

@@ -1,16 +1,18 @@
 """Reference implementations that the tests compare the library against.
 
 Each one computes something the library computes another way: the
-dense Kronecker algebra that ``interpret`` replaced, the widest cut
-that ``interpret`` checks against its width cap, a compiler that
-compiles every cell from its subnet and restricts it on frozensets, the
-reachability preorder whose classes ``scells`` finds by Tarjan's
-algorithm, a token game over markings, a state marginal, box and wire
-counts of a DOT diagram, the flow's closure and the event structure
-built from it on frozensets, where the library reads both off a net's
-bit index, and the event-structure oracle's searches and term player on
-frozensets, where the library runs them on bit masks.  None of them is
-used by the library.
+dense Kronecker algebra and identity arrow that ``interpret``
+replaced, the widest cut that ``interpret`` checks against its width
+cap, a compiler that compiles every cell from its subnet and restricts
+it on frozensets, the compiler's own mask restriction built as a
+subnet, so that tests drive it by place names, the reachability
+preorder whose classes ``scells`` finds by Tarjan's algorithm, a token
+game over markings, a state marginal, box and wire counts of a DOT
+diagram, the flow's closure and the event structure built from it on
+frozensets, where the library reads both off a net's bit index, and
+the event-structure oracle's searches and term player on frozensets,
+where the library runs them on bit masks.  None of them is used by the
+library.
 """
 
 from __future__ import annotations
@@ -46,14 +48,18 @@ from cellnet import (
     scells,
     typecheck,
 )
-from cellnet.cells import stratify
+from cellnet.cells import _kills, _survivor, stratify
 from cellnet.kleisli import subset_index
-from cellnet.nets import subnet_of, topological_order
+from cellnet.nets import _Value, subnet_of, topological_order
 from cellnet.terms import par_all, subsets_lex
 
 # --------------------------------------------------------------------- #
 # Dense Kronecker algebra
 # --------------------------------------------------------------------- #
+
+
+def identity_arrow(wiring: Wiring) -> KleisliArrow:
+    return KleisliArrow(wiring, wiring, np.eye(wiring.size))
 
 
 def tensor(a1: KleisliArrow, a2: KleisliArrow) -> KleisliArrow:
@@ -214,6 +220,54 @@ def restrict_cell(cell: MarkedNet, arriving: frozenset[str]) -> tuple[MarkedNet,
     survivor = subnet_of(net, net.places - removed, net.transitions - dead)
     view = MarkedNet(survivor, min_places(survivor))
     return view, cell.outputs - view.outputs
+
+
+# --------------------------------------------------------------------- #
+# The compiler's restriction, built as a subnet
+# --------------------------------------------------------------------- #
+
+
+def remove_places(cell: MarkedNet, dead: frozenset[str]) -> MarkedNet:
+    """Delete the (unmarked, initial) places ``dead`` plus every
+    transition and place that causally depends on them, then drop the
+    junk this leaves behind: places whose consumers all died (a token
+    landing there could never be used again) and places left isolated.
+    This is the compiler's restriction (``cells._kills`` and
+    ``cells._survivor``), built as a subnet."""
+    dead = frozenset(dead)
+    stray = dead - cell.inputs
+    if stray:
+        raise NetError(f"places {sorted(stray)} are not unmarked initial places of the cell")
+    index = cell.net._index
+    killed = _kills(index, index.transitions, index.mask(dead))
+    transitions, places = _survivor(index, index.transitions, index.places, killed)
+    kept = index.names(places)
+    return MarkedNet(subnet_of(cell.net, kept, index.names(transitions)), cell.marking & kept)
+
+
+class MarkedView(_Value):
+    """A cell specialised to the inputs that actually receive tokens:
+    everything else is removed and all surviving initial places are
+    marked.  ``dead_finals`` are the original final places that can no
+    longer be reached."""
+
+    __slots__ = _fields = ("marked", "dead_finals")
+
+    def __init__(self, marked: MarkedNet, dead_finals: frozenset[str]) -> None:
+        object.__setattr__(self, "marked", marked)
+        object.__setattr__(self, "dead_finals", dead_finals)
+
+
+def at_marking(cell: MarkedNet, arriving: frozenset[str]) -> MarkedView:
+    """Specialise ``cell`` to the case where exactly ``arriving`` (a
+    subset of its unmarked initial places) receive tokens."""
+    arriving = frozenset(arriving)
+    stray = arriving - cell.inputs
+    if stray:
+        raise NetError(f"places {sorted(stray)} are not unmarked initial places of the cell")
+    survivor = remove_places(cell, cell.inputs - arriving).net
+    marked = MarkedNet(survivor, min_places(survivor))
+    return MarkedView(marked, dead_finals=cell.outputs - marked.outputs)
 
 
 # --------------------------------------------------------------------- #

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+import cellnet.cells
 from cellnet import (
     CellLeaf,
     CompositionError,
@@ -9,19 +12,21 @@ from cellnet import (
     NetError,
     ParNode,
     SeqNode,
-    at_marking,
     canonical_form,
     cell_order,
+    export_diagram,
     fold_tree,
     identity_net,
     parallel_compose,
-    remove_places,
     render_tree,
     scells,
     sequential_compose,
 )
-from cellnet.cells import stratify
-from references import scell_preorder
+from cellnet.cells import cell_leaves, stratify
+from cellnet.cli import run
+from cellnet.netfile import parse_net
+from conftest import wide_doc
+from references import at_marking, count_boxes, remove_places, scell_preorder
 
 fs = frozenset
 
@@ -303,3 +308,25 @@ def test_canonical_layer_is_one_past_the_deepest_producer():
     assert render_tree(tree) == (
         "(((cell{p1,tC | m=p1} + cell{p2,tA | m=p2}) ; (cell{p3,tB} + I{p4})) ; cell{p4,p5,tD})"
     )
+
+
+def test_cells_build_no_subnet_until_one_is_read(tmp_path, capsys, monkeypatch):
+    # the canonical form, its rendering, its diagram and the cells
+    # command read each cell's own fields; only reading .subnet builds one
+    built = []
+
+    def counting(parent, places, transitions, real=cellnet.cells.subnet_of):
+        built.append(parent)
+        return real(parent, places, transitions)
+
+    monkeypatch.setattr(cellnet.cells, "subnet_of", counting)
+    path = tmp_path / "wide.net"
+    path.write_text(json.dumps(wide_doc(300)))
+    tree = canonical_form(parse_net(path.read_text()))
+    assert render_tree(tree).count("cell{") == 300 and count_boxes(export_diagram(tree)) == 300
+    assert run(["cells", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 300  # independent cells: no order pairs
+    assert built == []
+    cell = cell_leaves(tree)[0].cell
+    assert cell.subnet.net.transitions == cell.transitions and len(built) == 1
+    assert cell.subnet is cell.subnet and len(built) == 1  # built once, then kept

@@ -10,7 +10,6 @@ from cellnet import (
     compile_net,
     condition,
     forward,
-    identity_arrow,
     interpret,
     marginalize,
     pullback,
@@ -18,7 +17,7 @@ from cellnet import (
 )
 from cellnet.inference import format_state, parse_state
 from conftest import three_cell_delta
-from references import restrict_state
+from references import identity_arrow, restrict_state
 
 fs = frozenset
 

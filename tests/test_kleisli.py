@@ -18,7 +18,6 @@ from cellnet import (
     compile_net,
     constants_of,
     dump_delta,
-    identity_arrow,
     interpret,
     load_delta,
     permutation_arrow,
@@ -27,7 +26,7 @@ from cellnet import (
     validate_delta,
 )
 from conftest import disjoint_copies, three_cell_delta
-from references import compose_arrows, constant_arrow, copair, dead_arrow, tensor
+from references import compose_arrows, constant_arrow, copair, dead_arrow, identity_arrow, tensor
 
 fs = frozenset
 

@@ -37,7 +37,6 @@ from cellnet import (
     Term,
     TermError,
     Wiring,
-    at_marking,
     canonical_form,
     cell_order,
     check_correspondence,
@@ -46,7 +45,6 @@ from cellnet import (
     enumerate_outcome_distribution,
     enumerate_transactions,
     fold_tree,
-    identity_arrow,
     interpret,
     isolated_places,
     lex_wiring,
@@ -61,27 +59,29 @@ from cellnet import (
     permutation_arrow,
     pes_of_net,
     r_stopped_configs,
-    remove_places,
     scells,
     typecheck,
     validate_occurrence,
 )
-from cellnet.cells import _fold_nodes, cell_classes, cell_leaves
+from cellnet.cells import _fold_nodes, cell_leaves
 from cellnet.compiler import _compile
 from cellnet.nets import NetIndex, subnet_of
 from cellnet.terms import par_all, subsets_lex
 import references
 from references import (
+    at_marking,
     compose_arrows,
     constant_arrow,
     copair,
     dead_arrow,
     dependents,
     descendants,
-    net_pes,
+    identity_arrow,
     maximal_firing_outcomes,
+    net_pes,
     play,
     relabel,
+    remove_places,
     restrict,
     scell_preorder,
     tensor,
@@ -552,6 +552,11 @@ def test_scells_match_preorder_reference_on_random_nets():
             for c in scells(net, marking)
         ]
         assert found == expected
+        # a cell's own fields, read off the net's index, are its subnet's
+        for c in scells(net, marking):
+            sub = c.subnet
+            assert (c.transitions, c.marking) == (sub.net.transitions, sub.marking)
+            assert (c.min_places, c.max_places, c.inputs) == (min_places(sub.net), sub.outputs, sub.inputs)
         # compile_cell's test for "exactly one s-cell", against the cells
         candidates = [net] + [c.subnet.net for c in scells(net)] + [
             Net(c.subnet.net.places | {"zz"}, c.subnet.net.transitions, c.subnet.net.flow)
@@ -561,7 +566,11 @@ def test_scells_match_preorder_reference_on_random_nets():
             cells = _reference_scells(candidate, fs())
             whole = len(cells) == 1 and (cells[0][1], cells[0][2], cells[0][3]) == (
                 candidate.places, candidate.transitions, candidate.flow)
-            assert (len(cell_classes(candidate)) == 1 and not isolated_places(candidate)) == whole
+            assert [c.members for c in scells(candidate)] == [cell[0] for cell in cells]
+            fully = MarkedNet(candidate, min_places(candidate) - isolated_places(candidate))
+            refusal = _outcome(lambda: compile_cell(fully))
+            assert (not isinstance(refusal, str)) == whole
+            assert whole or refusal.startswith("not a single s-cell")
             checked += whole
     assert cases > 300 and checked > 300
 
@@ -661,7 +670,8 @@ def _one_each(key):
 def _derived_nets(marked):
     """(parent, subnet, kept classes or None) for every net derived from
     ``marked`` without a check of its own: each s-cell's subnet, that
-    cell restricted by ``remove_places`` and ``at_marking`` to every
+    cell restricted by the references' ``remove_places`` and
+    ``at_marking`` (the compiler's restriction, built as a subnet) to every
     subset of its inputs, and, as ``compile_cell`` does, the same again
     inside each restriction of a cell with inputs (which shrinks it)."""
     pending = [marked]
@@ -700,8 +710,9 @@ def test_derived_subnets_are_the_occurrence_nets_they_claim_to_be():
             assert validate_occurrence(copy).ok
             assert copy == sub
             assert all(parent.pre(t) <= sub.places for t in sub.transitions)
-            if classes is not None:
-                assert cell_classes(copy) == list(classes)
+            if classes is not None:  # a cell's subnet is that one cell
+                assert [c.members for c in scells(copy)] == list(classes)
+                assert [cell[0] for cell in _reference_scells(copy, fs())] == list(classes)
             # the subnet holds the parent's tables cut down to its nodes
             # (read from its __dict__, so none is built from its flow),
             # equal to the ones the copy builds, and shares each

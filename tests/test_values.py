@@ -1,4 +1,5 @@
-"""Value semantics of every public value class in README's API list:
+"""Value semantics of every public value class in README's API list,
+and of the restriction view that the test references keep:
 construction by position and by keyword, the defaults, immutability,
 field-wise equality and hashing (identity for the classes that hold a
 matrix or a vector), repr, copies, pickles and weak references."""
@@ -27,7 +28,6 @@ from cellnet import (
     IdentityLeaf,
     KleisliArrow,
     MarkedNet,
-    MarkedView,
     Net,
     OutcomeDistribution,
     Par,
@@ -48,11 +48,12 @@ from cellnet import (
     Wiring,
     uniform_dist,
 )
+from references import MarkedView
 
 fs = frozenset
 P, Q, T = fs({"p"}), fs({"q"}), fs({"t"})
 NET = Net(P, T, fs({("p", "t")}))
-CELL = SCell(fs({"p", "t"}), MarkedNet(NET))
+CELL = SCell(NET, fs({"p", "t"}), P, fs(), fs())
 KEY = ConstantKey(P, Q, fs({Process(T, P, Q)}))
 PROBLEM = DeltaProblem("t", "missing", "no entry")
 CASE = CorrespondenceCase(P, fs({T}), fs({T}))
@@ -64,7 +65,7 @@ SAMPLES = [
     (Violation, ("kind", "node", "detail"), lambda: ("cycle", "p", "node lies on a flow cycle")),
     (ValidationReport, ("violations",), lambda: ((Violation("cycle", "p", "x"),),)),
     (Process, ("transitions", "initial_places", "final_places", "internal_places"), lambda: (T, P, Q, fs())),
-    (SCell, ("members", "subnet"), lambda: (fs({"p", "t"}), MarkedNet(NET))),
+    (SCell, ("net", "members", "min_places", "max_places", "marking"), lambda: (NET, fs({"p", "t"}), P, fs(), P)),
     (CellLeaf, ("cell",), lambda: (CELL,)),
     (IdentityLeaf, ("places",), lambda: (P,)),
     (ParNode, ("children",), lambda: ((CellLeaf(CELL), IdentityLeaf(Q)),)),
@@ -158,6 +159,15 @@ def test_a_tree_nodes_interface_stays_out_of_equality_and_repr():
     node = ParNode((CellLeaf(CELL), IdentityLeaf(Q)))
     assert (node.inputs, node.outputs) == (P | Q, Q)
     assert "inputs" not in repr(node) and "outputs" not in repr(node)
+
+
+def test_a_cells_subnet_is_kept_out_of_its_fields():
+    # the subnet is built on first read and kept on the cell, but equality,
+    # hashing, repr and pickling see only the fields
+    cell, fresh = SCell(NET, fs({"p", "t"}), P, fs(), P), SCell(NET, fs({"p", "t"}), P, fs(), P)
+    assert cell.subnet == MarkedNet(NET, P) and cell.subnet is cell.subnet
+    assert cell == fresh and hash(cell) == hash(fresh) and repr(cell) == repr(fresh)
+    assert pickle.loads(pickle.dumps(cell)) == fresh
 
 
 @pytest.mark.parametrize("cls, fields, values", SAMPLES, ids=IDS)
