@@ -26,6 +26,7 @@ index alone (:func:`_kills`, :func:`_survivor`).
 from __future__ import annotations
 
 from functools import cached_property, reduce
+from itertools import compress
 from operator import or_
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
@@ -79,7 +80,7 @@ class SCell(_Value):
     @cached_property
     def subnet(self) -> MarkedNet:
         """The member transitions with their pre- and post-places, a
-        subnet of ``net`` that inherits its check and tables (see
+        subnet of ``net`` that inherits its check (see
         :func:`nets.subnet_of`), marked with ``marking``."""
         transitions = self.transitions
         return MarkedNet(subnet_of(self.net, self.members - transitions | self.max_places, transitions),
@@ -147,20 +148,22 @@ def cell_order(net: Net, cells: tuple[SCell, ...]) -> frozenset[tuple[int, int]]
 
     A place with a consumer is in that consumer's cell, so a path of ⊑
     between two cells runs through cell members only, and ⊑ on cells is
-    reachability in the acyclic graph with an arc for each flow arc
-    between two cells.  Reach sets are unioned in reverse topological
-    order, as the descendants of :class:`nets.NetIndex` are."""
+    reachability in the acyclic graph with an arc from each cell to the
+    cells of its members' post-sets, read off the net's index.  The cells
+    each reaches, as a mask of cell numbers, are unioned in one reverse
+    topological pass, as the descendants of :class:`nets.NetIndex` are."""
     ensure_occurrence(net)
-    cell_of = {x: i for i, cell in enumerate(cells) for x in cell.members}
-    succ: dict[int, set[int]] = {i: set() for i in range(len(cells))}
-    for x, y in net.flow:
-        i, j = cell_of.get(x), cell_of.get(y)
-        if i is not None and j is not None and i != j:
-            succ[i].add(j)
-    reach: dict[int, frozenset[int]] = {}
+    index, numbers, reach = net._index, list(range(len(cells))), [0] * len(cells)
+    members = [index.mask(cell.members) for cell in cells]
+    cell_of = {x: i for i, mask in zip(numbers, members) for x in bits(mask)}
+    succ = {i: {cell_of.get(y, i) for x in bits(mask) for y in bits(index.post[x])} - {i}
+            for i, mask in zip(numbers, members)}
     for i in reversed(topological_order(succ)):
-        reach[i] = frozenset(succ[i]).union(*(reach[j] for j in succ[i]))
-    return frozenset((i, j) for i, above in reach.items() for j in above)
+        reach[i] = reduce(or_, (1 << j | reach[j] for j in succ[i]), 0)
+    # A mask's binary digits, lowest first, pick its cell numbers faster than
+    # bits() on thousands of bits, and as items of one list, sharing the ints.
+    return frozenset((i, j) for i, mask in zip(numbers, reach)
+                     for j in compress(numbers, map("1".__eq__, bin(mask)[:1:-1])))
 
 
 # --------------------------------------------------------------------- #

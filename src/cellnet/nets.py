@@ -7,13 +7,12 @@ strongly connected components of :func:`strong_components`.
 Places and transitions are opaque strings living in disjoint namespaces.
 All values are immutable after construction and every operation is a pure
 function of its inputs, so nets can be shared freely across threads.
-Each :class:`Net` is checked once; a subnet derived from a checked net
-(:func:`subnet_of`: an s-cell's, built when it is read) inherits that
-check and its parent's pre- and post-set tables, cut down to the
-subnet's nodes, sharing every set the cut leaves whole.
 Each net numbers its nodes once, in a :class:`NetIndex`, so that a set
-of nodes is an int (a bit mask): the compiler, the oracle and validation
-work on its masks.
+of nodes is an int (a bit mask).  The index is the one flow table a net
+keeps: pre- and post-sets, validation, the initial and final places,
+the compiler and the oracle all read its masks.  Each :class:`Net` is
+checked once; a subnet derived from a checked net (:func:`subnet_of`:
+an s-cell's, built when it is read) inherits that check.
 Set-valued results are deterministic: whenever an order is needed it is
 the lexicographic order on identifiers.
 """
@@ -177,8 +176,8 @@ class Net(_Value):
     transition.  The occurrence-net conditions (acyclicity, no backward
     conflicts, no self-conflicts) are checked separately by
     :func:`validate_occurrence` so that violations can be reported all
-    at once.  The tables worked out from the net are kept in its
-    ``__dict__``.
+    at once.  Its index and the sets worked out from it are kept in its
+    ``__dict__``; construction builds neither.
     """
 
     _fields = ("places", "transitions", "flow")
@@ -194,29 +193,14 @@ class Net(_Value):
         shared = places & transitions
         if shared:
             raise NetError(f"identifiers used both as place and transition: {sorted(shared)}")
-        for src, dst in flow:
-            if src in places and dst in transitions:
-                continue
-            if src in transitions and dst in places:
-                continue
+        stray = [(src, dst) for src, dst in flow
+                 if not (src in places and dst in transitions or src in transitions and dst in places)]
+        if stray:  # the least, so that the message does not hang on the hash seed
+            src, dst = min(stray, key=lambda arc: tuple(map(str, arc)))
             raise NetError(f"flow arc ({src!r}, {dst!r}) does not connect a known place and transition")
-        for t in transitions:
-            if not self.pre(t):
-                raise NetError(f"transition {t!r} has an empty pre-set")
-
-    @cached_property
-    def _pre(self) -> dict[NodeId, frozenset[NodeId]]:
-        table: dict[NodeId, set[NodeId]] = {x: set() for x in self.places | self.transitions}
-        for src, dst in self.flow:
-            table[dst].add(src)
-        return {x: frozenset(s) for x, s in table.items()}
-
-    @cached_property
-    def _post(self) -> dict[NodeId, frozenset[NodeId]]:
-        table: dict[NodeId, set[NodeId]] = {x: set() for x in self.places | self.transitions}
-        for src, dst in self.flow:
-            table[src].add(dst)
-        return {x: frozenset(s) for x, s in table.items()}
+        unfed = transitions - {dst for _, dst in flow}
+        if unfed:
+            raise NetError(f"transition {min(unfed)!r} has an empty pre-set")
 
     @property
     def nodes(self) -> frozenset[NodeId]:
@@ -224,31 +208,15 @@ class Net(_Value):
 
     def pre(self, x: NodeId) -> frozenset[NodeId]:
         """Pre-set •x."""
-        try:
-            return self._pre[x]
-        except KeyError:
-            raise NetError(f"unknown node {x!r}") from None
+        return self._index.entry(self._index.pre, x)
 
     def post(self, x: NodeId) -> frozenset[NodeId]:
         """Post-set x•."""
-        try:
-            return self._post[x]
-        except KeyError:
-            raise NetError(f"unknown node {x!r}") from None
+        return self._index.entry(self._index.post, x)
 
     @cached_property
     def _index(self) -> "NetIndex":
         return NetIndex(self)
-
-    @cached_property
-    def _flow_order(self) -> tuple[NodeId, ...]:
-        """Nodes in a topological order of F; nodes on a cycle, or after
-        one, are left out."""
-        return tuple(topological_order(self._post))
-
-    @cached_property
-    def _has_flow_cycle(self) -> bool:
-        return len(self._flow_order) < len(self.places) + len(self.transitions)
 
     @cached_property
     def _occurrence_report(self) -> "ValidationReport":
@@ -258,11 +226,11 @@ class Net(_Value):
 
     @cached_property
     def _min_places(self) -> frozenset[PlaceId]:
-        return frozenset(p for p in self.places if not self._pre[p])
+        return self._index.unlinked(self._index.pre)
 
     @cached_property
     def _max_places(self) -> frozenset[PlaceId]:
-        return frozenset(p for p in self.places if not self._post[p])
+        return self._index.unlinked(self._index.post)
 
     @cached_property
     def _isolated_places(self) -> frozenset[PlaceId]:
@@ -301,11 +269,13 @@ class BitIndex:
 class NetIndex(BitIndex):
     """A net's bit index: transitions take bits 0…T−1 in sorted order and
     places follow.  ``transitions`` and ``places`` mask each kind,
-    ``pre[i]`` and ``post[i]`` are node i's pre- and post-set, and
-    ``flow`` lists the transitions in a topological order.  On an
-    acyclic net, each per-transition table below is one pass in that
-    order over its parents (the producers of its pre-places) or
-    children (the consumers of its post-places): ``causes``, itself and
+    ``pre[i]`` and ``post[i]`` are node i's pre- and post-set: the only
+    flow table a :class:`Net` keeps.  ``flow`` lists the transitions in
+    a topological order, leaving out those on a cycle or after one, and
+    ``acyclic`` tells whether the flow has no cycle.  On an acyclic net,
+    each per-transition table below is one pass in that order over its
+    parents (the producers of its pre-places) or children (the
+    consumers of its post-places): ``causes``, itself and
     its parents' causes; ``descendants``, itself and its children's, in
     reverse; ``rivals``, the descendants of the other consumers of each
     of its pre-places, and its parents' rivals.  So t ≤ u exactly when
@@ -321,7 +291,21 @@ class NetIndex(BitIndex):
         for src, dst in net.flow:
             self.pre[bit[dst].bit_length() - 1] |= bit[src]
             self.post[bit[src].bit_length() - 1] |= bit[dst]
-        self.flow = [b.bit_length() - 1 for b in map(bit.__getitem__, net._flow_order) if b < 1 << count]
+        order = topological_order({x: [*bits(xs)] for x, xs in enumerate(self.post)})
+        self.acyclic = len(order) == len(self.order)
+        self.flow = [x for x in order if x < count]
+
+    def entry(self, table: list[int], x: NodeId) -> frozenset[NodeId]:
+        """The names in node x's entry of ``table``."""
+        try:
+            return self.names(table[self.bit[x].bit_length() - 1])
+        except KeyError:
+            raise NetError(f"unknown node {x!r}") from None
+
+    def unlinked(self, table: list[int]) -> frozenset[PlaceId]:
+        """The places whose entry in ``table`` is empty."""
+        order = self.order
+        return frozenset([order[i] for i in range(self.transitions.bit_length(), len(order)) if not table[i]])
 
     def _pass(self, flow: Iterable[int], table: list[int], own: list[int]) -> list[int]:
         """``own`` per transition, united with the entries of those two
@@ -382,7 +366,7 @@ class ValidationReport(_Value):
 
 
 def validate_occurrence(net: Net) -> ValidationReport:
-    """Check the occurrence-net conditions.
+    """Check the occurrence-net conditions, on the net's index.
 
     Reports one violation per offending node: nodes lying on a flow
     cycle, places with more than one producer (backward conflict), and
@@ -390,25 +374,28 @@ def validate_occurrence(net: Net) -> ValidationReport:
     two consumers of one place lie below it; one pass over the pairs of
     consumers of each place with several consumers finds them all, and
     keeps for each the least such pair as its witness.  Those pairs are
-    read off the descendants of the net's index, which is built only
+    read off the descendants of the index, which are worked out only
     for a net that has such a place.
     """
-    violations: list[Violation] = []
-    if net._has_flow_cycle:
+    index, violations = net._index, []
+    order, pre, post = index.order, index.pre, index.post
+    places = range(index.transitions.bit_length(), len(order))  # in sorted order
+    if not index.acyclic:
         # F alternates places and transitions, so it has no loops: a node
         # lies on a cycle exactly when its component has another node.
-        components = strong_components(net.nodes, net._post.__getitem__)
-        for x in sorted(x for c in components if len(c) > 1 for x in c):
+        components = strong_components(range(len(order)), lambda x: bits(post[x]))
+        for x in sorted(order[x] for c in components if len(c) > 1 for x in c):
             violations.append(Violation("cycle", x, "node lies on a flow cycle"))
-    for p in sorted(p for p in net.places if len(net._pre[p]) > 1):
-        violations.append(Violation("backward-conflict", p, f"multiple producers {sorted(net._pre[p])}"))
-    if not net._has_flow_cycle and any(len(net._post[p]) > 1 for p in net.places):
+    for p in places:
+        if pre[p].bit_count() > 1:  # producers, in sorted order like all transitions
+            producers = [order[t] for t in bits(pre[p])]
+            violations.append(Violation("backward-conflict", order[p], f"multiple producers {producers}"))
+    if index.acyclic and any(post[p].bit_count() > 1 for p in places):
         # Conflict is only meaningful on acyclic nets.  Bits number the
         # transitions in sorted order, so the least pair of bits is the least pair.
-        index = net._index
-        order, descendants, witness = index.order, index.descendants, {}
-        for consumers in index.post[len(descendants):]:  # the places'
-            for u, v in combinations(bits(consumers), 2):
+        descendants, witness = index.descendants, {}
+        for p in places:
+            for u, v in combinations(bits(post[p]), 2):
                 for t in bits(descendants[u] & descendants[v]):
                     if t not in witness or (u, v) < witness[t]:
                         witness[t] = (u, v)
@@ -429,36 +416,17 @@ def ensure_occurrence(net: Net) -> None:
 
 def subnet_of(parent: Net, places: Iterable[PlaceId], transitions: Iterable[TransitionId]) -> Net:
     """A subnet of a checked occurrence net: some of its nodes, the whole
-    pre-set of each transition among them, and the flow between them.
-    It is acyclic, has a subset of each place's producers, and its
-    conflicting causes conflict in the parent: an occurrence net, so not
-    rechecked.  Its pre- and post-set tables are the parent's cut down
-    to the kept nodes, and keep the parent's set object wherever the cut
-    leaves it whole (a kept transition's pre-set, a place whose
-    consumers all stay); its flow and its initial, final and isolated
-    places are read off those tables."""
+    pre-set of each transition among them, and the flow between them,
+    read off the parent's pre- and post-sets.  It is acyclic, has a
+    subset of each place's producers, and its conflicting causes
+    conflict in the parent: an occurrence net, so it inherits the
+    parent's report and is not checked again."""
     ensure_occurrence(parent)
     places, transitions = frozenset(places), frozenset(transitions)
-    kept = places | transitions
-    pre, post = _cut(parent._pre, kept), _cut(parent._post, kept)
-    flow = frozenset([(p, t) for t in transitions for p in pre[t]]
-                     + [(t, q) for t in transitions for q in post[t]])
-    mins = frozenset([p for p in places if not pre[p]])
-    maxs = frozenset([p for p in places if not post[p]])
-    sub = object.__new__(Net)  # skips Net's well-formedness checks, implied by the parent's
-    sub.__dict__.update(places=places, transitions=transitions, flow=flow, _pre=pre, _post=post,
-                        _min_places=mins, _max_places=maxs, _isolated_places=mins & maxs,
-                        _occurrence_report=parent._occurrence_report)
+    flow = [(p, t) for t in transitions for p in parent.pre(t)]
+    sub = Net(places, transitions, flow + [(t, q) for t in transitions for q in parent.post(t) & places])
+    sub.__dict__["_occurrence_report"] = parent._occurrence_report
     return sub
-
-
-_Table = dict[NodeId, frozenset[NodeId]]  # a pre- or post-set per node
-
-
-def _cut(table: _Table, kept: frozenset[NodeId]) -> _Table:
-    """A pre- or post-set table restricted to the ``kept`` nodes, sharing
-    each set that lies within them."""
-    return {x: ys if (ys := table[x]) <= kept else ys & kept for x in kept}
 
 
 def min_places(net: Net) -> frozenset[PlaceId]:

@@ -352,21 +352,18 @@ def _typing(term: Term) -> Walk[TermType]:
 
 
 def constants_of(term: Term) -> frozenset[ConstantKey]:
-    """Every distinct cell constant occurring in the term: the schema a
-    δ table must cover.  A signature naming two different keys would
-    make δ ambiguous and is rejected."""
+    """The cell constants occurring in the term, one per signature: the
+    schema a δ table must cover.  δ is keyed by signature, which renders
+    the transaction sets, so keys of one signature share one
+    distribution over the same transition sets, and the first met, left
+    to right, stands for them all."""
     typecheck(term)
     found: dict[str, ConstantKey] = {}
     pending = [term]  # a stack, so children go on it right to left
     while pending:
         t = pending.pop()
         if isinstance(t, Constant):
-            prior = found.get(t.key.signature)
-            if prior is not None and prior != t.key:
-                raise TermError(
-                    f"two distinct constants share the signature {t.key.signature!r}"
-                )
-            found[t.key.signature] = t.key
+            found.setdefault(t.key.signature, t.key)
         pending += reversed(t._parts()[1])
     return frozenset(found.values())
 

@@ -8,11 +8,11 @@ it on frozensets, the compiler's own mask restriction built as a
 subnet, so that tests drive it by place names, the reachability
 preorder whose classes ``scells`` finds by Tarjan's algorithm, a token
 game over markings, a state marginal, box and wire counts of a DOT
-diagram, the flow's closure and the event structure built from it on
-frozensets, where the library reads both off a net's bit index, and
-the event-structure oracle's searches and term player on frozensets,
-where the library runs them on bit masks.  None of them is used by the
-library.
+diagram, the pre- and post-sets, the flow's closure and the event
+structure built from them on frozensets, where the library reads all
+of them off a net's bit index, and the event-structure oracle's
+searches and term player on frozensets, where the library runs them on
+bit masks.  None of them is used by the library.
 """
 
 from __future__ import annotations
@@ -341,13 +341,25 @@ def count_wires(dot: str) -> int:
 # --------------------------------------------------------------------- #
 
 
+def flow_tables(net: Net) -> tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]:
+    """Each node's pre-set and post-set, read off the net's flow, where
+    ``Net.pre`` and ``Net.post`` read the net's bit index."""
+    pre: dict[str, set[str]] = {x: set() for x in net.nodes}
+    post: dict[str, set[str]] = {x: set() for x in net.nodes}
+    for src, dst in net.flow:
+        pre[dst].add(src)
+        post[src].add(dst)
+    return {x: frozenset(s) for x, s in pre.items()}, {x: frozenset(s) for x, s in post.items()}
+
+
 def dependents(net: Net, places: Iterable[str]) -> frozenset[str]:
     """The nodes with one of ``places`` below them, those places
     included, by a search forward along the flow."""
+    post = flow_tables(net)[1]
     reached = set(places)
     pending = list(reached)
     while pending:
-        for y in net.post(pending.pop()):
+        for y in post[pending.pop()]:
             if y not in reached:
                 reached.add(y)
                 pending.append(y)
@@ -357,11 +369,13 @@ def dependents(net: Net, places: Iterable[str]) -> frozenset[str]:
 def descendants(net: Net) -> dict[str, frozenset[str]]:
     """The reflexive-transitive closure of the flow, per node, unioned in
     reverse topological order: for an acyclic net only."""
-    if len(topological_order(net._post)) < len(net.nodes):
+    post = flow_tables(net)[1]
+    order = topological_order(post)
+    if len(order) < len(net.nodes):
         raise NetError("the flow has a cycle")
     closure: dict[str, frozenset[str]] = {}
-    for x in reversed(topological_order(net._post)):
-        closure[x] = frozenset({x}).union(*(closure[y] for y in net.post(x)))
+    for x in reversed(order):
+        closure[x] = frozenset({x}).union(*(closure[y] for y in post[x]))
     return closure
 
 

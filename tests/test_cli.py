@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import metadata
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +64,24 @@ def test_compile_refuses_an_identifier_a_term_cannot_carry(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert not out
     assert len(err.splitlines()) == 1 and "'a,b'" in err
+
+
+def test_validate_reports_the_same_under_every_hash_seed():
+    # set iteration orders vary with PYTHONHASHSEED, so each command runs
+    # in a fresh interpreter; with three empty pre-sets the least is named
+    root = Path(__file__).resolve().parent.parent
+    expected = {
+        "cycle.net": "".join(f"cycle at {x}: node lies on a flow cycle\n" for x in "pqtu"),
+        "conflicts.net": "backward-conflict at c: multiple producers ['t3', 't4']\n"
+                         "self-conflict at t3: conflicting causes t1 #0 t2\n",
+        "empty_presets.net": "cellnet validate: transition 'a' has an empty pre-set\n",
+    }
+    for name, printed in expected.items():
+        for seed in range(4):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": str(root / "src")}
+            proc = subprocess.run([sys.executable, "-m", "cellnet", "validate", f"tests/invalid_nets/{name}"],
+                                  cwd=root, env=env, capture_output=True, text=True, timeout=60)
+            assert (proc.returncode, proc.stdout + proc.stderr) == (1, printed), (name, seed)
 
 
 def test_validate_missing_file(capsys):

@@ -91,7 +91,7 @@ def test_the_flow_closure_is_built_only_for_a_place_with_two_consumers():
     wide = _net_of([(f"p{i}", f"t{i}") for i in range(5)] + [(f"t{i}", f"pq{i}") for i in range(5)])
     for net in (chain, wide):
         assert validate_occurrence(net).ok
-        assert "_index" not in net.__dict__
+        assert "descendants" not in net._index.__dict__
     shared = _net_of([("p", "a"), ("p", "b"), ("a", "pa")])
     assert validate_occurrence(shared).ok
     index = shared.__dict__["_index"]   # only the descendants are worked out
@@ -101,6 +101,21 @@ def test_the_flow_closure_is_built_only_for_a_place_with_two_consumers():
 def test_empty_preset_rejected():
     with pytest.raises(NetError):
         Net(fs({"p"}), fs({"t"}), fs([("t", "p")]))
+
+
+def test_the_least_bad_arc_and_unfed_transition_are_named():
+    with pytest.raises(NetError, match=r"flow arc \('q', 'p'\) does not connect"):
+        Net(fs({"p"}), fs({"t"}), fs([("p", "t"), ("y", "t"), ("x", "t"), ("q", "p")]))
+    with pytest.raises(NetError, match="transition 'a' has an empty pre-set"):
+        Net(fs({"p"}), fs({"c", "a", "b"}), fs([("c", "p")]))
+
+
+def test_pre_and_post_of_an_unknown_node_are_refused():
+    net = _net_of([("p", "t"), ("t", "pq")])
+    assert (net.pre("t"), net.post("t"), net.pre("p"), net.post("pq")) == (fs({"p"}), fs({"pq"}), fs(), fs())
+    for lookup in (net.pre, net.post):
+        with pytest.raises(NetError, match="unknown node 'nope'"):
+            lookup("nope")
 
 
 def test_namespace_overlap_rejected():
