@@ -2,16 +2,16 @@
 
 An s-cell groups the transitions whose choices cannot be separated: it
 is an equivalence class of the preorder generated by causality together
-with the inverse precondition relation.  Those classes are the strongly
-connected components of one graph (the flow plus an arc from each
-transition back to each of its pre-places), so :func:`_blocks` finds
-them all with one pass of Tarjan's algorithm
-(:func:`nets.strong_components`, which also finds the cycles that
-:func:`nets.validate_occurrence` reports) on the bit masks of the net's
-index (:class:`nets.NetIndex`).  The compiler reads those blocks, and
-:func:`scells` names them as :class:`SCell` values, each of which builds
-its subnet only when that is read.  Cells are the
-indecomposable blocks of a marked occurrence net; every net factors
+with the inverse precondition relation.  Among transitions, those
+classes are the strongly connected components of the transition graph,
+with an arc from each transition to every consumer of one of its pre-
+or post-places, so :func:`_blocks` finds them all with one pass of
+Tarjan's algorithm (:func:`nets.strong_components`, which also finds
+the cycles that :func:`nets.validate_occurrence` reports) on the
+transition bits of the net's index (:class:`nets.NetIndex`).  The
+compiler reads those blocks, and :func:`scells` names them as
+:class:`SCell` values, each of which builds its subnet only when that
+is read.  Cells are the indecomposable blocks of a marked occurrence net; every net factors
 uniquely (up to the commutative-monoidal axioms) into a layered
 parallel/sequential composition of cell subnets and identity nets.
 :func:`stratify` composes those layers from whatever the caller builds
@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import cached_property, reduce
 from itertools import compress
 from operator import or_
-from typing import Callable, Iterator, NamedTuple, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from .errors import CompositionError
 from .nets import (
@@ -115,30 +115,27 @@ def _blocks(index: NetIndex, transitions: int, places: int) -> list[_Block]:
     """The cells of the index's net cut to ``transitions`` and
     ``places``, by smallest member place.
 
-    A cell is a strongly connected component, holding a transition, of
-    the flow plus the arcs from each transition back to its pre-places,
+    A cell's transitions are a strongly connected component of the
+    transition graph, with an arc from t to each of ``transitions``
+    that consumes a pre- or post-place of t (``NetIndex.neighbours``),
     found by one pass of Tarjan's algorithm
-    (:func:`nets.strong_components`) on bit nodes.  A transition and
-    its pre-places are always in one component, so a component holds a
-    transition exactly when it has more than one node.  The pass visits
-    only transitions in ``transitions``, and they hold bits 0…T−1, so a
-    node is a transition exactly when its bit is below T.  Every
-    consumer of a member place is a member, so the final places are the
-    post-places outside the members, and the initial places the member
-    places no member produces."""
-    pre, post, count = index.pre, index.post, index.transitions.bit_length()
-
-    def successors(x: int) -> Iterator[int]:
-        return bits(post[x] & places | pre[x] if x < count else post[x] & transitions)
-
+    (:func:`nets.strong_components`).  A path of the flow between
+    transitions alternates transition, place and consumer, and a
+    post-place a cut drops has only dropped consumers, so these are the
+    flow's classes.  A cell's member places are its transitions'
+    pre-places; every consumer of a member place is a member, so the
+    final places are the post-places in ``places`` outside the members,
+    and the initial places the member places no member produces."""
+    pre, post, neighbours = index.pre, index.post, index.neighbours
     blocks = {}
-    for component in strong_components(bits(transitions), successors):
-        if len(component) > 1:
-            members = sum(1 << x for x in component)
-            cell, own = members & transitions, members & places
-            reach = reduce(or_, (post[t] & places for t in bits(cell)), own)
-            initial = sum(1 << p for p in bits(own) if not pre[p] & cell)
-            blocks[own & -own] = _Block(members, cell, reach, initial, reach & ~members)
+    for component in strong_components(bits(transitions), lambda t: bits(neighbours[t] & transitions)):
+        cell = own = made = 0
+        for t in component:
+            cell |= 1 << t
+            own |= pre[t]
+            made |= post[t]
+        made &= places
+        blocks[own & -own] = _Block(cell | own, cell, own | made, own & ~made, made & ~own)
     return [blocks[key] for key in sorted(blocks)]
 
 

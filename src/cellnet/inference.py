@@ -73,10 +73,10 @@ class State(_Value):
 
     def place_marginal(self, place: PlaceId) -> float:
         """Probability that the given place is marked."""
-        # Python's sum, not numpy's pairwise one: the marked entries are
-        # added one at a time, in index order
-        marked = subset_index(self.wiring, Wiring((place,))) == 1
-        return float(sum(self.probs[marked].tolist()))
+        # Python's sum, not numpy's pairwise one: the marked entries, those
+        # with the place's bit set, are added one at a time, in index order
+        bit = self.wiring.position(place) - 1
+        return float(sum(self.probs.reshape(-1, 2, 1 << bit)[:, 1, :].ravel().tolist()))
 
 
 class Predicate(_Value):
@@ -240,9 +240,11 @@ def load_state(path: str) -> State:
 
 
 def format_state(state: State) -> str:
+    import numpy as np
+
     lines = []
-    for k, v in enumerate(state.probs):
-        if v > 0:
-            label = ",".join(sorted(state.wiring.subset_at(k)))
-            lines.append(f"{{{label}}}: {float(v):.12g}")
+    support = np.flatnonzero(state.probs > 0)
+    for k, v in zip(support.tolist(), state.probs[support].tolist()):
+        label = ",".join(sorted(state.wiring.subset_at(k)))
+        lines.append(f"{{{label}}}: {v:.12g}")
     return "\n".join(lines) + "\n"

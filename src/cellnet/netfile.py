@@ -22,6 +22,10 @@ from .errors import FileFormatError, NetError
 from .nets import MarkedNet, Net
 from .terms import _IDENTIFIER
 
+_NET_FIELDS = frozenset({"places", "transitions", "marking"})
+_TRANSITION_FIELDS = frozenset({"id", "pre", "post"})
+_ABSENT = object()  # the value of a field a document leaves out
+
 
 def parse_net_parts(text: str) -> tuple[Net, frozenset[str]]:
     """Parse a net file into the raw net and marking, applying only the
@@ -33,11 +37,10 @@ def parse_net_parts(text: str) -> tuple[Net, frozenset[str]]:
         raise FileFormatError(f"net file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError("net file must contain a single JSON object")
-    unknown = set(doc) - {"places", "transitions", "marking"}
-    if unknown:
-        raise FileFormatError(f"unknown net file fields: {sorted(unknown)}")
+    if not doc.keys() <= _NET_FIELDS:
+        raise FileFormatError(f"unknown net file fields: {sorted(doc.keys() - _NET_FIELDS)}")
 
-    places = _id_list(doc.get("places"), "places")
+    places = _id_list(doc, "places")
     seen = set(places)
     if len(seen) != len(places):
         raise FileFormatError("duplicate place identifiers")
@@ -50,29 +53,29 @@ def parse_net_parts(text: str) -> tuple[Net, frozenset[str]]:
     for entry in raw_transitions:
         if not isinstance(entry, dict):
             raise FileFormatError("each transition must be an object with id/pre/post")
-        extra = set(entry) - {"id", "pre", "post"}
-        if extra:
-            raise FileFormatError(f"unknown transition fields: {sorted(extra)}")
+        if not entry.keys() <= _TRANSITION_FIELDS:
+            raise FileFormatError(f"unknown transition fields: {sorted(entry.keys() - _TRANSITION_FIELDS)}")
         tid = entry.get("id")
         if not isinstance(tid, str) or not tid:
             raise FileFormatError(f"transition id must be a non-empty string, got {tid!r}")
         if tid in seen or tid in transitions:
             raise FileFormatError(f"duplicate identifier {tid!r}")
         transitions.add(tid)
-        pre = _id_list(entry.get("pre"), f"pre of {tid!r}")
-        post = _id_list(entry.get("post", []), f"post of {tid!r}")
-        for p in pre + post:
-            if p not in seen:
-                raise FileFormatError(f"transition {tid!r} references undeclared place {p!r}")
-        if len(set(pre)) != len(pre) or len(set(post)) != len(post):
+        pre = _id_list(entry, "pre", tid)
+        post = _id_list(entry, "post", tid, default=[])
+        if not (seen.issuperset(pre) and seen.issuperset(post)):
+            p = next(p for p in pre + post if p not in seen)
+            raise FileFormatError(f"transition {tid!r} references undeclared place {p!r}")
+        arcs = len(flow) + len(pre) + len(post)
+        flow.update([(p, tid) for p in pre])
+        flow.update([(tid, p) for p in post])
+        if len(flow) != arcs:  # no other transition's arc has this id, so a repeat
             raise FileFormatError(f"transition {tid!r} lists a place twice")
-        flow.update((p, tid) for p in pre)
-        flow.update((tid, p) for p in post)
 
-    marking = _id_list(doc.get("marking", []), "marking")
-    for p in marking:
-        if p not in seen:
-            raise FileFormatError(f"marking references undeclared place {p!r}")
+    marking = _id_list(doc, "marking", default=[])
+    if not seen.issuperset(marking):
+        p = next(p for p in marking if p not in seen)
+        raise FileFormatError(f"marking references undeclared place {p!r}")
     if len(set(marking)) != len(marking):
         raise FileFormatError("duplicate places in marking")
 
@@ -95,12 +98,17 @@ def parse_net(text: str) -> MarkedNet:
     return MarkedNet(net, marking)
 
 
-def _id_list(value: Any, what: str) -> list[str]:
-    if value is None:
-        raise FileFormatError(f"missing field {what!r}")
-    if not isinstance(value, list) or not all(isinstance(x, str) and x for x in value):
-        raise FileFormatError(f"{what} must be a list of non-empty strings")
-    return value
+def _id_list(doc: dict, field: str, tid: str | None = None, default: Any = _ABSENT) -> list[str]:
+    """``doc[field]``, a list of non-empty strings, or ``default`` when
+    the field is absent; with no default the field is required.  A field
+    is named, quoted, as the transition ``tid``'s when one is given."""
+    value = doc.get(field, default)
+    if isinstance(value, list) and all(isinstance(x, str) and x for x in value):
+        return value
+    what = repr(field) if tid is None else f"{field!r} of transition {tid!r}"
+    if value is _ABSENT:
+        raise FileFormatError(f"missing field {what}")
+    raise FileFormatError(f"{what} must be a list of non-empty strings")
 
 
 def render_net(marked: MarkedNet) -> str:

@@ -10,9 +10,10 @@ function of its inputs, so nets can be shared freely across threads.
 Each net numbers its nodes once, in a :class:`NetIndex`, so that a set
 of nodes is an int (a bit mask).  The index is the one flow table a net
 keeps: pre- and post-sets, validation, the initial and final places,
-the compiler and the oracle all read its masks.  Each :class:`Net` is
-checked once; a subnet derived from a checked net (:func:`subnet_of`:
-an s-cell's, built when it is read) inherits that check.
+the cell finder, the compiler and the oracle all read its masks.  Each
+:class:`Net` is checked once; a subnet derived from a checked net
+(:func:`subnet_of`: an s-cell's, built when it is read) inherits that
+check.
 Set-valued results are deterministic: whenever an order is needed it is
 the lexicographic order on identifiers.
 """
@@ -272,10 +273,13 @@ class NetIndex(BitIndex):
     ``pre[i]`` and ``post[i]`` are node i's pre- and post-set: the only
     flow table a :class:`Net` keeps.  ``flow`` lists the transitions in
     a topological order, leaving out those on a cycle or after one, and
-    ``acyclic`` tells whether the flow has no cycle.  On an acyclic net,
-    each per-transition table below is one pass in that order over its
-    parents (the producers of its pre-places) or children (the
-    consumers of its post-places): ``causes``, itself and
+    ``acyclic`` tells whether the flow has no cycle, both by Kahn's
+    algorithm, a node waiting for one arc per member of its pre-set.
+    ``neighbours`` holds per transition the consumers of its pre- and
+    post-places, the arcs on which :func:`cells._blocks` finds cells.
+    On an acyclic net, each per-transition table below is one pass in
+    that order over its parents (the producers of its pre-places) or
+    children (the consumers of its post-places): ``causes``, itself and
     its parents' causes; ``descendants``, itself and its children's, in
     reverse; ``rivals``, the descendants of the other consumers of each
     of its pre-places, and its parents' rivals.  So t ≤ u exactly when
@@ -287,13 +291,27 @@ class NetIndex(BitIndex):
         super().__init__((*transitions, *sorted(net.places)))
         bit, count = self.bit, len(transitions)
         self.transitions, self.places = (1 << count) - 1, (1 << len(self.order)) - (1 << count)
-        self.pre, self.post = [0] * len(self.order), [0] * len(self.order)
+        pre, post = [0] * len(self.order), [0] * len(self.order)
         for src, dst in net.flow:
-            self.pre[bit[dst].bit_length() - 1] |= bit[src]
-            self.post[bit[src].bit_length() - 1] |= bit[dst]
-        order = topological_order({x: [*bits(xs)] for x, xs in enumerate(self.post)})
-        self.acyclic = len(order) == len(self.order)
-        self.flow = [x for x in order if x < count]
+            pre[bit[dst].bit_length() - 1] |= bit[src]
+            post[bit[src].bit_length() - 1] |= bit[dst]
+        waiting = [xs.bit_count() for xs in pre]
+        ready = [x for x, n in enumerate(waiting) if not n]
+        flow, done = [], 0
+        while ready:
+            x = ready.pop()
+            done += 1
+            if x < count:
+                flow.append(x)
+            successors = post[x]
+            while successors:  # bits() inlined: a generator per node costs a third of the pass
+                low = successors & -successors
+                successors ^= low
+                y = low.bit_length() - 1
+                waiting[y] -= 1
+                if not waiting[y]:
+                    ready.append(y)
+        self.pre, self.post, self.flow, self.acyclic = pre, post, flow, done == len(self.order)
 
     def entry(self, table: list[int], x: NodeId) -> frozenset[NodeId]:
         """The names in node x's entry of ``table``."""
@@ -315,6 +333,14 @@ class NetIndex(BitIndex):
                 for u in bits(table[p]):
                     own[t] |= own[u]
         return own
+
+    @cached_property
+    def neighbours(self) -> list[int]:
+        pre, post, neighbours = self.pre, self.post, [0] * self.transitions.bit_length()
+        for p in range(len(neighbours), len(self.order)):
+            for t in bits(pre[p] | post[p]):
+                neighbours[t] |= post[p]
+        return neighbours
 
     @cached_property
     def causes(self) -> list[int]:

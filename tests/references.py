@@ -7,7 +7,9 @@ cap, a compiler that compiles every cell from its subnet and restricts
 it on frozensets, the compiler's own mask restriction built as a
 subnet, so that tests drive it by place names, the reachability
 preorder whose classes ``scells`` finds by Tarjan's algorithm, a token
-game over markings, a state marginal, box and wire counts of a DOT
+game over markings, a state marginal, a state's text and the
+probability that one place is marked, read entry by entry where the
+library reads only the entries it needs, box and wire counts of a DOT
 diagram, the pre- and post-sets, the flow's closure and the event
 structure built from them on frozensets, where the library reads all
 of them off a net's bit index, and the event-structure oracle's
@@ -326,6 +328,24 @@ def restrict_state(state: State, keep: Iterable[str]) -> State:
     probs = np.zeros(new_wiring.size)
     np.add.at(probs, subset_index(state.wiring, new_wiring), state.probs)
     return State(new_wiring, probs)
+
+
+def format_state(state: State) -> str:
+    """The text of a state, one line per subset of positive probability,
+    read entry by entry as numpy scalars."""
+    lines = []
+    for k, v in enumerate(state.probs):
+        if v > 0:
+            label = ",".join(sorted(state.wiring.subset_at(k)))
+            lines.append(f"{{{label}}}: {float(v):.12g}")
+    return "\n".join(lines) + "\n"
+
+
+def place_marginal(state: State, place: str) -> float:
+    """The probability that ``place`` is marked: the entries whose subset
+    holds it, picked by a subset index and added in index order."""
+    marked = subset_index(state.wiring, Wiring((place,))) == 1
+    return float(sum(state.probs[marked].tolist()))
 
 
 def count_boxes(dot: str) -> int:

@@ -75,6 +75,7 @@ def test_validate_reports_the_same_under_every_hash_seed():
         "conflicts.net": "backward-conflict at c: multiple producers ['t3', 't4']\n"
                          "self-conflict at t3: conflicting causes t1 #0 t2\n",
         "empty_presets.net": "cellnet validate: transition 'a' has an empty pre-set\n",
+        "null_post.net": "cellnet validate: 'post' of transition 't' must be a list of non-empty strings\n",
     }
     for name, printed in expected.items():
         for seed in range(4):

@@ -17,6 +17,7 @@ from cellnet import (
 )
 from cellnet.inference import format_state, parse_state
 from conftest import three_cell_delta
+import references
 from references import identity_arrow, restrict_state
 
 fs = frozenset
@@ -188,3 +189,17 @@ def test_place_marginal_adds_in_index_order():
             assert state.place_marginal(place).hex() == expected.hex()
     with pytest.raises(WiringError, match="'q' is not wired"):
         state.place_marginal("q")
+
+
+def test_format_state_and_place_marginal_match_the_entry_by_entry_loops():
+    # states with zero entries, which the text leaves out: the same text,
+    # and bitwise the same marginals
+    rng = np.random.default_rng(35)
+    for i in range(300):
+        wiring = Wiring(tuple(f"p{k}" for k in range(i % 9)))
+        weights = rng.random(wiring.size) * (rng.random(wiring.size) < 0.6)
+        weights[rng.integers(wiring.size)] += 1.0
+        state = State(wiring, weights / weights.sum())
+        assert format_state(state) == references.format_state(state)
+        for place in wiring.places:
+            assert state.place_marginal(place).hex() == references.place_marginal(state, place).hex()

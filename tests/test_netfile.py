@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -57,4 +58,48 @@ def test_identifier_outside_the_term_syntax(places, transition):
     doc = {"places": places, "transitions": [{"id": transition, "pre": [places[0]], "post": ["q"]}]}
     bad = transition if transition == "a,b" else places[0]
     with pytest.raises(FileFormatError, match=rf"^identifier {bad!r} may hold only ASCII letters, digits"):
+        parse_net(json.dumps(doc))
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"transitions": []}, "missing field 'places'"),
+    ({"places": ["p"], "transitions": [{"id": "t", "post": ["p"]}]}, "missing field 'pre' of transition 't'"),
+    # a field present as null is no list, whether it is required or not
+    ({"places": None, "transitions": []}, "'places' must be a list of non-empty strings"),
+    ({"places": ["p"], "transitions": [{"id": "t", "pre": None}]},
+     "'pre' of transition 't' must be a list of non-empty strings"),
+    ({"places": ["p"], "transitions": [{"id": "t", "pre": ["p"], "post": None}]},
+     "'post' of transition 't' must be a list of non-empty strings"),
+    ({"places": ["p"], "transitions": [], "marking": None}, "'marking' must be a list of non-empty strings"),
+    ({"places": ["p"], "transitions": [{"id": "t", "pre": ["p", ""]}]},
+     "'pre' of transition 't' must be a list of non-empty strings"),
+])
+def test_missing_and_null_fields(doc, message):
+    with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
+        parse_net(json.dumps(doc))
+
+
+def test_absent_optional_fields_are_empty():
+    marked = parse_net('{"places": ["p"], "transitions": [{"id": "t", "pre": ["p"]}]}')
+    assert marked.marking == frozenset() and marked.net.post("t") == frozenset()
+
+
+@pytest.mark.parametrize("transition, message", [
+    # the first undeclared place along pre, then post, before any repeat
+    ({"id": "t", "pre": ["x", "p"], "post": ["y"]}, "transition 't' references undeclared place 'x'"),
+    ({"id": "t", "pre": ["p"], "post": ["q", "z", "y"]}, "transition 't' references undeclared place 'z'"),
+    ({"id": "t", "pre": ["p", "p", "x"]}, "transition 't' references undeclared place 'x'"),
+    ({"id": "t", "pre": ["p", "p"]}, "transition 't' lists a place twice"),
+    ({"id": "t", "pre": ["p"], "post": ["q", "q"]}, "transition 't' lists a place twice"),
+    ({"id": "t", "pre": ["p"], "zz": 1, "aa": 2}, "unknown transition fields: ['aa', 'zz']"),
+])
+def test_transition_checks_name_the_first_fault(transition, message):
+    doc = {"places": ["p", "q"], "transitions": [transition]}
+    with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
+        parse_net(json.dumps(doc))
+
+
+def test_marking_names_its_first_undeclared_place():
+    doc = {"places": ["p"], "transitions": [], "marking": ["p", "z", "y", "z"]}
+    with pytest.raises(FileFormatError, match=r"^marking references undeclared place 'z'$"):
         parse_net(json.dumps(doc))
