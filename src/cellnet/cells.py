@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import cached_property, reduce
 from itertools import compress
 from operator import or_
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .errors import CompositionError
 from .nets import (
@@ -296,7 +296,7 @@ def stratify(
     blocks: list[tuple[frozenset[PlaceId], frozenset[PlaceId]]],
     inputs: frozenset[PlaceId],
     outputs: frozenset[PlaceId],
-    leaf: Callable[[int], _R],
+    leaves: Sequence[_R],
     identity: Callable[[frozenset[PlaceId]], _R],
     par: Callable[[list[_R]], _R],
     seq: Callable[[_R, _R], _R],
@@ -312,10 +312,10 @@ def stratify(
     after it, by a later layer or as one of the ``outputs``.  Composed
     by ;, the layers reproduce the whole exactly.
 
-    Layer by layer from the first, block ``i`` is built by ``leaf(i)``,
-    a nonempty pad by ``identity(pad)``, a layer of two or more parts by
-    ``par(parts)``, and the layers so far and the next by ``seq``.  No
-    blocks give ``identity(inputs)``.
+    Block ``i`` is ``leaves[i]``.  Layer by layer from the first, a
+    nonempty pad is built by ``identity(pad)``, a layer of two or more
+    parts by ``par(parts)``, and the layers so far and the next by
+    ``seq``.  No blocks give ``identity(inputs)``.
     """
     if not blocks:
         return identity(inputs)
@@ -368,7 +368,7 @@ def stratify(
         by_layer[k - 1].append(i)
     composed = None
     for indices, pad in zip(by_layer, pads):
-        parts = [leaf(i) for i in indices]
+        parts = [leaves[i] for i in indices]
         if pad:
             parts.append(identity(frozenset(pad)))
         part = parts[0] if len(parts) == 1 else par(parts)
@@ -383,7 +383,7 @@ def canonical_form(marked: MarkedNet) -> TreeNode:
     with ⊕ and ; reproduces the input net exactly."""
     cells = scells(marked.net, marked.marking)
     return stratify([(c.inputs, c.max_places) for c in cells], marked.inputs, marked.outputs,
-                    lambda i: CellLeaf(cells[i]), IdentityLeaf, lambda parts: ParNode(tuple(parts)), SeqNode)
+                    [CellLeaf(c) for c in cells], IdentityLeaf, lambda parts: ParNode(tuple(parts)), SeqNode)
 
 
 def _fold_nodes(

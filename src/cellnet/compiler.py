@@ -14,8 +14,9 @@ cell), a subset kills the union of its absent inputs' masks, and the
 survivor keeps whole pre-sets and cuts post-sets to the places that
 stay, so it is an occurrence net whose tables are the net's, cut down.
 
-Termination is structural (every restriction strictly shrinks the cell)
-but a depth guard turns any accidental non-termination into an error.
+Termination is structural: every restriction strictly shrinks the
+cell.  The nesting of sums is unbounded, so :func:`_layered` and
+:func:`_sum` are walks run by :func:`nets.run`, not Python recursion.
 """
 
 from __future__ import annotations
@@ -26,10 +27,8 @@ from operator import or_
 
 from .cells import _Block, _blocks, _kills, _survivor, stratify
 from .errors import CompileError
-from .nets import MarkedNet, NetIndex, NodeId, _completions, _process_of, bits, isolated_places, run
+from .nets import MarkedNet, NetIndex, NodeId, Walk, _completions, _process_of, bits, isolated_places, run
 from .terms import Constant, ConstantKey, Dead, Identity, Par, Seq, Term, make_sum, par_all
-
-DEFAULT_DEPTH_GUARD = 64
 
 # Terms already compiled, per marked net.  The memo holds its nets
 # weakly, so an entry dies with its net.
@@ -48,16 +47,16 @@ def compile_net(marked: MarkedNet) -> Term:
     """
     term = _compiled.get(marked)
     if term is None:
-        term = _compiled[marked] = _compile(marked, DEFAULT_DEPTH_GUARD)
+        term = _compiled[marked] = _compile(marked)
     return term
 
 
-def _compile(marked: MarkedNet, fuel: int) -> Term:
+def _compile(marked: MarkedNet) -> Term:
     index = marked.net._index
-    return _layered(index, index.transitions, index.places, index.mask(marked.inputs), fuel)
+    return run(_layered(index, index.transitions, index.places, index.mask(marked.inputs)))
 
 
-def compile_cell(cell: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) -> Term:
+def compile_cell(cell: MarkedNet) -> Term:
     """Encode one s-cell.
 
     A fully marked cell becomes the constant over its transactions, run
@@ -68,8 +67,6 @@ def compile_cell(cell: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) -> 
     final places killed.  Subsets that kill the same transitions leave
     the same survivor, so they share one branch term, built once.
     """
-    if depth_guard <= 0:
-        raise CompileError("recursion depth guard exceeded while compiling a cell")
     index = cell.net._index
     blocks = _blocks(index, index.transitions, index.places)
     if len(blocks) != 1 or isolated_places(cell.net):
@@ -77,16 +74,14 @@ def compile_cell(cell: MarkedNet, *, depth_guard: int = DEFAULT_DEPTH_GUARD) -> 
             "not a single s-cell: the net decomposes into "
             f"{len(blocks)} cell(s) and possibly identity wires"
         )
-    return _compile(cell, depth_guard)  # one block, which stratify returns as it is
+    return _compile(cell)  # one block, which stratify returns as it is
 
 
-def _sum(index: NetIndex, cell: _Block, unmarked: int, fuel: int) -> Term:
+def _sum(index: NetIndex, cell: _Block, unmarked: int) -> Walk[Term]:
     """The sum of a cell over the subsets of its ``unmarked`` inputs:
     the cell's constant when all arrive, else the survivor of what the
-    absent ones kill, compiled with every initial place marked and one
-    less fuel, beside ⊥ on the final places that die."""
-    if fuel - 1 <= 0:
-        raise CompileError("recursion depth guard exceeded while compiling")
+    absent ones kill, compiled with every initial place marked, beside
+    ⊥ on the final places that die."""
     subsets: list[tuple[frozenset[NodeId], int]] = [(frozenset(), 0)]  # (arriving, killed), subsets_lex order
     for p in bits(unmarked):
         kills = _kills(index, cell.transitions, 1 << p)
@@ -95,12 +90,12 @@ def _sum(index: NetIndex, cell: _Block, unmarked: int, fuel: int) -> Term:
     for _, killed in subsets:
         if killed not in by_killed:
             transitions, places = _survivor(index, cell.transitions, cell.places, killed)
-            inner = _layered(index, transitions, places, 0, fuel - 1) if transitions else Identity(frozenset())
+            inner = (yield _layered(index, transitions, places, 0)) if transitions else Identity(frozenset())
             by_killed[killed] = _pad_dead(index.names(cell.final & ~places), inner)
     return make_sum(index.names(unmarked), {arriving: by_killed[killed] for arriving, killed in subsets})
 
 
-def _layered(index: NetIndex, transitions: int, places: int, inputs: int, fuel: int) -> Term:
+def _layered(index: NetIndex, transitions: int, places: int, inputs: int) -> Walk[Term]:
     """The index's net cut to ``transitions`` and ``places`` (all of it,
     or a survivor), its initial places marked but for ``inputs``,
     layered by :func:`cells.stratify`.  A cell is a sum over its initial
@@ -108,20 +103,15 @@ def _layered(index: NetIndex, transitions: int, places: int, inputs: int, fuel: 
     produces), or a constant if it has none.  A cell holds every place
     it consumes, so the outputs are the places produced or input that
     no cell holds."""
-    # Fuel only falls inside cells, where each restriction is compiled
-    # with one less, not along ; or +.
-    if fuel <= 0:
-        raise CompileError("recursion depth guard exceeded while compiling")
     blocks = _blocks(index, transitions, places)
     arriving = reduce(or_, (b.final for b in blocks), inputs)
     held = reduce(or_, (b.members for b in blocks), 0)
-
-    def leaf(i: int) -> Term:
-        unmarked = blocks[i].initial & arriving
-        return _sum(index, blocks[i], unmarked, fuel) if unmarked else _constant(index, blocks[i])
-
+    leaves = []
+    for b in blocks:
+        unmarked = b.initial & arriving
+        leaves.append((yield _sum(index, b, unmarked)) if unmarked else _constant(index, b))
     layers = [(index.names(b.initial & arriving), index.names(b.final)) for b in blocks]
-    return stratify(layers, index.names(inputs), index.names(arriving & ~held), leaf, Identity, par_all, Seq)
+    return stratify(layers, index.names(inputs), index.names(arriving & ~held), leaves, Identity, par_all, Seq)
 
 
 def _constant(index: NetIndex, cell: _Block) -> Constant:

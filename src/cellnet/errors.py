@@ -27,7 +27,7 @@ class TermSyntaxError(TermError):
 
 
 class CompileError(CellnetError):
-    """Net-to-term translation failed (e.g. recursion depth guard)."""
+    """Net-to-term translation failed (e.g. not a single s-cell)."""
 
 
 class WiringError(CellnetError):

@@ -408,7 +408,7 @@ def _normal_form(term: Term) -> Walk[Term]:
     atoms = sorted((yield _atoms(term)), key=render_term)
     try:
         return stratify([(a.inputs, a.outputs) for a in map(typecheck, atoms)],
-                        ty.inputs, ty.outputs, atoms.__getitem__, Identity, par_all, Seq)
+                        ty.inputs, ty.outputs, atoms, Identity, par_all, Seq)
     except CompositionError as exc:
         raise TermError(f"{exc}; cannot normalize") from exc
 

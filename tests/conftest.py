@@ -108,6 +108,27 @@ def wide_doc(n: int) -> dict:
     }
 
 
+def lad_doc(n: int) -> dict:
+    """A ladder of n levels whose sums nest n deep.  Level k has places
+    p<k>, r<k>, q<k> and s<k> (no s0), r<k> and q<k> marked, and two
+    transitions: u<k> consumes p<k>, r<k> and q<k>, and e<k> consumes
+    r<k> (and q<k-1> and s<k> when k > 0) and produces p<k+1> and
+    s<k+1>.  p<n> and s<n> close the net, and p0 is its one input.  The
+    whole net is one s-cell; without p<k>, the levels below e<k> form a
+    cell with inputs p<k+1> and s<k+1>."""
+    ids = [f"{i:0{len(str(n))}d}" for i in range(n + 1)]
+    transitions = []
+    for k, (a, b) in enumerate(zip(ids, ids[1:])):
+        transitions.append({"id": f"u{a}", "pre": [f"p{a}", f"r{a}", f"q{a}"], "post": []})
+        below = [f"q{ids[k - 1]}", f"s{a}"] if k else []
+        transitions.append({"id": f"e{a}", "pre": [f"r{a}"] + below, "post": [f"p{b}", f"s{b}"]})
+    return {
+        "places": [f"{x}{i}" for i in ids[:-1] for x in "prq"] + [f"s{i}" for i in ids[1:]] + [f"p{ids[-1]}"],
+        "transitions": transitions,
+        "marking": [f"{x}{i}" for i in ids[:-1] for x in "rq"],
+    }
+
+
 def three_cell_delta(pa=0.3, pc=0.6, pf=0.5, pg=0.7, pgp=0.2) -> DeltaTable:
     return DeltaTable(
         {

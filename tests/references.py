@@ -181,7 +181,7 @@ def compile_by_subnets(marked: MarkedNet) -> Term:
     kills.  The layers are those of ``stratify``."""
     cells = scells(marked.net, marked.marking)
     return stratify([(c.subnet.inputs, c.subnet.outputs) for c in cells], marked.inputs, marked.outputs,
-                    lambda i: _compile_subnet(cells[i].subnet), Identity, par_all, Seq)
+                    [_compile_subnet(c.subnet) for c in cells], Identity, par_all, Seq)
 
 
 def _compile_subnet(cell: MarkedNet) -> Term:

@@ -260,7 +260,7 @@ def test_at_marking_drops_marked_isolated_token():
 def _layered(blocks, inputs, outputs, names="abcdef"):
     """stratify with plain constructors: block i is names[i], a pad its
     place set, a layer a list and a sequence a pair."""
-    return stratify(blocks, inputs, outputs, names.__getitem__, lambda pad: pad, list, lambda a, b: (a, b))
+    return stratify(blocks, inputs, outputs, names, lambda pad: pad, list, lambda a, b: (a, b))
 
 
 def test_stratify_layers_and_pads():
@@ -273,15 +273,8 @@ def test_stratify_layers_and_pads():
 
 def test_stratify_composes_layer_by_layer():
     chain = [(fs({"q"}), fs({"r"})), (fs({"p"}), fs({"q"})), (fs({"r"}), fs({"s"}))]
-    built = []
-
-    def leaf(i):
-        built.append(i)
-        return i
-
     # a lone part is its layer, and the layers nest to the left
-    assert stratify(chain, fs({"p"}), fs({"s"}), leaf, lambda pad: pad, list, lambda a, b: (a, b)) == ((1, 0), 2)
-    assert built == [1, 0, 2]
+    assert stratify(chain, fs({"p"}), fs({"s"}), [0, 1, 2], lambda pad: pad, list, lambda a, b: (a, b)) == ((1, 0), 2)
     # no blocks give the identity on the inputs
     assert _layered([], fs({"p", "q"}), fs({"p", "q"})) == fs({"p", "q"})
 

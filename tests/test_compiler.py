@@ -225,12 +225,6 @@ def test_compile_long_chain():
     assert sorted(key.signature for key in constants_of(term)) == sorted(f"t{i}" for i in range(n))
 
 
-def test_depth_guard():
-    with pytest.raises(CompileError, match="depth guard exceeded while compiling a cell"):
-        compile_cell(MarkedNet(Net(fs({"p", "q"}), fs({"t"}), fs([("p", "t"), ("t", "q")])), fs()),
-                     depth_guard=0)
-
-
 def test_compiling_builds_no_composition_tree(monkeypatch, three_cells, confusion):
     # compile_net layers the compiled cells itself, restrictions included:
     # with CellLeaf refusing to be built and the memo emptied, it still compiles

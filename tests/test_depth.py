@@ -6,13 +6,18 @@ one-transition cells in one layer, which ``compile`` composes as a
 balanced + tree about log2(1000) deep; a hand-written + chain of 1000
 cells, nested to the left, keeps a deep + under test.  Each test runs a
 term or tree walk, comparison or hash down one of those nestings, far
-past Python's recursion limit."""
+past Python's recursion limit.  lad(n) is one cell whose sums nest n
+deep, which the compiler walks without recursing once per sum."""
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -37,8 +42,8 @@ from cellnet import (
     typecheck,
 )
 from cellnet.cli import run
-from cellnet.compiler import DEFAULT_DEPTH_GUARD, _compile
-from conftest import deep_doc, wide_doc
+from cellnet.compiler import _compile
+from conftest import deep_doc, lad_doc, wide_doc
 
 N = 1000
 
@@ -117,7 +122,7 @@ def test_render_term_round_trips_through_parse_term(terms, shape):
 def test_wide_terms_compare_with_eq(nets, terms):
     # compiled twice, once past the memo: equal, distinct objects
     first = terms["wide"]
-    second = _compile(nets["wide"], DEFAULT_DEPTH_GUARD)
+    second = _compile(nets["wide"])
     assert first is not second
     assert first == second and hash(first) == hash(second)
     assert parse_term(render_term(first)) == first
@@ -234,3 +239,48 @@ def test_configs_of_a_net_3000_deep(tmp_path, capsys):
     transitions = sorted(t["id"] for t in doc["transitions"])
     assert capsys.readouterr().out == "{" + ",".join(transitions) + "}\n"
     assert peak < 50 * 2**20
+
+
+@pytest.mark.parametrize("args", [["compile"], ["constants"], ["matrix", "--allow-missing-delta"],
+                                  ["oracle-check", "--allow-missing-delta"]], ids=lambda args: args[0])
+def test_commands_on_sums_nested_64_deep(args, tmp_path, capsys):
+    net = tmp_path / "lad.net"
+    net.write_text(json.dumps(lad_doc(64)))
+    delta = tmp_path / "empty.delta"
+    delta.write_text("[]")
+    files = [str(net)] if args[0] in ("compile", "constants") else [str(net), str(delta)]
+    assert run(args[:1] + files + args[1:]) == 0
+    assert capsys.readouterr().out
+
+
+# Compiles the net named first into the term file named second, then
+# checks that file, through cli.run with Python's recursion limit at 200;
+# prints both exit codes and what check-term printed as JSON.
+LOW_RECURSION_LIMIT = """
+import contextlib, io, json, sys
+sys.setrecursionlimit(200)
+from cellnet.cli import run
+net, term = sys.argv[1:]
+compiled, checked = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(compiled):
+    compile_code = run(["compile", net])
+with open(term, "w", encoding="utf-8") as handle:
+    handle.write(compiled.getvalue())
+with contextlib.redirect_stdout(checked):
+    check_code = run(["check-term", term])
+print(json.dumps([compile_code, check_code, checked.getvalue()]))
+"""
+
+
+def test_sums_nested_70_deep_compile_under_a_recursion_limit_of_200(tmp_path):
+    # a compiler that recursed once per nested sum would need about
+    # five frames per level
+    net, term = tmp_path / "lad.net", tmp_path / "lad.term"
+    net.write_text(json.dumps(lad_doc(70)))
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", LOW_RECURSION_LIMIT, str(net), str(term)],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == [0, 0, "OK: {p00} -> {p70,s70} over 421 node(s)\n"]
+    text = term.read_text()
+    assert render_term(parse_term(text)) + "\n" == text

@@ -351,8 +351,7 @@ def _outcome(compile_: Callable[[], Term]) -> Term | str:
 def test_full_arrival_branch_is_the_cell_itself_on_random_nets():
     # compile_cell compiles the branch where every input arrives as the
     # cell with all its initial places marked; the restriction path it
-    # replaces gives the same branch, and each depth guard refuses a
-    # cell exactly when a branch of that path fails, with its message
+    # replaces gives the same branch
     rng = random.Random(67)
     pending = [random_occurrence_net(rng, 12, 9) for _ in range(150)]
     cases = 0
@@ -364,20 +363,10 @@ def test_full_arrival_branch_is_the_cell_itself_on_random_nets():
                 continue
             views = [at_marking(sub, arriving).marked for arriving in subsets_lex(sub.inputs)]
             pending += [view for view in views if view.net.transitions]
-            for guard in range(1, 6):
-                old = [
-                    _outcome(lambda: _compile(view, guard - 1))
-                    if view.net.places else Identity(fs())
-                    for view in views
-                ]
-                new = _outcome(lambda: compile_cell(sub, depth_guard=guard))
-                refusal = next((o for o in old if isinstance(o, str)), None)
-                if refusal is None:
-                    assert isinstance(new, Sum) and new.branch(sub.inputs) == old[-1]
-                else:
-                    assert new == refusal
-                cases += 1
-    assert cases > 1000
+            new = compile_cell(sub)
+            assert isinstance(new, Sum) and new.branch(sub.inputs) == _compile(views[-1])
+            cases += 1
+    assert cases > 200
 
 
 def test_interpretation_stochastic_on_random_nets():

@@ -22,7 +22,7 @@ from cellnet import (
     render_term,
     typecheck,
 )
-from cellnet.compiler import DEFAULT_DEPTH_GUARD, _compile
+from cellnet.compiler import _compile
 from cellnet.terms import render_place_set, subsets_lex
 
 fs = frozenset
@@ -254,7 +254,7 @@ def test_typecheck_equal_distinct_wide_terms():
     # objects, of 400 cells in parallel
     marked = _wide_net(400)
     first = compile_net(marked)
-    second = _compile(marked, DEFAULT_DEPTH_GUARD)
+    second = _compile(marked)
     assert first is not second
     assert first == second
     assert render_term(first) == render_term(second)
