@@ -26,7 +26,6 @@ index alone (:func:`_kills`, :func:`_survivor`).
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from itertools import compress
 from operator import or_
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
@@ -140,27 +139,27 @@ def _blocks(index: NetIndex, transitions: int, places: int) -> list[_Block]:
 
 
 def cell_order(net: Net, cells: tuple[SCell, ...]) -> frozenset[tuple[int, int]]:
-    """Strict order pairs (i, j) with cells[i] ⊑ cells[j], i ≠ j, for
-    the cells of ``net``.
+    """Covering pairs (i, j) of ⊑ on the cells of ``net``: cells[i] ⊑
+    cells[j], i ≠ j, and no cell between; ⊑ is their transitive closure.
 
     A place with a consumer is in that consumer's cell, so a path of ⊑
     between two cells runs through cell members only, and ⊑ on cells is
     reachability in the acyclic graph with an arc from each cell to the
     cells of its members' post-sets, read off the net's index.  The cells
     each reaches, as a mask of cell numbers, are unioned in one reverse
-    topological pass, as the descendants of :class:`nets.NetIndex` are."""
+    topological pass, as the descendants of :class:`nets.NetIndex` are,
+    and an arc is a cover unless its head lies above another successor."""
     ensure_occurrence(net)
-    index, numbers, reach = net._index, list(range(len(cells))), [0] * len(cells)
+    index, reach, covers = net._index, [0] * len(cells), []
     members = [index.mask(cell.members) for cell in cells]
-    cell_of = {x: i for i, mask in zip(numbers, members) for x in bits(mask)}
+    cell_of = {x: i for i, mask in enumerate(members) for x in bits(mask)}
     succ = {i: {cell_of.get(y, i) for x in bits(mask) for y in bits(index.post[x])} - {i}
-            for i, mask in zip(numbers, members)}
+            for i, mask in enumerate(members)}
     for i in reversed(topological_order(succ)):
-        reach[i] = reduce(or_, (1 << j | reach[j] for j in succ[i]), 0)
-    # A mask's binary digits, lowest first, pick its cell numbers faster than
-    # bits() on thousands of bits, and as items of one list, sharing the ints.
-    return frozenset((i, j) for i, mask in zip(numbers, reach)
-                     for j in compress(numbers, map("1".__eq__, bin(mask)[:1:-1])))
+        above = reduce(or_, (reach[j] for j in succ[i]), 0)  # the cells above a successor
+        reach[i] = reduce(or_, (1 << j for j in succ[i]), above)
+        covers += [(i, j) for j in succ[i] if not above >> j & 1]
+    return frozenset(covers)
 
 
 # --------------------------------------------------------------------- #

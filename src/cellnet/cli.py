@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check the occurrence-net conditions")
     p.add_argument("net")
 
-    p = sub.add_parser("cells", help="print the s-cell poset")
+    p = sub.add_parser("cells", help="print the s-cells and the covering pairs of their order")
     p.add_argument("net")
 
     p = sub.add_parser("canon", help="print the canonical composition tree")
@@ -179,8 +179,8 @@ def _arrow(args):
     report = validate_delta(delta, constants_of(term))
     if not report.ok:
         raise CellnetError(f"δ table rejected:\n{report}")
-    for signature in report.filled_uniform:
-        print(f"note: δ missing for {signature}; using uniform", file=sys.stderr)
+    if report.filled_uniform:
+        print(f"note: δ missing for {len(report.filled_uniform)} constant(s); using uniform", file=sys.stderr)
     return marked, term, delta, interpret(
         term, delta, _wiring(args.in_order), _wiring(args.out_order), width_cap=args.width_cap
     )

@@ -356,8 +356,7 @@ def constants_of(term: Term) -> frozenset[ConstantKey]:
     schema a δ table must cover.  δ is keyed by signature, which renders
     the transaction sets, so keys of one signature share one
     distribution over the same transition sets, and the first met, left
-    to right, stands for them all."""
-    typecheck(term)
+    to right, stands for them all.  It lists, and does not typecheck."""
     found: dict[str, ConstantKey] = {}
     pending = [term]  # a stack, so children go on it right to left
     while pending:

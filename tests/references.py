@@ -6,7 +6,8 @@ replaced, the widest cut that ``interpret`` checks against its width
 cap, a compiler that compiles every cell from its subnet and restricts
 it on frozensets, the compiler's own mask restriction built as a
 subnet, so that tests drive it by place names, the reachability
-preorder whose classes ``scells`` finds by Tarjan's algorithm, a token
+preorder whose classes ``scells`` finds by Tarjan's algorithm, the
+closure and covers of a strict order given by its pairs, a token
 game over markings, a state marginal, a state's text and the
 probability that one place is marked, read entry by entry where the
 library reads only the entries it needs, box and wire counts of a DOT
@@ -296,6 +297,25 @@ def scell_preorder(net: Net) -> dict[str, frozenset[str]]:
                 pending.append(z)
         reach[x] = frozenset(seen)
     return reach
+
+
+def closure(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+    """The transitive closure of a relation given by its pairs, by
+    joining pairs until none is new."""
+    closed = set(pairs)
+    while True:
+        more = {(i, k) for i, j in closed for j2, k in closed if j == j2} - closed
+        if not more:
+            return frozenset(closed)
+        closed |= more
+
+
+def covers(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+    """The transitive reduction of a strict order given by all its pairs:
+    the pairs (i, k) with no j such that (i, j) and (j, k) are pairs."""
+    order = frozenset(pairs)
+    between = {(i, k) for i, j in order for j2, k in order if j == j2}
+    return order - between
 
 
 def maximal_firing_outcomes(marked: MarkedNet) -> frozenset[frozenset[str]]:

@@ -25,8 +25,10 @@ from cellnet import (
     DeltaTable,
     Par,
     canonical_form,
+    cell_order,
     compile_net,
     conf_of_term,
+    constants_of,
     enumerate_outcome_distribution,
     export_diagram,
     fold_tree,
@@ -39,6 +41,7 @@ from cellnet import (
     render_term,
     render_tree,
     sample_outcome_distribution,
+    scells,
     typecheck,
 )
 from cellnet.cli import run
@@ -97,12 +100,35 @@ def test_tree_commands_on_the_deep_net(files, args, capsys):
 
 
 def test_cells_of_the_deep_net(files, capsys):
-    # every cell of the chain lies below every later one
+    # every cell of the chain lies below every later one, and is covered
+    # by the next one alone
     assert run(["cells", str(files["deep"])]) == 0
     out, err = capsys.readouterr()
     lines = out.splitlines()
-    assert not err and len(lines) == N + N * (N - 1) // 2
+    assert not err and len(lines) == N + N - 1
     assert lines[N] == "C1 < C2" and lines[-1] == f"C{N - 1} < C{N}"
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cell_order_stores_its_covers_only(nets, shape):
+    # the covers of the chain are its 999 arcs; all its pairs took 43 MiB
+    marked = nets[shape]
+    cells = scells(marked.net, marked.marking)
+    assert _traced_peak(lambda: cell_order(marked.net, cells)) < 5 * 2**20
+
+
+def test_constants_of_a_fresh_term_does_not_type_it(nets, shape):
+    # typing the chain's term stores every node below each node: 43 MiB
+    marked = nets[shape]
+    assert _traced_peak(lambda: constants_of(compile_net(marked))) < 5 * 2**20
 
 
 def test_check_term_reads_what_compile_prints(files, shape, tmp_path, capsys):
@@ -251,6 +277,16 @@ def test_commands_on_sums_nested_64_deep(args, tmp_path, capsys):
     files = [str(net)] if args[0] in ("compile", "constants") else [str(net), str(delta)]
     assert run(args[:1] + files + args[1:]) == 0
     assert capsys.readouterr().out
+
+
+def test_missing_delta_is_noted_once(tmp_path, capsys):
+    # one note for the 191 constants of lad(64), not one per signature
+    net, delta = tmp_path / "lad.net", tmp_path / "empty.delta"
+    net.write_text(json.dumps(lad_doc(64)))
+    delta.write_text("[]")
+    assert run(["matrix", str(net), str(delta), "--allow-missing-delta"]) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["note: δ missing for 191 constant(s); using uniform"]
 
 
 # Compiles the net named first into the term file named second, then
