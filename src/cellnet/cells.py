@@ -294,7 +294,6 @@ class SeqNode(TreeNode):
 def stratify(
     blocks: list[tuple[frozenset[PlaceId], frozenset[PlaceId]]],
     inputs: frozenset[PlaceId],
-    outputs: frozenset[PlaceId],
     leaves: Sequence[_R],
     identity: Callable[[frozenset[PlaceId]], _R],
     par: Callable[[list[_R]], _R],
@@ -304,12 +303,17 @@ def stratify(
     dataflow, and compose the layers.
 
     A block's layer is one past the deepest block producing a place it
-    consumes (for a cell: one past the deepest of its strict predecessors
-    in the cell order); places in ``inputs`` are available before layer
-    1.  A layer is the ⊕ of its blocks, in the given order, and of one
-    identity pad: the places available before the layer and still needed
-    after it, by a later layer or as one of the ``outputs``.  Composed
-    by ;, the layers reproduce the whole exactly.
+    consumes (for a cell: one past the deepest of its strict predecessors in
+    the cell order); places in ``inputs`` are available before layer 1.  A
+    layer is the ⊕ of its blocks, in the given order, and of one identity
+    pad: the places available before the layer and still needed after it, by
+    a later layer or as outputs: a place no block consumes is padded to the
+    last layer.  Composed by ;, the layers reproduce the whole exactly.
+    Unchecked here, the callers guarantee that each place is produced by at
+    most one block and consumed by at most one, that a consumed place is an
+    input or produced, that no input is produced, and that the dataflow has
+    no cycle, as :func:`nets.validate_occurrence` ensures for a net's cells
+    and :func:`terms.typecheck` for a term's atoms.
 
     Block ``i`` is ``leaves[i]``.  Layer by layer from the first, a
     nonempty pad is built by ``identity(pad)``, a layer of two or more
@@ -322,43 +326,26 @@ def stratify(
     consumer: dict[PlaceId, int] = {}
     for i, (consumed, produced) in enumerate(blocks):
         for p in produced:
-            if p in producer:
-                raise CompositionError(f"place {p} is produced twice")
             producer[p] = i
         for p in consumed:
-            if p in consumer:
-                raise CompositionError(f"place {p} is consumed twice")
             consumer[p] = i
 
     # Longest path from the inputs, in topological order.
     users: dict[int, list[int]] = {i: [] for i in range(len(blocks))}
     for i, (consumed, _) in enumerate(blocks):
         for p in consumed:
-            if p in inputs:
-                continue
-            if p not in producer:
-                raise CompositionError(f"place {p} is consumed but never produced")
-            users[producer[p]].append(i)
-    order = topological_order(users)
-    if len(order) < len(blocks):
-        raise CompositionError("cyclic place dataflow")
+            if p not in inputs:
+                users[producer[p]].append(i)
     layer = [1] * len(blocks)
-    for i in order:
+    for i in topological_order(users):
         for j in users[i]:
             layer[j] = max(layer[j], layer[i] + 1)
 
     depth = max(layer)
     pads: list[set[PlaceId]] = [set() for _ in range(depth)]
     for p in sorted(inputs | producer.keys()):
-        if p in inputs and p in producer:
-            raise CompositionError(f"input place {p} is also produced")
         avail = 0 if p in inputs else layer[producer[p]]
-        if p in consumer:
-            last = layer[consumer[p]] - 1
-        elif p in outputs:
-            last = depth
-        else:
-            raise CompositionError(f"place {p} is neither consumed nor delivered as an output")
+        last = layer[consumer[p]] - 1 if p in consumer else depth
         for j in range(avail, last):
             pads[j].add(p)
 
@@ -381,8 +368,8 @@ def canonical_form(marked: MarkedNet) -> TreeNode:
     stratified by :func:`stratify` into a tree.  Folding the tree back
     with ⊕ and ; reproduces the input net exactly."""
     cells = scells(marked.net, marked.marking)
-    return stratify([(c.inputs, c.max_places) for c in cells], marked.inputs, marked.outputs,
-                    [CellLeaf(c) for c in cells], IdentityLeaf, lambda parts: ParNode(tuple(parts)), SeqNode)
+    return stratify([(c.inputs, c.max_places) for c in cells], marked.inputs, [CellLeaf(c) for c in cells],
+                    IdentityLeaf, lambda parts: ParNode(tuple(parts)), SeqNode)
 
 
 def _fold_nodes(

@@ -190,10 +190,7 @@ def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except CellnetError as exc:
-        print(f"cellnet {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CellnetError, OSError) as exc:
         print(f"cellnet {args.command}: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
@@ -357,7 +354,10 @@ def _parse_evidence(raw: str) -> dict[str, bool]:
         place, _, value = chunk.partition("=")
         if value not in ("0", "1"):
             raise CellnetError(f"evidence value must be 0 or 1, got {chunk!r}")
-        evidence[place.strip()] = value == "1"
+        place = place.strip()
+        if place in evidence:
+            raise CellnetError(f"evidence names place {place} twice")
+        evidence[place] = value == "1"
     if not evidence:
         raise CellnetError("empty evidence")
     return evidence

@@ -100,18 +100,15 @@ def _layered(index: NetIndex, transitions: int, places: int, inputs: int) -> Wal
     or a survivor), its initial places marked but for ``inputs``,
     layered by :func:`cells.stratify`.  A cell is a sum over its initial
     places that tokens arrive on (inputs, or places another cell
-    produces), or a constant if it has none.  A cell holds every place
-    it consumes, so the outputs are the places produced or input that
-    no cell holds."""
+    produces), or a constant if it has none."""
     blocks = _blocks(index, transitions, places)
     arriving = reduce(or_, (b.final for b in blocks), inputs)
-    held = reduce(or_, (b.members for b in blocks), 0)
     leaves = []
     for b in blocks:
         unmarked = b.initial & arriving
         leaves.append((yield _sum(index, b, unmarked)) if unmarked else _constant(index, b))
     layers = [(index.names(b.initial & arriving), index.names(b.final)) for b in blocks]
-    return stratify(layers, index.names(inputs), index.names(arriving & ~held), leaves, Identity, par_all, Seq)
+    return stratify(layers, index.names(inputs), leaves, Identity, par_all, Seq)
 
 
 def _constant(index: NetIndex, cell: _Block) -> Constant:

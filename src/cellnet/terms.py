@@ -21,7 +21,7 @@ import re
 from typing import Iterable, Mapping, NamedTuple
 
 from .cells import stratify
-from .errors import CompositionError, TermError, TermSyntaxError
+from .errors import TermError, TermSyntaxError
 from .nets import PlaceId, Process, Walk, _Value, run
 
 
@@ -223,10 +223,7 @@ def make_sum(inputs: Iterable[PlaceId], branches: Mapping[frozenset[PlaceId], Te
 def par_all(terms: list[Term]) -> Term:
     """Parallel composition of the terms in order, as a balanced tree:
     neighbours are paired level by level, so the + nesting is about
-    log2(len(terms)) deep and up to three terms nest to the left.  An
-    empty list gives I{}."""
-    if not terms:
-        return Identity(frozenset())
+    log2(len(terms)) deep and up to three terms nest to the left."""
     while len(terms) > 1:
         paired = [Par(a, b) for a, b in zip(terms[::2], terms[1::2])]
         terms = paired + terms[len(paired) * 2:]
@@ -258,8 +255,8 @@ _types_computed = 0
 
 def typecheck(term: Term) -> TermType:
     """Infer the unique type of a term, rejecting ill-formed ones:
-    overlapping node sets under +, interface mismatches under ;, and
-    sums with missing or inconsistently-typed branches.
+    overlapping node sets under +, interface mismatches under ;, and sums
+    with missing or inconsistently-typed branches or an input as output.
 
     Each node's type is computed once, bottom-up, and kept on the node
     itself (outside its fields, so equality and hashing do not
@@ -343,6 +340,8 @@ def _typing(term: Term) -> Walk[TermType]:
                 )
             nodes |= sub_ty.nodes
         assert outputs is not None
+        if term.inputs & outputs:
+            raise TermError(f"sum inputs {sorted(term.inputs & outputs)} are also its outputs")
         ty = TermType(term.inputs, nodes, outputs)
     else:
         raise TermError(f"not a term: {term!r}")
@@ -405,11 +404,8 @@ def _normal_form(term: Term) -> Walk[Term]:
     ty = typecheck(term)
     # stratify keeps the given order within a layer, so one sort orders every layer
     atoms = sorted((yield _atoms(term)), key=render_term)
-    try:
-        return stratify([(a.inputs, a.outputs) for a in map(typecheck, atoms)],
-                        ty.inputs, ty.outputs, atoms, Identity, par_all, Seq)
-    except CompositionError as exc:
-        raise TermError(f"{exc}; cannot normalize") from exc
+    return stratify([(a.inputs, a.outputs) for a in map(typecheck, atoms)], ty.inputs, atoms,
+                    Identity, par_all, Seq)
 
 
 # --------------------------------------------------------------------- #

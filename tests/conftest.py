@@ -212,6 +212,28 @@ def random_occurrence_net(
         return MarkedNet(net, marking)
 
 
+def random_dataflow_net(rng: random.Random, n_transitions: int) -> MarkedNet:
+    """A random marked occurrence net without conflict: each transition
+    consumes one or two places that no other transition consumes and
+    produces one or two fresh ones, so each is a cell of its own and the
+    cells' dataflow is a random acyclic graph.  The place names are
+    shuffled, so the cells' order, by least member place, is not the
+    order they were made in."""
+    names = [f"p{i}" for i in range(2 * n_transitions + 3)]
+    rng.shuffle(names)
+    free = initial = [names.pop() for _ in range(rng.randint(1, 3))]
+    places, flow = set(initial), []
+    for k in range(n_transitions):
+        pre = rng.sample(free, rng.randint(1, min(2, len(free))))
+        post = [names.pop() for _ in range(rng.randint(1, 2))]
+        free = [p for p in free if p not in pre] + post
+        places.update(post)
+        flow += [(p, f"t{k}") for p in pre] + [(f"t{k}", p) for p in post]
+    consumed = {p for p, _ in flow if p in places}
+    marking = fs(p for p in initial if p in consumed and rng.random() < 0.5)
+    return MarkedNet(Net(fs(places), fs(f"t{k}" for k in range(n_transitions)), fs(flow)), marking)
+
+
 @pytest.fixture(scope="session")
 def three_cells() -> MarkedNet:
     return build_three_cell_net()

@@ -15,12 +15,14 @@ diagram, the pre- and post-sets, the flow's closure and the event
 structure built from them on frozensets, where the library reads all
 of them off a net's bit index, and the event-structure oracle's
 searches and term player on frozensets, where the library runs them on
-bit masks.  None of them is used by the library.
+bit masks, and the ⊕ and ; splits of a net, searched on its flow alone,
+where the library layers its cells.  None of them is used by the
+library.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Iterable
 
 import numpy as np
@@ -181,7 +183,7 @@ def compile_by_subnets(marked: MarkedNet) -> Term:
     term, the full subset included, padded with ⊥ on the final places it
     kills.  The layers are those of ``stratify``."""
     cells = scells(marked.net, marked.marking)
-    return stratify([(c.subnet.inputs, c.subnet.outputs) for c in cells], marked.inputs, marked.outputs,
+    return stratify([(c.subnet.inputs, c.subnet.outputs) for c in cells], marked.inputs,
                     [_compile_subnet(c.subnet) for c in cells], Identity, par_all, Seq)
 
 
@@ -271,6 +273,64 @@ def at_marking(cell: MarkedNet, arriving: frozenset[str]) -> MarkedView:
     survivor = remove_places(cell, cell.inputs - arriving).net
     marked = MarkedNet(survivor, min_places(survivor))
     return MarkedView(marked, dead_finals=cell.outputs - marked.outputs)
+
+
+# --------------------------------------------------------------------- #
+# Splits of a net by ⊕ and ;
+# --------------------------------------------------------------------- #
+
+
+def flow_components(net: Net) -> frozenset[frozenset[str]]:
+    """The components of the net's flow graph with its arcs undirected,
+    an isolated place being one on its own.  The net is the ⊕ of two
+    nets exactly when each is a union of some of these, so it splits by
+    ⊕ exactly when it has two or more.  Reads only the net's places,
+    transitions and flow."""
+    neighbours: dict[str, set[str]] = {x: set() for x in net.places | net.transitions}
+    for x, y in net.flow:
+        neighbours[x].add(y)
+        neighbours[y].add(x)
+    components, seen = set(), set()
+    for x in neighbours:
+        if x in seen:
+            continue
+        pending, component = [x], {x}
+        while pending:
+            for y in neighbours[pending.pop()] - component:
+                component.add(y)
+                pending.append(y)
+        seen |= component
+        components.add(frozenset(component))
+    return frozenset(components)
+
+
+def is_seq_split(net: Net, first: frozenset[str]) -> bool:
+    """Whether the net is a ; of the net on the transitions ``first``
+    and the net on the others: ``first`` is a nonempty proper subset of
+    the transitions, closed downwards under causality (a producer of a
+    pre-place of a transition in it is in it), and no place has
+    consumers on both sides.  Reads only the net's places, transitions
+    and flow."""
+    if not first or not first < net.transitions:
+        return False
+    producer = {y: x for x, y in net.flow if x in net.transitions}
+    consumers: dict[str, set[str]] = {p: set() for p in net.places}
+    for x, y in net.flow:
+        if x in net.places:
+            consumers[x].add(y)
+            if y in first and x in producer and producer[x] not in first:
+                return False
+    return all(used <= first or not used & first for used in consumers.values())
+
+
+def seq_splits(net: Net) -> Iterable[frozenset[str]]:
+    """Every transition set at which the net splits by ;, found by trying
+    each nonempty proper subset of its transitions, smallest first."""
+    transitions = sorted(net.transitions)
+    for size in range(1, len(transitions)):
+        for first in map(frozenset, combinations(transitions, size)):
+            if is_seq_split(net, first):
+                yield first
 
 
 # --------------------------------------------------------------------- #

@@ -1,4 +1,6 @@
 import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -22,11 +24,21 @@ from cellnet import (
     scells,
     sequential_compose,
 )
-from cellnet.cells import cell_leaves, stratify
+from cellnet.cells import _fold_nodes, cell_leaves, stratify
 from cellnet.cli import run
-from cellnet.netfile import parse_net
-from conftest import wide_doc
-from references import at_marking, count_boxes, remove_places, scell_preorder
+from cellnet.netfile import load_net, parse_net
+from conftest import deep_doc, random_dataflow_net, random_occurrence_net, wide_doc
+from references import (
+    at_marking,
+    count_boxes,
+    flow_components,
+    is_seq_split,
+    remove_places,
+    scell_preorder,
+    seq_splits,
+)
+
+NETS = Path(__file__).resolve().parent.parent / "nets"
 
 fs = frozenset
 
@@ -131,6 +143,14 @@ def test_sequential_compose(three_cells):
     with pytest.raises(CompositionError) as err:
         sequential_compose(first, nc3)
     assert "5" in str(err.value)
+
+
+def test_sequential_compose_refuses_nodes_shared_beyond_the_interface():
+    # the interface is {q}; p is also a marked initial place of the second net
+    first = MarkedNet(Net(fs({"p", "q"}), fs({"t"}), fs([("p", "t"), ("t", "q")])), fs({"p"}))
+    second = MarkedNet(Net(fs({"p", "q", "r"}), fs({"u"}), fs([("q", "u"), ("p", "u"), ("u", "r")])), fs({"p"}))
+    with pytest.raises(CompositionError, match=r"^nets share nodes beyond the interface: \['p'\]$"):
+        sequential_compose(first, second)
 
 
 def test_sequential_identity_law(three_cells):
@@ -257,33 +277,26 @@ def test_at_marking_drops_marked_isolated_token():
     assert view.dead_finals == fs({"r"})
 
 
-def _layered(blocks, inputs, outputs, names="abcdef"):
+def _layered(blocks, inputs, names="abcdef"):
     """stratify with plain constructors: block i is names[i], a pad its
     place set, a layer a list and a sequence a pair."""
-    return stratify(blocks, inputs, outputs, names, lambda pad: pad, list, lambda a, b: (a, b))
+    return stratify(blocks, inputs, names, lambda pad: pad, list, lambda a, b: (a, b))
 
 
 def test_stratify_layers_and_pads():
     blocks = [(fs({"i"}), fs({"x"})), (fs({"x"}), fs({"o"})), (fs(), fs({"z"}))]
-    inputs, outputs = fs({"i", "w"}), fs({"o", "w", "z"})
-    assert _layered(blocks, inputs, outputs) == (["a", "c", fs({"w"})], ["b", fs({"w", "z"})])
+    inputs = fs({"i", "w"})
+    assert _layered(blocks, inputs) == (["a", "c", fs({"w"})], ["b", fs({"w", "z"})])
     # a layer keeps the given block order
-    assert _layered(blocks[::-1], inputs, outputs, "cba") == (["c", "a", fs({"w"})], ["b", fs({"w", "z"})])
+    assert _layered(blocks[::-1], inputs, "cba") == (["c", "a", fs({"w"})], ["b", fs({"w", "z"})])
 
 
 def test_stratify_composes_layer_by_layer():
     chain = [(fs({"q"}), fs({"r"})), (fs({"p"}), fs({"q"})), (fs({"r"}), fs({"s"}))]
     # a lone part is its layer, and the layers nest to the left
-    assert stratify(chain, fs({"p"}), fs({"s"}), [0, 1, 2], lambda pad: pad, list, lambda a, b: (a, b)) == ((1, 0), 2)
+    assert stratify(chain, fs({"p"}), [0, 1, 2], lambda pad: pad, list, lambda a, b: (a, b)) == ((1, 0), 2)
     # no blocks give the identity on the inputs
-    assert _layered([], fs({"p", "q"}), fs({"p", "q"})) == fs({"p", "q"})
-
-
-def test_stratify_rejects_bad_dataflow():
-    with pytest.raises(CompositionError, match="cyclic place dataflow"):
-        _layered([(fs({"a"}), fs({"b"})), (fs({"b"}), fs({"a"}))], fs(), fs())
-    with pytest.raises(CompositionError, match="place q is consumed but never produced"):
-        _layered([(fs({"q"}), fs())], fs(), fs())
+    assert _layered([], fs({"p", "q"})) == fs({"p", "q"})
 
 
 def test_canonical_layer_is_one_past_the_deepest_producer():
@@ -301,6 +314,50 @@ def test_canonical_layer_is_one_past_the_deepest_producer():
     assert render_tree(tree) == (
         "(((cell{p1,tC | m=p1} + cell{p2,tA | m=p2}) ; (cell{p3,tB} + I{p4})) ; cell{p4,p5,tD})"
     )
+
+
+def _checked_net(tree):
+    """The net of a composition tree, each node's net the union of its
+    children's, with each split the tree makes checked on the way by
+    the searches of references.py, which read the flow alone: a ⊕
+    splits its net along whole components, a ; at a set of transitions
+    that the search accepts, and a cell splits neither way."""
+
+    def cell(leaf):
+        net = leaf.cell.subnet.net
+        assert len(flow_components(net)) == 1 and next(seq_splits(net), None) is None, render_tree(tree)
+        return net
+
+    def par(parts):
+        net = _union(parts)
+        assert flow_components(net) == fs().union(*map(flow_components, parts)), render_tree(tree)
+        return net
+
+    def seq(first, second):
+        net = _union((first, second))
+        assert is_seq_split(net, first.transitions), render_tree(tree)
+        return net
+
+    return _fold_nodes(tree, cell, lambda leaf: Net(leaf.places, fs(), fs()), par, seq)
+
+
+def _union(nets):
+    return Net(fs().union(*(n.places for n in nets)), fs().union(*(n.transitions for n in nets)),
+               fs().union(*(n.flow for n in nets)))
+
+
+def test_canonical_form_splits_where_the_flow_allows():
+    # the layering that builds the tree checks none of its splits, so
+    # they are checked here, against searches that never layer anything
+    nets = [load_net(str(path)) for path in sorted(NETS.glob("*.net"))]
+    nets += [parse_net(json.dumps(make(n))) for make, n in ((wide_doc, 300), (deep_doc, 1000))]
+    rng = random.Random(41)
+    nets += [random_occurrence_net(rng, 12, 9) for _ in range(300)]
+    # cells of one transition each, fed by producers at unequal depths
+    nets += [random_dataflow_net(rng, 12) for _ in range(100)]
+    for marked in nets:
+        tree = canonical_form(marked)
+        assert _checked_net(tree) == fold_tree(tree).net
 
 
 def test_cells_build_no_subnet_until_one_is_read(tmp_path, capsys, monkeypatch):

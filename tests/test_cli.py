@@ -225,8 +225,23 @@ def test_infer_requires_an_action(capsys):
 def test_infer_bad_evidence(capsys):
     assert run([
         "infer", RUNNING, RUNNING_DELTA, "--posterior",
-        "--prior", "nets/three_cells.delta", "--evidence", "7~1",
+        "--prior", "nets/prior.state", "--evidence", "7~1",
     ]) == 1
+    assert capsys.readouterr().err == "cellnet infer: evidence must look like place=0 or place=1, got '7~1'\n"
+
+
+def test_infer_posterior_needs_a_prior(capsys):
+    assert run(["infer", RUNNING, RUNNING_DELTA, "--posterior", "--evidence", "8=1"]) == 1
+    assert capsys.readouterr().err == "cellnet infer: --posterior needs both --prior and --evidence\n"
+
+
+def test_infer_refuses_a_place_named_twice_in_the_evidence(capsys):
+    # the last value used to win: 8=1,8=0 printed the posterior for 8=0
+    assert run([
+        "infer", RUNNING, RUNNING_DELTA, "--posterior",
+        "--prior", "nets/prior.state", "--evidence", "8=1,8=0",
+    ]) == 1
+    assert capsys.readouterr().err == "cellnet infer: evidence names place 8 twice\n"
 
 
 def test_configs(capsys):

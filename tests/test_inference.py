@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from cellnet import (
+    FileFormatError,
     InferenceError,
     Predicate,
     State,
@@ -162,6 +165,19 @@ def test_state_file_errors():
                 '{"places": ["1"], "probabilities": {"1": 0.7}}'):
         with pytest.raises(FileFormatError):
             parse_state(bad)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("nope", "state file is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("[1]", "state file needs exactly 'places' and 'probabilities'"),
+    ('{"places": "1", "probabilities": {}}', "'places' must be a list of non-empty strings"),
+    ('{"places": ["1"], "probabilities": []}', "'probabilities' must be an object"),
+    ('{"places": ["1"], "probabilities": {"2": 1.0}}', "state mentions unknown places ['2']"),
+    ('{"places": ["1"], "probabilities": {"1": 0.5, "1,1": 0.5}}', "duplicate subset '1,1' in state file"),
+])
+def test_state_file_names_its_fault(text, message):
+    with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
+        parse_state(text)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

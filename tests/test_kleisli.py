@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from cellnet import (
     DeltaError,
     DeltaTable,
     Dist,
+    FileFormatError,
     Identity,
     Wiring,
     WiringError,
@@ -382,6 +384,17 @@ def test_delta_file_rejects_bad_documents():
                 '[{"signature": "x", "probabilities": {"a": 0.5}}]'):
         with pytest.raises(FileFormatError):
             load_delta(bad)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('[{"signature": 1, "probabilities": {}}]', "malformed δ entry for 1"),
+    ('[{"signature": "x", "probabilities": []}]', "malformed δ entry for 'x'"),
+    ('[{"signature": "x", "probabilities": {"a": 1.0}}, {"signature": "x", "probabilities": {"a": 1.0}}]',
+     "duplicate δ entry for 'x'"),
+])
+def test_delta_file_names_a_malformed_or_repeated_entry(text, message):
+    with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
+        load_delta(text)
 
 
 # ------------------------------------------------------------------ #

@@ -99,6 +99,17 @@ def test_transition_checks_name_the_first_fault(transition, message):
         parse_net(json.dumps(doc))
 
 
+@pytest.mark.parametrize("transitions, message", [
+    ({}, "'transitions' must be a list"),
+    (["t"], "each transition must be an object with id/pre/post"),
+    ([{"id": "", "pre": ["p"]}], "transition id must be a non-empty string, got ''"),
+])
+def test_transition_list_names_its_fault(transitions, message):
+    doc = {"places": ["p"], "transitions": transitions}
+    with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
+        parse_net(json.dumps(doc))
+
+
 def test_marking_names_its_first_undeclared_place():
     doc = {"places": ["p"], "transitions": [], "marking": ["p", "z", "y", "z"]}
     with pytest.raises(FileFormatError, match=r"^marking references undeclared place 'z'$"):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -73,6 +74,19 @@ def test_pes_tables_are_read_only_copies():
     assert pes.causes["t"] == fs({"t"}) and pes.rivals["t"] == fs({"u"})
     assert pes.immediate_conflicts("t") == fs({"u"})
     assert pes == PES(pes.events, dict(pes.causes), dict(pes.rivals))
+
+
+@pytest.mark.parametrize("events, causes, rivals, message", [
+    ({"t"}, {}, {"t": set()}, "causes and rivals must map exactly the events"),
+    ({"t"}, {"t": set()}, {"t": set()}, "the causes of t must be events including t, its rivals events"),
+    ({"t"}, {"t": {"t"}}, {"t": {"t"}}, "conflict must be irreflexive, got t # t"),
+    ({"t", "u"}, {"t": {"t"}, "u": {"u"}}, {"t": {"u"}, "u": set()}, "conflict must be symmetric, missing u # t"),
+    ({"t", "u", "v"}, {"t": {"t"}, "u": {"u"}, "v": {"t", "v"}}, {"t": {"u"}, "u": {"t"}, "v": set()},
+     "conflict not inherited: u # t ≼ v but not u # v"),
+])
+def test_pes_refuses_a_structure_that_is_not_one(events, causes, rivals, message):
+    with pytest.raises(NetError, match=f"^{re.escape(message)}$"):
+        PES(fs(events), {e: fs(c) for e, c in causes.items()}, {e: fs(r) for e, r in rivals.items()})
 
 
 def reference_pes(marked):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from cellnet import (
@@ -100,6 +102,15 @@ def test_sum_repeated_branch_rejected():
     term = Sum(fs({"1"}), ((fs(), Dead(fs({"4"}))), (fs({"1"}), Dead(fs({"4"}))), (fs(), Dead(fs({"4"})))))
     with pytest.raises(TermError, match=r"two branches for \{\}"):
         typecheck(term)
+
+
+def test_sum_refuses_an_input_among_its_outputs():
+    # typed {a} -> {a}, s ; s would have two producers of a, and
+    # normalize would lay both copies of s side by side
+    s = make_sum({"a"}, {fs(): Dead(fs({"a"})), fs({"a"}): Dead(fs({"a"}))})
+    for check in (typecheck, normalize):
+        with pytest.raises(TermError, match=r"^sum inputs \['a'\] are also its outputs$"):
+            check(Seq(s, s))
 
 
 def test_compiled_term_type(three_cells):
@@ -240,6 +251,23 @@ def test_parse_rejects_garbage():
             parse_term(bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("I{(}", "expected an identifier, found '('"),
+    ("I{a,a}", "duplicate identifiers in {a,a}"),
+    ("(I{a} I{a})", "expected '+' or ';', found 'I'"),
+])
+def test_parse_names_the_syntax_error(text, message):
+    with pytest.raises(TermSyntaxError, match=f"^{re.escape(message)}$"):
+        parse_term(text)
+
+
+def test_typecheck_refuses_sequential_terms_sharing_nodes_beyond_the_interface():
+    # the interface is {o}; m is a node of the constant and the ⊥ after it
+    term = parse_term("(cell[{m}>{o}:{t}:{m}>{o}] ; (I{o} + Bot{m}))")
+    with pytest.raises(TermError, match=r"^sequential terms share nodes beyond the interface: \['m'\]$"):
+        typecheck(term)
+
+
 def _wide_net(n, prefix="w"):
     """n independent one-transition cells, every other one marked."""
     places = fs(f"{prefix}{x}{i}" for i in range(n) for x in "ab")
@@ -336,6 +364,8 @@ def _reference_typecheck(term):
                 f"disagree with {sorted(outputs)}"
             )
         nodes |= ty.nodes
+    if term.inputs & outputs:
+        raise TermError(f"sum inputs {sorted(term.inputs & outputs)} are also its outputs")
     return TermType(term.inputs, nodes, outputs)
 
 
