@@ -7,19 +7,17 @@ is the least-significant bit, so for places p < q the induced order is
 from input subsets to output subsets.
 
 Interpreting a term is one walk that pushes rows through it instead of
-building its layers: the identity on the term's inputs is carried
-through each ``;`` in turn, and through each ``+`` one factor at a time,
-contracting the factor's matrix into the bit axes of the places it
-consumes.  Only cell constants (one row driven by the δ table's
+building its layers.  It starts from the monoidal unit ``I{}``, which
+holds no matrix and by the unit law becomes the first factor pushed
+into it, and passes through each ``;`` in turn and through each ``+``
+one factor at a time, contracting the factor's matrix into the bit axes
+of the places it consumes.  An input joins the rows only when a factor
+first consumes it.  Only cell constants (one row driven by the δ table's
 distribution over their transactions), dead wires and sums (one row per
-input subset, each the branch pushed from the empty cut by the same
-walk) build matrices of their own, so no Kronecker product or whole
-layer is ever formed.  The empty cut, the monoidal unit ``I{}``, holds
-no matrix until its first factor, which by the unit law becomes the cut
-as it is: a term with no inputs and every sum branch start from their
-first factor, and nothing is contracted into the identity on no places.
-Each cut is checked against the width cap before anything is allocated
-for it.  One column gather relabels the result to the requested wiring.
+input subset, each the branch pushed from the unit by the same walk)
+build matrices of their own, so no Kronecker product or whole layer is
+ever formed.  Each cut is checked against the width cap before anything
+is allocated for it.  One gather relabels the result.
 
 numpy is imported inside the functions that build or read an array,
 not at the top of the module: the structural commands (``compile``,
@@ -73,9 +71,6 @@ class Wiring(_Value):
     @property
     def place_set(self) -> frozenset[PlaceId]:
         return frozenset(self.places)
-
-    def __len__(self) -> int:
-        return len(self.places)
 
     @property
     def size(self) -> int:
@@ -411,16 +406,15 @@ def interpret(
     """Interpret a well-typed term as a Kleisli arrow.
 
     ``in_wiring``/``out_wiring`` must wire the term's input/output
-    interfaces (default: lexicographic).  The identity on the inputs, in
-    their lexicographic wiring, is pushed through the term by one walk
-    (see :func:`_push`); no Kronecker product, layer matrix or
-    permutation matrix is built.  A term with no inputs starts from the
-    empty cut, which holds no matrix: its first factor becomes the cut,
-    and a term that builds none (an identity on no places) is the 1×1
-    matrix [[1]].  The result is relabelled to the requested wirings
-    once, by one row and one column gather.  By the
-    permutation-conjugation property, interpreting under other wirings
-    gives the same arrow up to that relabelling.
+    interfaces (default: lexicographic).  One walk pushes rows through
+    the term from the unit, which holds no matrix (see :func:`_push`);
+    no layer matrix or permutation matrix is built.  Each input joins
+    the rows when a factor first consumes it; the inputs that no factor
+    consumes, also outputs, join the rows and columns at the end as one
+    identity block, and a term that builds no factor is that block
+    alone.  The result is relabelled to the requested wirings once, by
+    one row and one column gather.  By the permutation-conjugation
+    property, other wirings give the same arrow up to that relabelling.
 
     ``width_cap`` bounds the term's interface and every cut the pushed
     rows range over, each checked before anything is allocated for it;
@@ -445,12 +439,13 @@ def interpret(
             f"output wiring {out_wiring.places} does not wire the term outputs {sorted(ty.outputs)}"
         )
     _check_width(max(len(ty.inputs), len(ty.outputs)), width_cap)
-    ins = tuple(sorted(ty.inputs))
-    start = np.eye(1 << len(ins)) if ins else None  # None: the empty cut
-    matrix, places = run(_push(start, ins, term, delta, width_cap))
-    if matrix is None:  # the term is an identity on no places
+    matrix, rows, places = run(_push(None, (), (), term, delta, width_cap, len(ty.inputs)))
+    if matrix is None:  # the term builds no factor
         matrix = np.ones((1, 1))
-    rows = subset_index(in_wiring, Wiring(ins))
+    idle = tuple(p for p in sorted(ty.inputs) if p not in rows)  # identity wires
+    if idle:
+        matrix, rows, places = np.kron(np.eye(1 << len(idle)), matrix), rows + idle, places + idle
+    rows = subset_index(in_wiring, Wiring(rows))
     cols = subset_index(out_wiring, Wiring(places))
     return KleisliArrow(in_wiring, out_wiring, matrix[np.ix_(rows, cols)])
 
@@ -465,12 +460,14 @@ def _check_width(width: int, cap: int) -> None:
 
 
 def _push(
-    matrix: np.ndarray | None, places: Places, term: Term, delta: DeltaTable, cap: int
-) -> Walk[tuple[np.ndarray | None, Places]]:
-    """Push rows through a term: ``matrix``'s columns range over the
-    subsets of a cut of places, wired by ``places`` (first place
-    lowest), that includes the term's inputs; after the term they range
-    over the cut with those inputs replaced by the term's outputs.
+    matrix: np.ndarray | None, rows: Places, places: Places, term: Term, delta: DeltaTable,
+    cap: int, n_inputs: int,
+) -> Walk[tuple[np.ndarray | None, Places, Places]]:
+    """Push rows through a term.  ``matrix``'s rows range over the
+    subsets of the inputs consumed so far, wired by ``rows``, and its
+    columns over those of a cut, wired by ``places`` (first place
+    lowest).  The cut, with the walk's inputs (``n_inputs`` of them) not
+    yet in ``rows``, holds the term's inputs, and after it its outputs.
 
     ``;`` pushes its first part, then its second, and ``+`` its factors
     one after another, narrowing ones first, so that the cut through one
@@ -478,42 +475,42 @@ def _push(
     stay where they are, with no walk of their own.  A dead wire, a
     constant (one row driven by the δ table's distribution over its
     transactions) and a sum (one row per input subset, in
-    ``subsets_lex`` order, each its branch pushed from the empty cut and
+    ``subsets_lex`` order, each its branch pushed from the unit and
     gathered to the sum's output wiring where the branch wires them
     otherwise) build a matrix of their own, once the cut they leave is
     checked against the cap, and it is contracted into the cut by
     :func:`_contract`.
 
-    The empty cut before its first factor is ``matrix=None`` with no
-    places: the first factor pushed into it is the cut as it is, with no
-    contraction and no second check, and a walk that builds no factor
-    returns ``None``.  Every factor and every contraction's result is
-    checked by :func:`_check_stochastic`.
+    Every walk starts from the unit ``I{}``: ``matrix=None``, no rows
+    and no places.  The first factor pushed into it is the cut as it is,
+    its inputs the rows, with no contraction and no second check, and a
+    walk that builds no factor returns ``None``.  Every factor and every
+    contraction's result is checked by :func:`_check_stochastic`.
     """
     if isinstance(term, Seq):
         for part in (term.first, term.second):
             if not isinstance(part, Identity):  # an identity leaves the cut as it is
-                matrix, places = yield _push(matrix, places, part, delta, cap)
-        return matrix, places
+                matrix, rows, places = yield _push(matrix, rows, places, part, delta, cap, n_inputs)
+        return matrix, rows, places
     if isinstance(term, Par):
         for factor in _narrowing_first(term):
-            matrix, places = yield _push(matrix, places, factor, delta, cap)
-        return matrix, places
+            matrix, rows, places = yield _push(matrix, rows, places, factor, delta, cap, n_inputs)
+        return matrix, rows, places
     if isinstance(term, Identity):
-        return matrix, places
+        return matrix, rows, places
     import numpy as np
 
     ty = typecheck(term)
     ins, outs = tuple(sorted(ty.inputs)), tuple(sorted(ty.outputs))
-    _check_width(len(places) - len(ins) + len(outs), cap)
+    _check_width(len(places) + n_inputs - len(rows) - len(ins) + len(outs), cap)
     if isinstance(term, Sum):
-        rows = []
+        stacked = []
         for m in subsets_lex(ty.inputs):
-            row, got = yield _push(None, (), term.branch(m), delta, cap)
+            row, _, got = yield _push(None, (), (), term.branch(m), delta, cap, 0)
             if row is None:  # the branch is an identity on no places
                 row = np.ones((1, 1))
-            rows.append(row if got == outs else row[:, subset_index(Wiring(outs), Wiring(got))])
-        factor = np.vstack(rows)
+            stacked.append(row if got == outs else row[:, subset_index(Wiring(outs), Wiring(got))])
+        factor = np.vstack(stacked)
     else:
         factor = np.zeros((1, 1 << len(outs)))
         if isinstance(term, Dead):
@@ -524,11 +521,11 @@ def _push(
             for proc in sorted(term.key.transactions, key=Process.sort_key):
                 factor[0, wiring.index(proc.final_places)] += dist.prob(proc.transitions)
     _check_stochastic(factor)
-    if matrix is None:  # the empty cut: by the unit law, the factor is the cut
-        return factor, outs
-    matrix, places = _contract(matrix, places, factor, ins, outs)
+    if matrix is None:  # the unit: by the unit law, the factor is the cut
+        return factor, ins, outs
+    matrix, rows, places = _contract(matrix, rows, places, factor, ins, outs)
     _check_stochastic(matrix)
-    return matrix, places
+    return matrix, rows, places
 
 
 def _narrowing_first(term: Par) -> list[Term]:
@@ -552,20 +549,25 @@ def _narrowing_first(term: Par) -> list[Term]:
 
 
 def _contract(
-    matrix: np.ndarray, places: Places, factor: np.ndarray, ins: Places, outs: Places
-) -> tuple[np.ndarray, Places]:
+    matrix: np.ndarray, rows: Places, places: Places, factor: np.ndarray, ins: Places, outs: Places
+) -> tuple[np.ndarray, Places, Places]:
     """Contract ``factor`` (rows wired by ``ins``, columns by ``outs``)
-    into the cut: split the columns into one size-2 axis per place, move
-    the inputs' axes last in their wiring's bit order, multiply once,
-    and let the outputs take the low bits."""
-    n = len(places)
-    consumed = set(ins)
-    rest = tuple(p for p in places if p not in consumed)
+    into the cut: split the cut's columns, and the factor's rows if some
+    inputs were waiting, into one size-2 axis per place, move the inputs
+    taken from the cut last, and multiply once, batched over the waiting
+    inputs, which take the high row bits; the outputs take the low bits."""
+    n, k = len(places), len(ins)
+    taken = tuple(p for p in ins if p in places)
+    waiting = tuple(p for p in ins if p not in places)
+    rest = tuple(p for p in places if p not in ins)
     axis = {p: n - bit for bit, p in enumerate(places)}  # axis 0 holds the rows
-    order = [0] + [axis[p] for p in reversed(rest)] + [axis[p] for p in reversed(ins)]
-    rows = matrix.shape[0]
-    cut = matrix.reshape((rows,) + (2,) * n).transpose(order).reshape(-1, factor.shape[0])
-    return (cut @ factor).reshape(rows, -1), outs + rest
+    cut = matrix.reshape((-1,) + (2,) * n).transpose([0] + [axis[p] for p in reversed(taken + rest)])
+    if waiting:  # else the factor's rows are wired by ``taken`` already
+        order = [k - 1 - ins.index(p) for p in reversed(taken + waiting)] + [k]  # axis k: the columns
+        factor = factor.reshape((2,) * k + (-1,)).transpose(order)
+        factor = factor.reshape(1 << len(waiting), 1 << len(taken), -1)
+    product = cut.reshape(-1, 1 << len(taken)) @ factor
+    return product.reshape(len(matrix) << len(waiting), -1), rows + waiting, outs + rest
 
 
 # --------------------------------------------------------------------- #

@@ -62,7 +62,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .cells import _kills
 from .compiler import compile_net
-from .errors import CellnetError, DeltaError, NetError
+from .errors import CellnetError, NetError
 from .kleisli import DeltaTable, Dist
 from .nets import BitIndex, MarkedNet, NetIndex, PlaceId, Process, TransitionId, Walk, _Value, bits, run
 from .terms import (
@@ -631,10 +631,7 @@ def sample_outcome_distribution(
             if pick < acc:
                 chosen = outcome
                 break
-        for proc in key.transactions:
-            if proc.transitions == chosen:
-                return [(proc, 1.0)]
-        raise DeltaError(f"sampled unknown transaction {sorted(chosen)}")
+        return [(next(p for p in key.transactions if p.transitions == chosen), 1.0)]
 
     player = _Player(BitIndex(marked.net._index.order, marked.net._index.bit), draw)
     for _ in range(samples):

@@ -108,6 +108,14 @@ def wide_doc(n: int) -> dict:
     }
 
 
+def fan_doc(k: int) -> dict:
+    """One transition t that consumes k unmarked places i<j> and produces
+    o: a net with k inputs whose term is one sum over their subsets."""
+    ids = [f"{i:0{len(str(k - 1))}d}" for i in range(k)]
+    inputs = [f"i{i}" for i in ids]
+    return {"places": inputs + ["o"], "transitions": [{"id": "t", "pre": inputs, "post": ["o"]}], "marking": []}
+
+
 def lad_doc(n: int) -> dict:
     """A ladder of n levels whose sums nest n deep.  Level k has places
     p<k>, r<k>, q<k> and s<k> (no s0), r<k> and q<k> marked, and two

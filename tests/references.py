@@ -141,7 +141,7 @@ def widest_cut(term: Term) -> int:
     """The widest subterm interface or cut met when rows are pushed
     through the term from its inputs: the parts of each ``;`` in order,
     the factors of each ``+`` tree stably sorted by outputs minus inputs,
-    and each sum branch from the empty cut."""
+    and each sum branch from the unit."""
     return _push_widths(term, len(typecheck(term).inputs))[1]
 
 

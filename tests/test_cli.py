@@ -244,6 +244,37 @@ def test_infer_refuses_a_place_named_twice_in_the_evidence(capsys):
     assert capsys.readouterr().err == "cellnet infer: evidence names place 8 twice\n"
 
 
+@pytest.mark.parametrize("evidence, message", [
+    ("7=2", "evidence value must be 0 or 1, got '7=2'"),
+    (",", "empty evidence"),
+])
+def test_infer_refuses_a_bad_value_or_no_evidence(evidence, message, capsys):
+    assert run([
+        "infer", RUNNING, RUNNING_DELTA, "--posterior",
+        "--prior", "nets/prior.state", "--evidence", evidence,
+    ]) == 1
+    assert capsys.readouterr().err == f"cellnet infer: {message}\n"
+
+
+def test_infer_skips_an_empty_evidence_chunk(capsys):
+    args = ["infer", RUNNING, RUNNING_DELTA, "--posterior", "--prior", "nets/prior.state", "--evidence"]
+    assert run(args + ["8=1"]) == 0
+    expected = capsys.readouterr().out
+    assert run(args + ["8=1, ,"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_matrix_refuses_a_delta_that_leaves_the_transactions(tmp_path, capsys):
+    doc = json.loads(Path(RUNNING_DELTA).read_text())
+    next(entry for entry in doc if entry["signature"] == "a|b")["probabilities"] = {"a": 0.3, "x": 0.7}
+    delta = tmp_path / "stray.delta"
+    delta.write_text(json.dumps(doc))
+    assert run(["matrix", RUNNING, str(delta)]) == 1
+    assert capsys.readouterr().err == (
+        "cellnet matrix: δ table rejected:\nsupport [a|b]: unknown transactions ['x']\n"
+    )
+
+
 def test_configs(capsys):
     assert run(["configs", RUNNING]) == 0
     lines = capsys.readouterr().out.splitlines()

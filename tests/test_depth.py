@@ -46,7 +46,7 @@ from cellnet import (
 )
 from cellnet.cli import run
 from cellnet.compiler import _compile
-from conftest import deep_doc, lad_doc, wide_doc
+from conftest import deep_doc, fan_doc, lad_doc, wide_doc
 
 N = 1000
 
@@ -129,6 +129,17 @@ def test_constants_of_a_fresh_term_does_not_type_it(nets, shape):
     # typing the chain's term stores every node below each node: 43 MiB
     marked = nets[shape]
     assert _traced_peak(lambda: constants_of(compile_net(marked))) < 5 * 2**20
+
+
+def test_interpret_holds_only_the_inputs_its_factors_consumed():
+    # fan(14)'s one transition fires only when all 14 inputs arrive.  An
+    # identity on the inputs, pushed through the term, took 2 GiB; from
+    # the unit, an input joins the rows only as the sum consumes it
+    term = compile_net(parse_net(json.dumps(fan_doc(14))))
+    arrows = []
+    assert _traced_peak(lambda: arrows.append(interpret(term, UNIFORM))) < 64 * 2**20
+    expected = [[1.0, 0.0]] * (2**14 - 1) + [[0.0, 1.0]]
+    assert arrows[0].matrix.tolist() == expected
 
 
 def test_check_term_reads_what_compile_prints(files, shape, tmp_path, capsys):

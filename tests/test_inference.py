@@ -90,6 +90,26 @@ def test_forward_wiring_mismatch(psi):
         forward(State.point(Wiring(("7",)), fs()), psi)
 
 
+def test_pullback_and_validity_refuse_another_wiring(psi):
+    reversed_out = Predicate.always(Wiring(tuple(reversed(psi.out_wiring.places))))
+    message = (f"predicate wiring {reversed_out.wiring.places} does not match arrow output "
+               f"{psi.out_wiring.places}")
+    with pytest.raises(InferenceError, match=f"^{re.escape(message)}$"):
+        pullback(psi, reversed_out)
+    with pytest.raises(InferenceError, match="^state and predicate are wired differently$"):
+        validity(State.point(Wiring(("1",)), fs()), Predicate.always(Wiring(("7",))))
+
+
+def test_predicate_from_mapping():
+    wiring = Wiring(("x", "y"))
+    predicate = Predicate.from_mapping(wiring, {fs({"x"}): 0.5, fs({"x", "y"}): 1.0})
+    assert predicate.values.tolist() == [0.0, 0.5, 0.0, 1.0]
+    with pytest.raises(WiringError, match=re.escape("place 'z' is not wired by ('x', 'y')")):
+        Predicate.from_mapping(wiring, {fs({"z"}): 1.0})
+    with pytest.raises(InferenceError, match=re.escape("predicate values must lie in [0,1]")):
+        Predicate.from_mapping(wiring, {fs(): 2.0})
+
+
 def test_pullback_token_at_7(psi):
     q = Predicate.from_evidence(psi.out_wiring, {"7": True})
     back = pullback(psi, q)

@@ -167,6 +167,13 @@ def test_row_stochastic_enforced():
         KleisliArrow(Wiring(()), Wiring(("p",)), np.array([[0.4, 0.4]]))
 
 
+def test_arrow_refuses_a_matrix_of_another_shape():
+    from cellnet import KleisliArrow
+
+    with pytest.raises(WiringError, match=r"^matrix shape \(2, 2\) does not match interfaces \(2, 1\)$"):
+        KleisliArrow(Wiring(("q",)), Wiring(()), np.eye(2))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_matrix_entry_refused(bad):
     from cellnet import KleisliArrow
@@ -209,16 +216,17 @@ class _Unchecked:
 @pytest.mark.parametrize("fed", [False, True], ids=["first-factor", "contracted"])
 def test_interpret_names_the_first_fault_of_a_constant(row, message, fed):
     # the constant's row is [0, p(t), p(u), 0] over {}, {x}, {y}, {x, y};
-    # alone it is the first factor of its empty cut, beside a wire it is
-    # contracted into the identity on that wire
-    from cellnet import Constant, ConstantKey, Par, Process
+    # alone it is the first factor pushed into the unit, and beside a
+    # dead wire, which widens the cut less and is pushed first, it is
+    # contracted into that wire's cut
+    from cellnet import Constant, ConstantKey, Dead, Par, Process
 
     key = ConstantKey(
         fs({"p"}), fs({"x", "y"}), fs({Process(fs({"t"}), fs({"p"}), fs({"x"})),
                                       Process(fs({"u"}), fs({"p"}), fs({"y"}))})
     )
     delta = DeltaTable({key.signature: _Unchecked({fs({"t"}): row[0], fs({"u"}): row[1]})})
-    term = Par(Identity(fs({"i"})), Constant(key)) if fed else Constant(key)
+    term = Par(Dead(fs({"z"})), Constant(key)) if fed else Constant(key)
     with pytest.raises(WiringError, match=message):
         interpret(term, delta)
 

@@ -313,6 +313,15 @@ def test_check_correspondence_confusion(confusion):
     assert len(report.cases) == 1              # no unmarked inputs
 
 
+def test_correspondence_case_lists_what_each_side_has_alone():
+    from cellnet import CorrespondenceCase
+
+    case = CorrespondenceCase(fs({"1"}), fs({fs({"a"}), fs({"b", "c"})}),
+                              fs({fs({"a"}), fs({"e"}), fs({"d"})}))
+    assert not case.ok
+    assert str(case) == "inputs {1}: MISMATCH (only event structure: ['{b,c}']; only term: ['{d}', '{e}'])"
+
+
 def test_check_correspondence_with_isolated_input():
     # an isolated place is a legitimate input wire but may not be
     # marked; the event-structure side ignores tokens arriving there

@@ -867,10 +867,10 @@ def test_interpret_matches_kronecker_reference():
 
 
 def _empty_cut_cases():
-    """Compiled nets and hand-built terms whose walks start from the
-    empty cut: the whole term where it has no inputs, and every sum
-    branch.  No factor in them consumes a whole cut and leaves it empty,
-    so an empty cut can only be one no factor has been pushed into."""
+    """Compiled nets and hand-built terms, each of whose walks (the
+    whole term's and every sum branch's) starts from the unit.  No
+    factor in them leaves a cut with neither rows nor places, so such a
+    cut can only be the unit, which no factor has been pushed into."""
     rng = random.Random(24)
     for path in sorted(NETS.glob("*.net")):
         delta = load_delta(path.with_suffix(".delta").read_text(encoding="utf-8"))
@@ -900,9 +900,9 @@ def test_interpret_contracts_nothing_into_the_empty_cut(monkeypatch):
     cuts = []
     contract = kleisli._contract
 
-    def recording(matrix, places, factor, ins, outs):
-        cuts.append(places)
-        return contract(matrix, places, factor, ins, outs)
+    def recording(matrix, rows, places, factor, ins, outs):
+        cuts.append((rows, places))
+        return contract(matrix, rows, places, factor, ins, outs)
 
     monkeypatch.setattr(kleisli, "_contract", recording)
     for term, delta in _empty_cut_cases():
@@ -910,7 +910,7 @@ def test_interpret_contracts_nothing_into_the_empty_cut(monkeypatch):
         np.testing.assert_allclose(
             arrow.matrix, _kronecker_interpret(term, delta).matrix, rtol=0, atol=1e-12
         )
-    assert cuts and () not in cuts
+    assert cuts and ((), ()) not in cuts
 
 
 def _drain(inputs, outputs):

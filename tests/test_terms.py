@@ -401,13 +401,14 @@ def _replaced(term, path, new):
 
 
 def _mutated(term, rng):
-    """The term with one random local fault: a sum branch dropped or
-    added, a node put twice under +, the two sides of a ; swapped, or a
-    node replaced by another node of the term."""
+    """The term with one random local fault: a sum branch dropped (from a
+    sum of two or more, so that every sum keeps a branch) or added, a
+    node put twice under +, the two sides of a ; swapped, or a node
+    replaced by another node of the term."""
     positions = list(_positions(term))
     path, node = rng.choice(positions)
     kind = rng.choice(["drop", "add", "twice", "swap", "graft"])
-    if kind == "drop" and isinstance(node, Sum):
+    if kind == "drop" and isinstance(node, Sum) and len(node.branches) > 1:
         branches = list(node.branches)
         branches.pop(rng.randrange(len(branches)))
         new = Sum(node.inputs, tuple(branches))
